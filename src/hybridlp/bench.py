@@ -12,27 +12,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .ipm import IpmParams, run_ipm
-from .lp_core import GeneralLp, KktPoint, ViolationSummary, evaluate_general_point
-from .mps_io import SolutionFile, make_solution_file, parse_mps
-from .pdhg import PdhgParams, run_pdhg
-from .status import SolveStatus
-from .transform import PresolveStatus
-from .warmstart import (
-    WarmStartParams,
-    _zero_point_file,
-    finish_point,
-    hybrid_solve,
-    prepare_model,
-)
-
-THREADS_ENV = "HYBRIDLP_THREADS"
+from .ipm import IpmParams
+from .lp_core import GeneralLp, ViolationSummary, evaluate_general_point
+from .mps_io import SolutionFile, parse_mps
+from .pdhg import PdhgParams
+from .warmstart import WarmStartParams, solve
 
 METHOD_TAGS = ("pdhg-1e4", "pdhg-1e6", "pdhg-1e8", "ipm-cold", "hybrid")
 _PDHG_EPS = {"pdhg-1e4": 1e-4, "pdhg-1e6": 1e-6, "pdhg-1e8": 1e-8}
@@ -102,80 +88,27 @@ def solve_with_method(
     ws_params: WarmStartParams | None = None,
 ) -> tuple[SolutionFile, ResultRecord]:
     """Run one (model, method) combination through the full pipeline."""
+    pdhg_params = None
     if method == "hybrid":
-        pdhg_params = PdhgParams(eps_rel=eps_rel or 1e-4, time_limit_s=time_limit_s)
-        sol, stats = hybrid_solve(
-            g, pdhg_params, ipm_params, ws_params,
-            use_presolve=use_presolve, use_scaling=use_scaling, seed=seed,
-            method_tag=method,
-        )
-        return sol, _record_from_solution(model_name, method, sol, stats.scaled_violation)
-
-    if method in _PDHG_EPS or method == "pdhg":
+        stages = "hybrid"
+        pdhg_params = PdhgParams(eps_rel=eps_rel or 1e-4)
+    elif method in _PDHG_EPS or method == "pdhg":
+        stages = "pdhg"
         eps = eps_rel if eps_rel is not None else _PDHG_EPS.get(method, 1e-4)
-        return _solve_single_phase(
-            g, method, model_name, time_limit_s, seed, use_presolve, use_scaling,
-            phase="pdhg", eps_rel=eps,
-        )
-
-    if method in ("ipm-cold", "ipm"):
-        eps = eps_rel if eps_rel is not None else (ipm_params.eps_rel if ipm_params else 1e-8)
-        return _solve_single_phase(
-            g, method, model_name, time_limit_s, seed, use_presolve, use_scaling,
-            phase="ipm", eps_rel=eps, ipm_params=ipm_params,
-        )
-
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _solve_single_phase(
-    g, method, model_name, time_limit_s, seed, use_presolve, use_scaling,
-    *, phase, eps_rel, ipm_params=None,
-):
-    t0 = time.monotonic()
-    prep = prepare_model(g, use_presolve=use_presolve, use_scaling=use_scaling)
-    pres = prep.presolve_result
-
-    if pres.status is not PresolveStatus.REDUCED:
-        wall = time.monotonic() - t0
-        status = (
-            SolveStatus.INFEASIBLE if pres.status is PresolveStatus.INFEASIBLE
-            else SolveStatus.UNBOUNDED
-        )
-        sol = _zero_point_file(g, status, method, wall, f"presolve: {pres.message}")
-        return sol, _record_from_solution(model_name, method, sol, None)
-
-    if prep.solved_by_presolve:
-        finished = finish_point(prep, KktPoint(np.zeros(0), np.zeros(0), np.zeros(0)))
-        wall = time.monotonic() - t0
-        sol = make_solution_file(
-            g, SolveStatus.OPTIMAL, finished.x, finished.y, finished.z,
-            method=method, wall_seconds=wall, violation=finished.violation,
-            message="solved by presolve",
-        )
-        return sol, _record_from_solution(model_name, method, sol, None)
-
-    if phase == "pdhg":
-        params = PdhgParams(eps_rel=eps_rel, time_limit_s=time_limit_s)
-        pt, stats = run_pdhg(prep.solve_model, params, seed=seed)
-        iters = {"pdhg_iterations": stats.iterations}
-        status = stats.status
+        pdhg_params = PdhgParams(eps_rel=eps)
+    elif method in ("ipm-cold", "ipm"):
+        stages = "ipm"
+        eps = eps_rel if eps_rel is not None else 1e-8
+        ipm_params = ipm_params or IpmParams(eps_rel=eps)
     else:
-        params = ipm_params or IpmParams(eps_rel=eps_rel)
-        pt, stats = run_ipm(prep.solve_model, params, time_limit_s=time_limit_s)
-        iters = {"ipm_iterations": stats.iterations}
-        status = stats.status
+        raise ValueError(f"unknown method {method!r}")
 
-    finished = finish_point(prep, pt)
-    wall = time.monotonic() - t0
-    message = "" if status is SolveStatus.OPTIMAL else f"{phase}: {status.value}"
-    sol = make_solution_file(
-        g, status, finished.x, finished.y, finished.z,
-        method=method, wall_seconds=wall, violation=finished.violation,
-        message=message, **iters,
+    sol, stats = solve(
+        g, stages, pdhg_params, ipm_params, ws_params, time_limit_s=time_limit_s,
+        use_presolve=use_presolve, use_scaling=use_scaling, seed=seed,
+        method_tag=method,
     )
-    record = _record_from_solution(model_name, method, sol, finished.scaled_violation)
-    return sol, record
+    return sol, _record_from_solution(model_name, method, sol, stats.scaled_violation)
 
 
 # ---------------------------------------------------------------------------
@@ -387,37 +320,26 @@ def bench_directory(
         for f in os.listdir(directory)
         if f.lower().endswith(".mps")
     )
-    jobs = []
+    records = []
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
         for method in methods:
-            jobs.append((path, name, method))
-
-    def run(job):
-        path, name, method = job
-        try:
-            with open(path) as fh:
-                g = parse_mps(fh.read())
-            _, record = solve_with_method(
-                g, method, model_name=name, time_limit_s=time_limit_s, seed=seed,
-                use_presolve=use_presolve, use_scaling=use_scaling,
-            )
-            return record
-        except Exception as exc:  # unreadable model: record and continue
-            return ResultRecord(
-                model=name, method=method, status="Error",
-                wall_seconds=0.0, pdhg_iterations=0, ipm_iterations=0,
-                escalations=0, primal_inf=math.nan, dual_inf=math.nan,
-                rel_gap=math.nan, max_violation=math.nan,
-                scaled_max_violation=math.nan, message=str(exc),
-            )
-
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, jobs))
-    else:
-        records = [run(job) for job in jobs]
+            try:
+                with open(path) as fh:
+                    g = parse_mps(fh.read())
+                _, record = solve_with_method(
+                    g, method, model_name=name, time_limit_s=time_limit_s, seed=seed,
+                    use_presolve=use_presolve, use_scaling=use_scaling,
+                )
+            except Exception as exc:  # unreadable model: record and continue
+                record = ResultRecord(
+                    model=name, method=method, status="Error",
+                    wall_seconds=0.0, pdhg_iterations=0, ipm_iterations=0,
+                    escalations=0, primal_inf=math.nan, dual_inf=math.nan,
+                    rel_gap=math.nan, max_violation=math.nan,
+                    scaled_max_violation=math.nan, message=str(exc),
+                )
+            records.append(record)
     return sorted(records, key=lambda r: (r.model, r.method))
 
 

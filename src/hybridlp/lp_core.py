@@ -452,9 +452,15 @@ def check_relative_termination(
     ||r_p||_2 <= eps (1 + ||b||_2), ||r_d||_2 <= eps (1 + ||c||_2), and
     |c'x - b'y| <= eps (1 + |c'x| + |b'y|).
     """
+    return termination_from_residuals(p, residuals(p, pt), eps_rel)
+
+
+def termination_from_residuals(
+    p: StandardLp, res: Residuals, eps_rel: float
+) -> TerminationCheck:
+    """check_relative_termination on residuals already computed for p."""
     if eps_rel <= 0:
         raise ValueError("eps_rel must be positive")
-    res = residuals(p, pt)
     p_lhs = float(np.linalg.norm(res.r_p)) if res.r_p.size else 0.0
     d_lhs = float(np.linalg.norm(res.r_d)) if res.r_d.size else 0.0
     p_rhs = eps_rel * (1.0 + (float(np.linalg.norm(p.b)) if p.b.size else 0.0))
@@ -472,7 +478,11 @@ def violation_summary(p: StandardLp, pt: KktPoint) -> ViolationSummary:
     on the user's model must lift the point into that model's standard form
     first (see lift_point).
     """
-    res = residuals(p, pt)
+    return summary_from_residuals(residuals(p, pt))
+
+
+def summary_from_residuals(res: Residuals) -> ViolationSummary:
+    """violation_summary on residuals already computed."""
     primal_inf = float(np.max(np.abs(res.r_p))) if res.r_p.size else 0.0
     dual_inf = float(np.max(np.abs(res.r_d))) if res.r_d.size else 0.0
     rel_gap = res.comp / (1.0 + abs(res.primal_obj))

@@ -21,6 +21,8 @@ from .lp_core import (
     TerminationCheck,
     check_relative_termination,
     residuals,
+    summary_from_residuals,
+    termination_from_residuals,
     violation_summary,
 )
 from .status import SolveStatus
@@ -151,12 +153,12 @@ def pdhg_step(state: PdhgState, p: StandardLp) -> PdhgState:
     return state
 
 
-def _score(p: StandardLp, x: np.ndarray, y: np.ndarray):
+def _score(p: StandardLp, x: np.ndarray, y: np.ndarray, eps_rel: float):
+    """The point, its residuals, violation summary and termination check."""
     z = extract_reduced_costs(p, y)
     pt = KktPoint(x, y, z)
     res = residuals(p, pt)
-    summary = violation_summary(p, pt)
-    return pt, res, summary
+    return pt, res, summary_from_residuals(res), termination_from_residuals(p, res, eps_rel)
 
 
 def run_pdhg(
@@ -177,9 +179,8 @@ def run_pdhg(
     t0 = time.monotonic()
     state = initial_state(p, params, seed=seed)
 
-    best_pt, _, best_summary = _score(p, state.x, state.y)
+    best_pt, _, best_summary, _ = _score(p, state.x, state.y, params.eps_rel)
     status = SolveStatus.ITERATION_LIMIT
-    termination = None
 
     while True:
         if state.iterations >= params.max_kkt_passes:
@@ -198,10 +199,8 @@ def run_pdhg(
         if state.iterations % params.check_every != 0:
             continue
 
-        cur_pt, cur_res, cur_sum = _score(p, state.x, state.y)
-        avg_pt, avg_res, avg_sum = _score(p, state.avg_x, state.avg_y)
-        cur_term = check_relative_termination(p, cur_pt, params.eps_rel)
-        avg_term = check_relative_termination(p, avg_pt, params.eps_rel)
+        cur_pt, cur_res, cur_sum, cur_term = _score(p, state.x, state.y, params.eps_rel)
+        avg_pt, avg_res, avg_sum, avg_term = _score(p, state.avg_x, state.avg_y, params.eps_rel)
 
         passing = [
             (pt, term, s)

@@ -1,18 +1,18 @@
-"""Centered interior warm starts from first-order solutions, and the hybrid driver.
+"""Centered interior warm starts from first-order solutions, and the solve pipeline.
 
 The centering construction floors a primal-dual pair away from the boundary,
 then nudges each coordinate pair toward a common complementarity target with
-per-coordinate moves clamped to a trust region.  The hybrid driver runs the
-full pipeline presolve -> standard form -> scale -> pdhg -> centered start ->
-interior point, escalating the floor and retrying from the current iterate
-whenever the interior-point solver stalls, and reports violations measured
-on the user's original model.
+per-coordinate moves clamped to a trust region.  The pipeline runs presolve
+-> standard form -> scale -> pdhg -> centered start -> interior point, or
+just one of the two solvers, under one deadline; the warm-started interior
+point escalates the floor and retries from the current iterate whenever it
+stalls.  Violations are measured on the user's original model.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -252,28 +252,37 @@ class HybridStats:
     ipm_stats: IpmStats | None = None
 
 
-def hybrid_solve(
+def solve(
     g: GeneralLp,
+    method: str,
     pdhg_params: PdhgParams | None = None,
     ipm_params: IpmParams | None = None,
     ws_params: WarmStartParams | None = None,
     *,
+    time_limit_s: float = 10_000.0,
     use_presolve: bool = True,
     use_scaling: bool = True,
     seed: int = 0,
-    method_tag: str = "hybrid",
+    method_tag: str | None = None,
 ) -> tuple[SolutionFile, HybridStats]:
-    """First-order solve, centered warm start, interior-point refinement.
+    """Run one method through the shared pipeline, measured on the original model.
 
-    The first-order stage runs at its own (loose) tolerance on the scaled
-    model; the refined solution is unscaled, postsolved, and its violation
-    evaluated on the original model.  Phase failures propagate with a phase
-    tag in the message, always carrying the best point found so far.
+    method is "pdhg" (first-order only), "ipm" (interior point from the cold
+    start) or "hybrid" (pdhg -> centered start -> warm-started ipm).  One
+    deadline, time_limit_s after the call starts, covers every stage; each
+    solver stage gets what is left of it.  A failing stage ends the solve
+    with a "<stage>: <status>" message and the best point found so far.
     """
+    if method not in ("pdhg", "ipm", "hybrid"):
+        raise ValueError(f"unknown method {method!r}")
     pdhg_params = pdhg_params or PdhgParams()
     ipm_params = ipm_params or IpmParams()
     ws_params = ws_params or WarmStartParams()
+    method_tag = method_tag or method
     t0 = time.monotonic()
+
+    def time_left() -> float:
+        return max(0.0, time_limit_s - (time.monotonic() - t0))
 
     prep = prepare_model(g, use_presolve=use_presolve, use_scaling=use_scaling)
     pres = prep.presolve_result
@@ -288,61 +297,74 @@ def hybrid_solve(
         stats = HybridStats(status, None, None, 0, 0, 0, wall, sol.violation, None)
         return sol, stats
 
-    if prep.solved_by_presolve:
-        finished = finish_point(prep, KktPoint(np.zeros(0), np.zeros(0), np.zeros(0)))
-        wall = time.monotonic() - t0
-        sol = make_solution_file(
-            g, SolveStatus.OPTIMAL, finished.x, finished.y, finished.z,
-            method=method_tag, wall_seconds=wall, violation=finished.violation,
-            message="solved by presolve",
-        )
-        stats = HybridStats(
-            SolveStatus.OPTIMAL, None, None, 0, 0, 0, wall,
-            finished.violation, None,
-        )
-        return sol, stats
+    pt = KktPoint(np.zeros(0), np.zeros(0), np.zeros(0))
+    status = SolveStatus.OPTIMAL
+    message = "solved by presolve"
+    pdhg_stats = ipm_stats = None
+    ipm_iterations = escalations = 0
+    if not prep.solved_by_presolve:
+        if method != "ipm":
+            params = replace(pdhg_params, time_limit_s=time_left())
+            pt, pdhg_stats = run_pdhg(prep.solve_model, params, seed=seed)
+            status, stage = pdhg_stats.status, "pdhg"
+        if method == "ipm":
+            pt, ipm_stats = run_ipm(prep.solve_model, ipm_params, time_limit_s=time_left())
+            ipm_iterations = ipm_stats.iterations
+        elif method == "hybrid" and status is SolveStatus.OPTIMAL:
+            warm = centered_start(pt, ws_params)
+            result = warm_started_ipm(
+                prep.solve_model, warm, ipm_params, ws_params, time_left()
+            )
+            pt, ipm_stats = result.point, result.stats
+            ipm_iterations, escalations = result.total_iterations, result.escalations
+        if ipm_stats is not None:
+            status, stage = ipm_stats.status, "ipm"
+        message = "" if status is SolveStatus.OPTIMAL else f"{stage}: {status.value}"
 
-    pdhg_pt, pdhg_stats = run_pdhg(prep.solve_model, pdhg_params, seed=seed)
-    if pdhg_stats.status is not SolveStatus.OPTIMAL:
-        finished = finish_point(prep, pdhg_pt)
-        wall = time.monotonic() - t0
-        sol = make_solution_file(
-            g, pdhg_stats.status, finished.x, finished.y, finished.z,
-            method=method_tag, wall_seconds=wall,
-            pdhg_iterations=pdhg_stats.iterations,
-            violation=finished.violation,
-            message=f"pdhg: {pdhg_stats.status.value}",
-        )
-        stats = HybridStats(
-            pdhg_stats.status, pdhg_stats.status, None,
-            pdhg_stats.iterations, 0, 0, wall,
-            finished.violation, finished.scaled_violation, pdhg_stats, None,
-        )
-        return sol, stats
-
-    warm = centered_start(pdhg_pt, ws_params)
-    budget = None
-    if pdhg_params.time_limit_s is not None:
-        budget = max(0.0, pdhg_params.time_limit_s - (time.monotonic() - t0))
-    result = warm_started_ipm(prep.solve_model, warm, ipm_params, ws_params, budget)
-
-    finished = finish_point(prep, result.point)
+    finished = finish_point(prep, pt)
     wall = time.monotonic() - t0
-    status = result.stats.status
-    message = "" if status is SolveStatus.OPTIMAL else f"ipm: {status.value}"
+    pdhg_iterations = pdhg_stats.iterations if pdhg_stats else 0
     sol = make_solution_file(
         g, status, finished.x, finished.y, finished.z,
         method=method_tag, wall_seconds=wall,
-        pdhg_iterations=pdhg_stats.iterations,
-        ipm_iterations=result.total_iterations,
-        escalations=result.escalations,
+        pdhg_iterations=pdhg_iterations,
+        ipm_iterations=ipm_iterations,
+        escalations=escalations,
         violation=finished.violation,
         message=message,
     )
     stats = HybridStats(
-        status, pdhg_stats.status, status,
-        pdhg_stats.iterations, result.total_iterations, result.escalations,
+        status,
+        pdhg_stats.status if pdhg_stats else None,
+        ipm_stats.status if ipm_stats else None,
+        pdhg_iterations, ipm_iterations, escalations,
         wall, finished.violation, finished.scaled_violation,
-        pdhg_stats, result.stats,
+        pdhg_stats, ipm_stats,
     )
     return sol, stats
+
+
+def hybrid_solve(
+    g: GeneralLp,
+    pdhg_params: PdhgParams | None = None,
+    ipm_params: IpmParams | None = None,
+    ws_params: WarmStartParams | None = None,
+    *,
+    use_presolve: bool = True,
+    use_scaling: bool = True,
+    seed: int = 0,
+) -> tuple[SolutionFile, HybridStats]:
+    """First-order solve, centered warm start, interior-point refinement.
+
+    The first-order stage runs at its own (loose) tolerance on the scaled
+    model; the refined solution is unscaled, postsolved, and its violation
+    evaluated on the original model.  Phase failures propagate with a phase
+    tag in the message, always carrying the best point found so far.
+    pdhg_params.time_limit_s bounds the whole solve, presolve included.
+    """
+    pdhg_params = pdhg_params or PdhgParams()
+    return solve(
+        g, "hybrid", pdhg_params, ipm_params, ws_params,
+        time_limit_s=pdhg_params.time_limit_s, use_presolve=use_presolve,
+        use_scaling=use_scaling, seed=seed,
+    )

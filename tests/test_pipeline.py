@@ -1,0 +1,63 @@
+"""The shared solve pipeline: one deadline and one set of presolve exits for every method."""
+
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hybridlp.warmstart
+from hybridlp import EQ, GeneralLp, parse_mps
+from hybridlp.bench import METHOD_TAGS, solve_with_method
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("method", ["pdhg-1e4", "ipm-cold", "hybrid"])
+def test_time_limit_covers_presolve(monkeypatch, method):
+    """Presolve alone overruns the limit, so the first solver stage times out
+    before its first iteration."""
+    real_presolve = hybridlp.warmstart.presolve
+
+    def slow_presolve(g):
+        result = real_presolve(g)
+        time.sleep(0.3)
+        return result
+
+    monkeypatch.setattr(hybridlp.warmstart, "presolve", slow_presolve)
+    g = parse_mps((FIXTURES / "lp2.mps").read_text())
+    sol, record = solve_with_method(g, method, time_limit_s=0.1)
+    assert sol.status == "TimeLimit"
+    assert sol.message in ("pdhg: TimeLimit", "ipm: TimeLimit")
+    assert sol.x.shape == (g.n_vars,)
+    assert (sol.pdhg_iterations, sol.ipm_iterations) == (0, 0)
+    assert record.status == "TimeLimit"
+
+
+FULLY_FIXED = GeneralLp(
+    c=[4.0], A=[[1.0]], senses=[EQ], rhs=[1.0], lower=[1.0], upper=[1.0],
+)
+PRESOLVE_INFEASIBLE = GeneralLp(
+    c=[1.0], A=[[0.0]], senses=[EQ], rhs=[5.0], lower=[0.0], upper=[np.inf],
+)
+
+
+@pytest.mark.parametrize(
+    "g, status, message",
+    [
+        (FULLY_FIXED, "Optimal", "solved by presolve"),
+        (PRESOLVE_INFEASIBLE, "Error", "presolve: "),
+    ],
+    ids=["solved-by-presolve", "presolve-infeasible"],
+)
+def test_presolve_exits_are_shared_by_every_method(g, status, message):
+    sols = [solve_with_method(g, m)[0] for m in METHOD_TAGS]
+    first = sols[0]
+    assert first.status == status
+    assert first.message.startswith(message)
+    for method, sol in zip(METHOD_TAGS, sols):
+        assert sol.method == method
+        assert sol.status == first.status
+        assert sol.message == first.message
+        assert (sol.pdhg_iterations, sol.ipm_iterations, sol.escalations) == (0, 0, 0)
+        np.testing.assert_array_equal(sol.x, first.x)
