@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .ipm import IpmParams
 from .lp_core import GeneralLp, ViolationSummary, evaluate_general_point
@@ -91,15 +91,16 @@ def solve_with_method(
     pdhg_params = None
     if method == "hybrid":
         stages = "hybrid"
-        pdhg_params = PdhgParams(eps_rel=eps_rel or 1e-4)
+        pdhg_params = PdhgParams(eps_rel=eps_rel if eps_rel is not None else 1e-4)
     elif method in _PDHG_EPS or method == "pdhg":
         stages = "pdhg"
         eps = eps_rel if eps_rel is not None else _PDHG_EPS.get(method, 1e-4)
         pdhg_params = PdhgParams(eps_rel=eps)
     elif method in ("ipm-cold", "ipm"):
         stages = "ipm"
-        eps = eps_rel if eps_rel is not None else 1e-8
-        ipm_params = ipm_params or IpmParams(eps_rel=eps)
+        ipm_params = ipm_params or IpmParams()
+        if eps_rel is not None:
+            ipm_params = replace(ipm_params, eps_rel=eps_rel)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 LE = "<="
 GE = ">="
@@ -26,6 +27,18 @@ SENSES = (LE, GE, EQ)
 
 class InvalidModelError(ValueError):
     """A model (or point) violates one of its structural invariants."""
+
+
+def csr_matvec(M: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M @ v for a CSR matrix M, written into the float64 array out.
+
+    Calls scipy's CSR kernel directly, without the checks and the result
+    allocation of ``M @ v``, and is bitwise equal to it.  The kernel adds
+    into its output, so out is zeroed first.
+    """
+    out.fill(0.0)
+    _sparsetools.csr_matvec(M.shape[0], M.shape[1], M.indptr, M.indices, M.data, v, out)
+    return out
 
 
 def _as_float_array(v, n=None) -> np.ndarray:
@@ -121,6 +134,7 @@ class StandardLp:
         if not np.all(np.isfinite(self.A.data)):
             raise InvalidModelError("matrix entries must be finite")
         self._csc = None
+        self._at = None
 
     @property
     def m(self) -> int:
@@ -137,9 +151,16 @@ class StandardLp:
             self._csc = self.A.tocsc()
         return self._csc
 
+    @property
+    def A_T(self) -> sp.csr_matrix:
+        """A' in CSR form, sharing the arrays of A_csc."""
+        if self._at is None:
+            self._at = self.A_csc.T
+        return self._at
+
     def at_y(self, y: np.ndarray) -> np.ndarray:
-        """A'y via the column-oriented copy."""
-        return self.A_csc.T @ y
+        """A'y through the cached transpose."""
+        return csr_matvec(self.A_T, y, np.empty(self.n))
 
 
 @dataclass

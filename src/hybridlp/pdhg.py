@@ -20,6 +20,7 @@ from .lp_core import (
     StandardLp,
     TerminationCheck,
     check_relative_termination,
+    csr_matvec,
     residuals,
     summary_from_residuals,
     termination_from_residuals,
@@ -52,7 +53,10 @@ class PdhgParams:
 
 @dataclass
 class PdhgState:
-    """Mutable iteration state: iterates, averages, steps, restart snapshot."""
+    """Mutable iteration state: iterates, averages, steps, restart snapshot.
+
+    work_n and work_m are scratch vectors of length n and m for pdhg_step.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -67,6 +71,8 @@ class PdhgState:
     restart_x: np.ndarray
     restart_y: np.ndarray
     restart_score: float
+    work_n: np.ndarray
+    work_m: np.ndarray
 
 
 @dataclass
@@ -88,12 +94,13 @@ def estimate_opnorm(A, seed: int = 0, tol: float = 1e-4, max_iters: int = 100) -
     m, n = A.shape
     if m == 0 or n == 0 or A.nnz == 0:
         raise InvalidModelError("cannot estimate the norm of an empty matrix")
+    At = A.T.tocsr()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iters):
-        w = A.T @ (A @ v)
+        w = At @ (A @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             break
@@ -104,7 +111,7 @@ def estimate_opnorm(A, seed: int = 0, tol: float = 1e-4, max_iters: int = 100) -
             break
         lam = new_lam
     # safeguard multiply: one more pass tightens the estimate from below
-    w = A.T @ (A @ v)
+    w = At @ (A @ v)
     norm_w = np.linalg.norm(w)
     if norm_w > 0:
         lam = max(lam, float(np.sqrt(norm_w)))
@@ -136,21 +143,49 @@ def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState
         restart_x=x.copy(),
         restart_y=y.copy(),
         restart_score=score,
+        work_n=np.empty(p.n),
+        work_m=np.empty(p.m),
     )
 
 
 def pdhg_step(state: PdhgState, p: StandardLp) -> PdhgState:
-    """One primal-dual step; updates the running averages with unit weight."""
-    x_new = np.maximum(0.0, state.x - (state.tau / state.omega) * (p.c - p.at_y(state.y)))
-    y_new = state.y + (state.sigma * state.omega) * (p.b - p.A @ (2.0 * x_new - state.x))
+    """One primal-dual step; updates the running averages with unit weight.
+
+        x+ = max(0, x - (tau / omega) (c - A'y))
+        y+ = y + (sigma omega) (b - A (2 x+ - x))
+
+    Each operation is evaluated in this order, in the state's work vectors.
+    x+ and y+ are new arrays, never updated in place, because scored points
+    wrap state.x and state.y without a copy.
+    """
+    gx, gy = state.work_n, state.work_m
+    csr_matvec(p.A_T, state.y, gx)
+    np.subtract(p.c, gx, out=gx)
+    np.multiply(state.tau / state.omega, gx, out=gx)
+    np.subtract(state.x, gx, out=gx)
+    x_new = np.maximum(0.0, gx)
+    np.multiply(2.0, x_new, out=gx)
+    np.subtract(gx, state.x, out=gx)
+    csr_matvec(p.A, gx, gy)
+    np.subtract(p.b, gy, out=gy)
+    np.multiply(state.sigma * state.omega, gy, out=gy)
+    y_new = state.y + gy
     state.x = x_new
     state.y = y_new
     w = state.avg_weight + 1.0
-    state.avg_x += (x_new - state.avg_x) / w
-    state.avg_y += (y_new - state.avg_y) / w
+    np.subtract(x_new, state.avg_x, out=gx)
+    gx /= w
+    state.avg_x += gx
+    np.subtract(y_new, state.avg_y, out=gy)
+    gy /= w
+    state.avg_y += gy
     state.avg_weight = w
     state.iterations += 1
     return state
+
+
+def _finite(state: PdhgState) -> bool:
+    return bool(np.isfinite(state.x).all() and np.isfinite(state.y).all())
 
 
 def _score(p: StandardLp, x: np.ndarray, y: np.ndarray, eps_rel: float):
@@ -170,7 +205,9 @@ def run_pdhg(
     are scored; a passing iterate is returned immediately, otherwise the
     better one becomes the restart target once its score beats
     restart_beta times the score at the last restart.  On failure statuses
-    the best point seen so far is returned.
+    the best point seen so far is returned.  Non-finite iterates are
+    detected at the check points, so NumericalFailure reports the iteration
+    count of the first check (or limit) after the overflow.
     """
     if params is None:
         params = PdhgParams()
@@ -192,12 +229,10 @@ def run_pdhg(
 
         pdhg_step(state, p)
 
-        if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.y))):
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-
         if state.iterations % params.check_every != 0:
             continue
+        if not _finite(state):
+            break
 
         cur_pt, cur_res, cur_sum, cur_term = _score(p, state.x, state.y, params.eps_rel)
         avg_pt, avg_res, avg_sum, avg_term = _score(p, state.avg_x, state.avg_y, params.eps_rel)
@@ -228,7 +263,8 @@ def run_pdhg(
             cand_pt, cand_res, cand_sum = cur_pt, cur_res, cur_sum
 
         if cand_sum.max_violation < best_summary.max_violation:
-            best_pt, best_summary = cand_pt, cand_sum
+            # a copy: the averaged iterate is updated in place by pdhg_step
+            best_pt, best_summary = cand_pt.copy(), cand_sum
 
         if cand_sum.max_violation <= params.restart_beta * state.restart_score:
             state.x = cand_pt.x.copy()
@@ -245,6 +281,8 @@ def run_pdhg(
             state.restart_score = cand_sum.max_violation
             state.restarts += 1
 
+    if not _finite(state):
+        status = SolveStatus.NUMERICAL_FAILURE
     termination = check_relative_termination(p, best_pt, params.eps_rel)
     stats = SolveStats(
         status=status,

@@ -40,27 +40,33 @@ def ruiz_equilibrate(
     Each pass divides every row by the square root of its max-abs entry and
     every column likewise, stopping once all row and column norms lie in
     [1/(1+tol), 1+tol] or after max_iters passes.  b is scaled by the row
-    scales and c by the column scales.
+    scales and c by the column scales.  A is first put in canonical form
+    (duplicates summed, explicit zeros dropped, indices sorted) and then
+    scaled entry by entry, with the rounding of diag(r) @ A @ diag(c).
     """
-    A = p.A.copy().tocsr()
+    A = p.A.copy()
+    A.sum_duplicates()
+    A.eliminate_zeros()
     m, n = A.shape
     row_nnz = np.diff(A.indptr)
     if (row_nnz == 0).any():
         i = int(np.nonzero(row_nnz == 0)[0][0])
         raise ScalingError(f"row {i} has no nonzero entries")
-    col_nnz = np.diff(A.tocsc().indptr)
+    col_nnz = np.bincount(A.indices, minlength=n)
     if (col_nnz == 0).any():
         j = int(np.nonzero(col_nnz == 0)[0][0])
         raise ScalingError(f"column {j} has no nonzero entries")
 
+    row_of = np.repeat(np.arange(m), row_nnz)
     row_scale = np.ones(m)
     col_scale = np.ones(n)
     lo, hi = 1.0 / (1.0 + tol), 1.0 + tol
     applied = 0
     for _ in range(max_iters):
-        absA = abs(A)
-        row_norm = absA.max(axis=1).toarray().ravel()
-        col_norm = absA.max(axis=0).toarray().ravel()
+        abs_data = np.abs(A.data)
+        row_norm = np.maximum.reduceat(abs_data, A.indptr[:-1])
+        col_norm = np.zeros(n)
+        np.maximum.at(col_norm, A.indices, abs_data)
         if (
             np.all((row_norm >= lo) & (row_norm <= hi))
             and np.all((col_norm >= lo) & (col_norm <= hi))
@@ -68,12 +74,15 @@ def ruiz_equilibrate(
             break
         r = 1.0 / np.sqrt(row_norm)
         c = 1.0 / np.sqrt(col_norm)
-        A = sp.diags(r) @ A @ sp.diags(c)
+        # the rounding of diag(r) @ A @ diag(c): (r_i a_ij) c_j
+        A.data *= r[row_of]
+        A.data *= c[A.indices]
         row_scale *= r
         col_scale *= c
         applied += 1
+    A.eliminate_zeros()  # products that underflowed
 
-    scaled = StandardLp(A.tocsr(), row_scale * p.b, col_scale * p.c)
+    scaled = StandardLp(A, row_scale * p.b, col_scale * p.c)
     return scaled, ScalingInfo(row_scale, col_scale, applied)
 
 

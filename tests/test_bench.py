@@ -238,3 +238,25 @@ class TestCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert "max_violation" in printed
+
+
+class TestSolveWithMethodTolerance:
+    def test_ipm_eps_rel_overrides_given_params(self):
+        """An explicit eps_rel sets the IPM tolerance whether or not ipm_params
+        is given; the other fields of ipm_params are kept."""
+        from hybridlp import IpmParams
+
+        g = parse_mps((FIXTURES / "lp2.mps").read_text())
+        _, plain = solve_with_method(g, "ipm-cold", eps_rel=1e-2)
+        _, given = solve_with_method(g, "ipm-cold", eps_rel=1e-2, ipm_params=IpmParams())
+        assert given.ipm_iterations == plain.ipm_iterations
+        _, capped = solve_with_method(
+            g, "ipm-cold", eps_rel=1e-2, ipm_params=IpmParams(max_iters=1)
+        )
+        assert capped.ipm_iterations == 1
+
+    def test_hybrid_zero_eps_rel_rejected(self):
+        """eps_rel=0 is an invalid tolerance, not a request for the default."""
+        g = parse_mps((FIXTURES / "lp2.mps").read_text())
+        with pytest.raises(ValueError, match="eps_rel"):
+            solve_with_method(g, "hybrid", eps_rel=0.0)

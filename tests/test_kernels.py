@@ -1,0 +1,201 @@
+"""Bitwise pins of the PDHG kernels against their plain scipy formulations.
+
+The hot path calls scipy's CSR kernel into preallocated buffers, caches A',
+and scales A in place.  Each reference below is the straightforward
+formulation those kernels replaced; every comparison is exact
+(np.array_equal), because the solver's iteration counts and returned points
+depend on every rounding.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from hybridlp import PdhgParams, StandardLp, parse_mps, ruiz_equilibrate, to_standard_form
+from hybridlp.lp_core import csr_matvec
+from hybridlp.pdhg import estimate_opnorm, initial_state, pdhg_step
+
+from _desk import desk_suite
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _desk_models():
+    return [(inst.name, to_standard_form(inst.model)[0]) for inst in desk_suite()]
+
+
+def _mps_models():
+    return [
+        (path.name, to_standard_form(parse_mps(path.read_text()))[0])
+        for path in sorted(FIXTURES.glob("*.mps"))
+    ]
+
+
+MODELS = _desk_models() + _mps_models()
+over_models = pytest.mark.parametrize(
+    "p", [p for _, p in MODELS], ids=[name for name, _ in MODELS]
+)
+
+
+def reference_ruiz(p, max_iters=20, tol=1e-2):
+    """Equilibration by diagonal matrix products; returns (A, r, c, passes)."""
+    A = p.A.copy().tocsr()
+    m, n = A.shape
+    row_scale = np.ones(m)
+    col_scale = np.ones(n)
+    lo, hi = 1.0 / (1.0 + tol), 1.0 + tol
+    applied = 0
+    for _ in range(max_iters):
+        absA = abs(A)
+        row_norm = absA.max(axis=1).toarray().ravel()
+        col_norm = absA.max(axis=0).toarray().ravel()
+        if (
+            np.all((row_norm >= lo) & (row_norm <= hi))
+            and np.all((col_norm >= lo) & (col_norm <= hi))
+        ):
+            break
+        r = 1.0 / np.sqrt(row_norm)
+        c = 1.0 / np.sqrt(col_norm)
+        A = sp.diags(r) @ A @ sp.diags(c)
+        row_scale *= r
+        col_scale *= c
+        applied += 1
+    return A.tocsr(), row_scale, col_scale, applied
+
+
+def reference_opnorm(A, seed=0, tol=1e-4, max_iters=100):
+    """Power iteration on A'A with a fresh transpose per product."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(A.shape[1])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iters):
+        w = A.T @ (A @ v)
+        norm_w = np.linalg.norm(w)
+        if norm_w == 0.0:
+            break
+        new_lam = np.sqrt(norm_w)
+        v = w / norm_w
+        if lam > 0 and abs(new_lam - lam) <= tol * new_lam:
+            lam = new_lam
+            break
+        lam = new_lam
+    w = A.T @ (A @ v)
+    norm_w = np.linalg.norm(w)
+    if norm_w > 0:
+        lam = max(lam, float(np.sqrt(norm_w)))
+    return float(lam)
+
+
+def reference_step(p, x, y, avg_x, avg_y, avg_weight, tau, sigma, omega):
+    """One PDHG step as one-line array expressions; returns the new state."""
+    x_new = np.maximum(0.0, x - (tau / omega) * (p.c - p.A.T @ y))
+    y_new = y + (sigma * omega) * (p.b - p.A @ (2.0 * x_new - x))
+    w = avg_weight + 1.0
+    avg_x = avg_x + (x_new - avg_x) / w
+    avg_y = avg_y + (y_new - avg_y) / w
+    return x_new, y_new, avg_x, avg_y, w
+
+
+class TestCsrMatvec:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_matmul_and_overwrites_out(self, seed):
+        rng = np.random.default_rng(seed)
+        M = sp.random(30, 50, density=0.1, random_state=seed, format="csr")
+        v = rng.standard_normal(50)
+        out = np.full(30, 7.0)
+        res = csr_matvec(M, v, out)
+        assert res is out
+        assert np.array_equal(out, M @ v)
+
+    def test_unsorted_duplicate_entries(self):
+        M = sp.csr_matrix(
+            (np.array([0.3, -1.7, 2.9, 0.0, 1.1]), np.array([2, 0, 2, 1, 0]), np.array([0, 3, 5])),
+            shape=(2, 3),
+        )
+        v = np.array([0.1, -2.3, 4.7])
+        assert np.array_equal(csr_matvec(M, v, np.empty(2)), M @ v)
+
+
+class TestAtY:
+    @over_models
+    def test_equals_transpose_product(self, p):
+        y = np.random.default_rng(0).standard_normal(p.m)
+        assert np.array_equal(p.at_y(y), p.A.T @ y)
+
+    def test_transpose_cached_and_shares_csc_arrays(self):
+        p = MODELS[-1][1]
+        At = p.A_T
+        assert At is p.A_T
+        assert At.format == "csr"
+        assert np.shares_memory(At.data, p.A_csc.data)
+        assert np.shares_memory(At.indices, p.A_csc.indices)
+
+
+class TestOpnorm:
+    @over_models
+    def test_equals_reference(self, p):
+        for seed in (0, 3):
+            assert estimate_opnorm(p.A, seed=seed) == reference_opnorm(p.A, seed=seed)
+
+
+class TestPdhgStepBitwise:
+    @over_models
+    def test_300_steps_equal_reference(self, p):
+        scaled, _ = ruiz_equilibrate(p)
+        st = initial_state(scaled, PdhgParams())
+        st.omega = 0.7  # a primal weight other than 1 exercises both step scalings
+        ref = (st.x.copy(), st.y.copy(), st.avg_x.copy(), st.avg_y.copy(), st.avg_weight)
+        for _ in range(300):
+            x_before = st.x
+            x_copy = x_before.copy()
+            pdhg_step(st, scaled)
+            ref = reference_step(scaled, *ref, st.tau, st.sigma, st.omega)
+            assert np.array_equal(x_before, x_copy)  # iterates are replaced, not mutated
+        x, y, avg_x, avg_y, w = ref
+        assert np.array_equal(st.x, x)
+        assert np.array_equal(st.y, y)
+        assert np.array_equal(st.avg_x, avg_x)
+        assert np.array_equal(st.avg_y, avg_y)
+        assert st.avg_weight == w == 300.0
+        assert st.iterations == 300
+
+
+def _assert_ruiz_equal(p):
+    scaled, info = ruiz_equilibrate(p)
+    A, r, c, applied = reference_ruiz(p)
+    assert np.array_equal(scaled.A.indptr, A.indptr)
+    assert np.array_equal(scaled.A.indices, A.indices)
+    assert np.array_equal(scaled.A.data, A.data)
+    assert np.array_equal(info.row_scale, r)
+    assert np.array_equal(info.col_scale, c)
+    assert info.applied_iterations == applied
+    assert np.array_equal(scaled.b, r * p.b)
+    assert np.array_equal(scaled.c, c * p.c)
+
+
+class TestRuizBitwise:
+    @over_models
+    def test_equals_diagonal_products(self, p):
+        _assert_ruiz_equal(p)
+
+    def test_explicit_zero_and_duplicate_entry(self):
+        """Sorted rows holding an explicit zero and a duplicate pair.
+
+        ruiz_equilibrate sums the duplicates before scaling, while the
+        products sum their scaled values, so on a duplicate pair the two
+        agree only where both sums round alike, as they do for this one.
+        On canonical matrices, which are all the pipeline builds, they
+        always agree."""
+        data = np.array([3.0, 0.0, 1.5, 2.5, -0.5, 6.0, 0.25, -4.0, 2.0])
+        indices = np.array([0, 1, 2, 2, 3, 1, 3, 0, 2])
+        indptr = np.array([0, 5, 7, 9])
+        A = sp.csr_matrix((data, indices, indptr), shape=(3, 4))
+        assert not A.has_canonical_format
+        p = StandardLp(A, [1.0, 2.0, 3.0], [1.0, -1.0, 0.5, 2.0])
+        _assert_ruiz_equal(p)
+        scaled, _ = ruiz_equilibrate(p)
+        assert scaled.A.nnz == 7
+        assert p.A.nnz == 9  # the input is left as it was

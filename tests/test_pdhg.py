@@ -17,6 +17,7 @@ from hybridlp import (
     run_pdhg,
     to_standard_form,
     unscale_point,
+    violation_summary,
 )
 from hybridlp.pdhg import initial_state, pdhg_step
 
@@ -208,3 +209,35 @@ class TestRunPdhg:
         pt, stats = run_pdhg(scaled, PdhgParams(eps_rel=1e-6))
         assert stats.status.value == "Optimal"
         assert stats.restarts >= 1
+
+
+class TestRunPdhgFailurePoints:
+    def test_best_point_is_the_scored_point(self):
+        """On IterationLimit the returned point has the violation the stats
+        report; the averaged iterate it was scored from moves on in place."""
+        inst = planted_equality_lp(25, 45, seed=18)
+        p, _ = to_standard_form(inst.model)
+        scaled, _ = ruiz_equilibrate(p)
+        pt, stats = run_pdhg(scaled, PdhgParams(eps_rel=1e-10, max_kkt_passes=3200))
+        assert stats.status.value == "IterationLimit"
+        assert violation_summary(scaled, pt).max_violation == stats.max_violation
+
+    def test_overflow_reports_numerical_failure(self):
+        """Iterates that overflow are caught at the first check point, and the
+        finite starting point is returned."""
+        p = StandardLp(np.array([[1.0, -1.0]]), [1e308], [-1e308, 1e308])
+        params = PdhgParams(check_every=16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pt, stats = run_pdhg(p, params)
+        assert stats.status.value == "NumericalFailure"
+        assert 0 < stats.iterations <= params.check_every
+        assert pt.is_finite()
+
+    def test_overflow_before_iteration_limit(self):
+        """An overflow after the last check point is still reported when the
+        iteration limit ends the run."""
+        p = StandardLp(np.array([[1.0, -1.0]]), [1e308], [-1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, stats = run_pdhg(p, PdhgParams(check_every=16, max_kkt_passes=5))
+        assert stats.status.value == "NumericalFailure"
+        assert stats.iterations == 5
