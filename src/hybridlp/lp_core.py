@@ -13,6 +13,7 @@ on the model the user actually wrote.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,15 +217,21 @@ class TerminationCheck:
 
     @property
     def primal_ok(self) -> bool:
-        return self.primal_lhs <= self.primal_rhs
+        return _holds(self.primal_lhs, self.primal_rhs)
 
     @property
     def dual_ok(self) -> bool:
-        return self.dual_lhs <= self.dual_rhs
+        return _holds(self.dual_lhs, self.dual_rhs)
 
     @property
     def gap_ok(self) -> bool:
-        return self.gap_lhs <= self.gap_rhs
+        return _holds(self.gap_lhs, self.gap_rhs)
+
+
+def _holds(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs with a finite lhs: a norm that overflowed to inf must not
+    pass against a bound that overflowed too."""
+    return bool(math.isfinite(lhs) and lhs <= rhs)
 
 
 @dataclass
@@ -488,7 +495,7 @@ def termination_from_residuals(
     d_rhs = eps_rel * (1.0 + (float(np.linalg.norm(p.c)) if p.c.size else 0.0))
     gap_lhs = abs(res.primal_obj - res.dual_obj)
     gap_rhs = eps_rel * (1.0 + abs(res.primal_obj) + abs(res.dual_obj))
-    ok = p_lhs <= p_rhs and d_lhs <= d_rhs and gap_lhs <= gap_rhs
+    ok = _holds(p_lhs, p_rhs) and _holds(d_lhs, d_rhs) and _holds(gap_lhs, gap_rhs)
     return TerminationCheck(ok, p_lhs, p_rhs, d_lhs, d_rhs, gap_lhs, gap_rhs)
 
 

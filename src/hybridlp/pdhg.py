@@ -19,7 +19,6 @@ from .lp_core import (
     KktPoint,
     StandardLp,
     TerminationCheck,
-    check_relative_termination,
     csr_matvec,
     residuals,
     summary_from_residuals,
@@ -53,7 +52,7 @@ class PdhgParams:
 
 @dataclass
 class PdhgState:
-    """Mutable iteration state: iterates, averages, steps, restart snapshot.
+    """Mutable iteration state: iterates, averages, steps, restart score.
 
     work_n and work_m are scratch vectors of length n and m for pdhg_step.
     """
@@ -68,8 +67,6 @@ class PdhgState:
     omega: float
     iterations: int
     restarts: int
-    restart_x: np.ndarray
-    restart_y: np.ndarray
     restart_score: float
     work_n: np.ndarray
     work_m: np.ndarray
@@ -140,8 +137,6 @@ def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState
         omega=params.primal_weight_init,
         iterations=0,
         restarts=0,
-        restart_x=x.copy(),
-        restart_y=y.copy(),
         restart_score=score,
         work_n=np.empty(p.n),
         work_m=np.empty(p.m),
@@ -216,7 +211,7 @@ def run_pdhg(
     t0 = time.monotonic()
     state = initial_state(p, params, seed=seed)
 
-    best_pt, _, best_summary, _ = _score(p, state.x, state.y, params.eps_rel)
+    best_pt, _, best_summary, best_term = _score(p, state.x, state.y, params.eps_rel)
     status = SolveStatus.ITERATION_LIMIT
 
     while True:
@@ -258,13 +253,13 @@ def run_pdhg(
             return pt, stats
 
         if avg_sum.max_violation < cur_sum.max_violation:
-            cand_pt, cand_res, cand_sum = avg_pt, avg_res, avg_sum
+            cand_pt, cand_res, cand_sum, cand_term = avg_pt, avg_res, avg_sum, avg_term
         else:
-            cand_pt, cand_res, cand_sum = cur_pt, cur_res, cur_sum
+            cand_pt, cand_res, cand_sum, cand_term = cur_pt, cur_res, cur_sum, cur_term
 
         if cand_sum.max_violation < best_summary.max_violation:
             # a copy: the averaged iterate is updated in place by pdhg_step
-            best_pt, best_summary = cand_pt.copy(), cand_sum
+            best_pt, best_summary, best_term = cand_pt.copy(), cand_sum, cand_term
 
         if cand_sum.max_violation <= params.restart_beta * state.restart_score:
             state.x = cand_pt.x.copy()
@@ -276,20 +271,17 @@ def run_pdhg(
             rd = float(np.linalg.norm(cand_res.r_d))
             if rp > 0.0 and rd > 0.0:
                 state.omega = float(np.clip(rp / rd, *_WEIGHT_CLIP))
-            state.restart_x = cand_pt.x.copy()
-            state.restart_y = cand_pt.y.copy()
             state.restart_score = cand_sum.max_violation
             state.restarts += 1
 
     if not _finite(state):
         status = SolveStatus.NUMERICAL_FAILURE
-    termination = check_relative_termination(p, best_pt, params.eps_rel)
     stats = SolveStats(
         status=status,
         iterations=state.iterations,
         restarts=state.restarts,
         wall_seconds=time.monotonic() - t0,
-        termination=termination,
+        termination=best_term,
         max_violation=best_summary.max_violation,
     )
     return best_pt, stats

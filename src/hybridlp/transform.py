@@ -108,7 +108,7 @@ def unscale_point(s: ScalingInfo, pt_scaled: KktPoint) -> KktPoint:
 
 @dataclass
 class FixedVariable:
-    """Variable j (index at reduction time) fixed at value by its bounds."""
+    """Variable j (original index) fixed at value by its bounds."""
 
     j: int
     value: float
@@ -116,14 +116,14 @@ class FixedVariable:
 
 @dataclass
 class EmptyRow:
-    """Row i (index at reduction time) had no entries and was consistent."""
+    """Row i (original index) had no entries and was consistent."""
 
     i: int
 
 
 @dataclass
 class EmptyColumn:
-    """Column j had no entries; fixed at the bound favored by its cost."""
+    """Column j (original index) had no entries; fixed at the bound favored by its cost."""
 
     j: int
     value: float
@@ -133,8 +133,9 @@ class EmptyColumn:
 class SingletonRow:
     """Equality row i with single entry coeff at column j implied x_j = value.
 
-    col_rows/col_vals hold column j over the rows that remain after row i is
-    removed, which is exactly the dual vector layout seen during postsolve.
+    All indices are original.  col_rows/col_vals hold column j over the rows
+    still present after row i is removed; their duals are known when
+    postsolve, replaying backwards, reaches this record.
     """
 
     i: int
@@ -156,21 +157,13 @@ class PresolveStack:
 
     @property
     def n_reduced(self) -> int:
-        n = self.n_original
-        for r in self.records:
-            if isinstance(r, (FixedVariable, EmptyColumn)):
-                n -= 1
-            elif isinstance(r, SingletonRow):
-                n -= 1
-        return n
+        return self.n_original - sum(not isinstance(r, EmptyRow) for r in self.records)
 
     @property
     def m_reduced(self) -> int:
-        m = self.m_original
-        for r in self.records:
-            if isinstance(r, (EmptyRow, SingletonRow)):
-                m -= 1
-        return m
+        return self.m_original - sum(
+            isinstance(r, (EmptyRow, SingletonRow)) for r in self.records
+        )
 
 
 class PresolveStatus(enum.Enum):
@@ -196,16 +189,12 @@ class PresolveResult:
         )
 
 
-def _drop_col(A: sp.csc_matrix, j: int) -> sp.csc_matrix:
-    keep = np.ones(A.shape[1], dtype=bool)
-    keep[j] = False
-    return A[:, keep]
-
-
-def _drop_row(A: sp.csc_matrix, i: int) -> sp.csc_matrix:
-    keep = np.ones(A.shape[0], dtype=bool)
-    keep[i] = False
-    return A.tocsr()[keep].tocsc()
+def _live_entries(M: sp.csr_matrix | sp.csc_matrix, k: int, live: np.ndarray):
+    """Minor indices and values of the stored entries of slice k of M that are live."""
+    start, end = M.indptr[k], M.indptr[k + 1]
+    idx = M.indices[start:end]
+    keep = live[idx]
+    return idx[keep], M.data[start:end][keep]
 
 
 def presolve(g: GeneralLp) -> PresolveResult:
@@ -215,45 +204,50 @@ def presolve(g: GeneralLp) -> PresolveResult:
     (checking consistency), fix and remove empty columns at the bound chosen
     by the cost sign, and substitute singleton equality rows.  Detected
     infeasibility or unboundedness is returned as a verdict, not raised.
+
+    Reductions only clear live flags over one canonical copy of A (duplicates
+    summed, explicit zeros dropped), so records carry original indices and
+    the reduced model is sliced once at the end.  Fixed variables go first;
+    then each pass takes the first empty row, else the first empty column,
+    else the first singleton equality row.
     """
     g.validate()
-    A = g.A.tocsc()
-    c = g.c.copy()
+    A = g.A.copy()
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    A_csc = A.tocsc()
+    m, n = A.shape
+    c, lower, upper = g.c, g.lower, g.upper
     rhs = g.rhs.copy()
-    senses = list(g.senses)
-    lower = g.lower.copy()
-    upper = g.upper.copy()
+    senses = g.senses
+    is_eq = np.array([s == EQ for s in senses], dtype=bool)
     col_names = g.variable_names()
     row_names = g.constraint_names()
     offset = g.obj_offset
-    stack = PresolveStack(n_original=g.n_vars, m_original=g.n_rows)
+    row_live = np.ones(m, dtype=bool)
+    col_live = np.ones(n, dtype=bool)
+    row_count = np.diff(A.indptr)
+    # A row dies only once its live entries are gone or belong to the column
+    # dying with it, so a live column's count never changes.
+    col_count = np.diff(A_csc.indptr)
+    stack = PresolveStack(n_original=n, m_original=m)
 
-    def _remove_variable(j: int, value: float):
-        nonlocal A, c, rhs, lower, upper, col_names, offset
-        start, end = A.indptr[j], A.indptr[j + 1]
-        rows = A.indices[start:end]
-        vals = A.data[start:end]
+    def remove_variable(j: int, value: float):
+        """Move x_j = value into rhs and the offset; returns column j's live entries."""
+        nonlocal offset
+        rows, vals = _live_entries(A_csc, j, row_live)
         rhs[rows] -= vals * value
         offset += c[j] * value
-        A = _drop_col(A, j)
-        c = np.delete(c, j)
-        lower = np.delete(lower, j)
-        upper = np.delete(upper, j)
-        del col_names[j]
+        row_count[rows] -= 1
+        col_live[j] = False
+        return rows, vals
 
-    def _find_reduction():
-        nonlocal A, c, rhs, senses, lower, upper, row_names, col_names
+    for j in np.flatnonzero(np.isfinite(lower) & (lower == upper)):
+        stack.records.append(FixedVariable(int(j), float(lower[j])))
+        remove_variable(j, lower[j])
 
-        fixed = np.nonzero(np.isfinite(lower) & (lower == upper))[0]
-        if fixed.size:
-            j = int(fixed[0])
-            value = lower[j]
-            stack.records.append(FixedVariable(j, float(value)))
-            _remove_variable(j, value)
-            return True, None
-
-        row_counts = np.diff(A.tocsr().indptr)
-        empty_rows = np.nonzero(row_counts == 0)[0]
+    while True:
+        empty_rows = np.flatnonzero(row_live & (row_count == 0))
         if empty_rows.size:
             i = int(empty_rows[0])
             r, s = rhs[i], senses[i]
@@ -263,31 +257,27 @@ def presolve(g: GeneralLp) -> PresolveResult:
                 or (s == GE and r > _FEAS_TOL)
             )
             if bad:
-                return False, PresolveResult(
+                return PresolveResult(
                     PresolveStatus.INFEASIBLE, None, stack,
                     f"empty row {row_names[i]} requires 0 {s} {r}",
                 )
             stack.records.append(EmptyRow(i))
-            A = _drop_row(A, i)
-            rhs = np.delete(rhs, i)
-            del senses[i]
-            del row_names[i]
-            return True, None
+            row_live[i] = False
+            continue
 
-        col_counts = np.diff(A.indptr)
-        empty_cols = np.nonzero(col_counts == 0)[0]
+        empty_cols = np.flatnonzero(col_live & (col_count == 0))
         if empty_cols.size:
             j = int(empty_cols[0])
             if c[j] > 0.0:
                 if not np.isfinite(lower[j]):
-                    return False, PresolveResult(
+                    return PresolveResult(
                         PresolveStatus.UNBOUNDED, None, stack,
                         f"column {col_names[j]} has positive cost and no lower bound",
                     )
                 value = lower[j]
             elif c[j] < 0.0:
                 if not np.isfinite(upper[j]):
-                    return False, PresolveResult(
+                    return PresolveResult(
                         PresolveStatus.UNBOUNDED, None, stack,
                         f"column {col_names[j]} has negative cost and no upper bound",
                     )
@@ -300,67 +290,46 @@ def presolve(g: GeneralLp) -> PresolveResult:
                 else:
                     value = 0.0
             stack.records.append(EmptyColumn(j, float(value)))
-            _remove_variable(j, value)
-            return True, None
+            remove_variable(j, value)
+            continue
 
-        A_csr = A.tocsr()
-        singleton = np.nonzero(row_counts == 1)[0]
-        for i in singleton:
-            if senses[i] != EQ:
-                continue
-            i = int(i)
-            start, end = A_csr.indptr[i], A_csr.indptr[i + 1]
-            j = int(A_csr.indices[start])
-            coeff = float(A_csr.data[start])
-            value = rhs[i] / coeff
-            tol = _FEAS_TOL * max(1.0, abs(value))
-            if value < lower[j] - tol or value > upper[j] + tol:
-                return False, PresolveResult(
-                    PresolveStatus.INFEASIBLE, None, stack,
-                    f"row {row_names[i]} fixes {col_names[j]} = {value} outside "
-                    f"[{lower[j]}, {upper[j]}]",
-                )
-            cstart, cend = A.indptr[j], A.indptr[j + 1]
-            col_rows = A.indices[cstart:cend]
-            col_vals = A.data[cstart:cend]
-            others = col_rows != i
-            rows_after = col_rows[others]
-            rows_after = np.where(rows_after > i, rows_after - 1, rows_after)
-            stack.records.append(
-                SingletonRow(
-                    i, j, float(value), coeff, float(c[j]),
-                    rows_after.astype(int), col_vals[others].copy(),
-                )
-            )
-            A = _drop_row(A, i)
-            rhs = np.delete(rhs, i)
-            del senses[i]
-            del row_names[i]
-            _remove_variable(j, value)
-            return True, None
-
-        return False, None
-
-    while True:
-        changed, verdict = _find_reduction()
-        if verdict is not None:
-            return verdict
-        if not changed:
+        singletons = np.flatnonzero(row_live & (row_count == 1) & is_eq)
+        if not singletons.size:
             break
+        i = int(singletons[0])
+        cols, vals = _live_entries(A, i, col_live)
+        j, coeff = int(cols[0]), float(vals[0])
+        value = rhs[i] / coeff
+        tol = _FEAS_TOL * max(1.0, abs(value))
+        if value < lower[j] - tol or value > upper[j] + tol:
+            return PresolveResult(
+                PresolveStatus.INFEASIBLE, None, stack,
+                f"row {row_names[i]} fixes {col_names[j]} = {value} outside "
+                f"[{lower[j]}, {upper[j]}]",
+            )
+        row_live[i] = False
+        col_rows, col_vals = remove_variable(j, value)
+        stack.records.append(
+            SingletonRow(i, j, float(value), coeff, float(c[j]), col_rows, col_vals)
+        )
 
+    rows, cols = np.flatnonzero(row_live), np.flatnonzero(col_live)
     reduced = GeneralLp(
-        c=c, A=A.tocsr(), senses=senses, rhs=rhs, lower=lower, upper=upper,
-        obj_offset=offset, col_names=col_names, row_names=row_names,
+        c=c[cols], A=A[rows][:, cols], senses=[senses[i] for i in rows],
+        rhs=rhs[rows], lower=lower[cols], upper=upper[cols], obj_offset=offset,
+        col_names=[col_names[j] for j in cols], row_names=[row_names[i] for i in rows],
     )
     return PresolveResult(PresolveStatus.REDUCED, reduced, stack)
 
 
 def postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoint:
-    """Replay the reduction stack backwards, restoring a point on the original model.
+    """Restore a point on the original model from one on the reduced model.
 
-    Eliminated primal values come from the records; the dual of a removed
-    singleton row is chosen so the restored column's reduced cost is zero.
-    z is recomputed as c - A'y on the original model.
+    The reduced point is scattered into the surviving rows and columns and
+    eliminated primal values come from the records.  Replaying the singleton
+    rows backwards, each removed row's dual is chosen so the restored
+    column's reduced cost is zero; other removed rows get dual zero.  z is
+    recomputed as c - A'y on the original model.
     """
     if pt.x.size != stack.n_reduced or pt.y.size != stack.m_reduced:
         raise InvalidModelError(
@@ -370,20 +339,22 @@ def postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoi
     if stack.n_original != original.n_vars or stack.m_original != original.n_rows:
         raise InvalidModelError("stack does not belong to this model")
 
-    x = pt.x.copy()
-    y = pt.y.copy()
+    x = np.zeros(stack.n_original)
+    y = np.zeros(stack.m_original)
+    col_live = np.ones(stack.n_original, dtype=bool)
+    row_live = np.ones(stack.m_original, dtype=bool)
+    for rec in stack.records:
+        if isinstance(rec, (EmptyRow, SingletonRow)):
+            row_live[rec.i] = False
+        if not isinstance(rec, EmptyRow):
+            col_live[rec.j] = False
+            x[rec.j] = rec.value
+    x[col_live] = pt.x
+    y[row_live] = pt.y
     for rec in reversed(stack.records):
-        if isinstance(rec, (FixedVariable, EmptyColumn)):
-            x = np.insert(x, rec.j, rec.value)
-        elif isinstance(rec, EmptyRow):
-            y = np.insert(y, rec.i, 0.0)
-        elif isinstance(rec, SingletonRow):
+        if isinstance(rec, SingletonRow):
             partial = rec.col_vals @ y[rec.col_rows] if rec.col_rows.size else 0.0
-            y_i = (rec.cost - partial) / rec.coeff
-            y = np.insert(y, rec.i, y_i)
-            x = np.insert(x, rec.j, rec.value)
-        else:  # pragma: no cover - records are a closed set
-            raise InvalidModelError(f"unknown presolve record {rec!r}")
+            y[rec.i] = (rec.cost - partial) / rec.coeff
 
     z = original.c - original.A.T @ y
     return KktPoint(x, y, np.asarray(z))

@@ -241,3 +241,14 @@ class TestRunPdhgFailurePoints:
             _, stats = run_pdhg(p, PdhgParams(check_every=16, max_kkt_passes=5))
         assert stats.status.value == "NumericalFailure"
         assert stats.iterations == 5
+
+
+def test_overflowed_norms_fail_termination():
+    """Residual norms that overflow to inf do not pass against bounds that
+    overflow too."""
+    p = StandardLp(np.array([[1.0, -1.0]]), [1e308], [-1e308, 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, stats = run_pdhg(p, PdhgParams(check_every=16))
+    assert stats.status.value == "NumericalFailure"
+    assert stats.termination.ok is False
+    assert not (stats.termination.primal_ok or stats.termination.dual_ok)

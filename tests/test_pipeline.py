@@ -61,3 +61,31 @@ def test_presolve_exits_are_shared_by_every_method(g, status, message):
         assert sol.message == first.message
         assert (sol.pdhg_iterations, sol.ipm_iterations, sol.escalations) == (0, 0, 0)
         np.testing.assert_array_equal(sol.x, first.x)
+
+
+STORED_ZERO_MPS = """NAME ZERO
+ROWS
+ N OBJ
+ E R1
+ E R2
+COLUMNS
+ X OBJ 1
+ X R1 0
+ X R2 1
+ Y OBJ 1
+ Y R2 1
+RHS
+ RHS R2 1
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("method", ["hybrid", "ipm-cold", "pdhg-1e4"])
+def test_stored_zero_is_not_a_pivot(method):
+    """R1 holds only a stored zero, so it is an empty row, not a singleton
+    row fixing X = 0 / 0."""
+    g = parse_mps(STORED_ZERO_MPS)
+    sol, _ = solve_with_method(g, method)
+    assert sol.status == "Optimal"
+    assert np.isfinite(sol.x).all()
+    assert g.objective_value(sol.x) == pytest.approx(1.0, abs=1e-3)

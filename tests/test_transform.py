@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from hybridlp import (
@@ -327,3 +328,21 @@ class TestPostsolve:
         out = postsolve(res.stack, KktPoint(x_red, y_red, np.zeros(red.n_vars)), g)
         original_inf = evaluate_general_point(g, out.x, out.y).primal_inf
         assert original_inf <= reduced_inf + 1e-12
+
+
+def test_presolve_sums_duplicate_entries():
+    """A stored pair (0,0)=1 and (0,0)=2 is one coefficient 3: fixing x0 = 1
+    leaves x1 = 5 - 3 = 2, not 5 - 2 from the last entry alone."""
+    A = sp.csr_matrix(
+        (np.array([1.0, 2.0, 1.0]), np.array([0, 0, 1]), np.array([0, 3])), shape=(1, 2)
+    )
+    g = GeneralLp(
+        c=[1.0, 1.0], A=A, senses=[EQ], rhs=[5.0],
+        lower=[1.0, 0.0], upper=[1.0, np.inf],
+    )
+    res = presolve(g)
+    assert res.solved
+    assert [type(r) for r in res.stack.records] == [FixedVariable, SingletonRow]
+    assert res.stack.records[1].value == 2.0
+    out = postsolve(res.stack, KktPoint([], [], []), g)
+    np.testing.assert_array_equal(out.x, [1.0, 2.0])
