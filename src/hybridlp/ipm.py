@@ -1,7 +1,8 @@
 """Primal-dual path-following interior-point solver (predictor-corrector).
 
 Works in standard form with the normal-equations linear algebra
-(A D^2 A' with D^2 = X/Z), an infeasible-start Newton right-hand side, a
+(A D^2 A' with D^2 = X/Z, factored by dense Cholesky, or by splu above a
+memory cap), an infeasible-start Newton right-hand side, a
 fraction-to-boundary step rule, and Mehrotra-style adaptive centering.
 Accepts a cold start or an externally supplied strictly positive start.
 """
@@ -14,20 +15,24 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .lp_core import (
     InvalidModelError,
     KktPoint,
     StandardLp,
     TerminationCheck,
-    check_relative_termination,
-    violation_summary,
+    residuals,
+    summary_from_residuals,
+    termination_from_residuals,
 )
 from .status import SolveStatus
 
 _REG_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _SOLVE_TOL = 1e-8
 _D2_CLIP = (1e-32, 1e32)
+# Largest dense normal matrix, 8 m^2 bytes, factored by LAPACK (m <= 5792).
+_DENSE_CAP_BYTES = 256 << 20
 
 
 class NumericalFailure(RuntimeError):
@@ -82,6 +87,7 @@ class StepReport:
     mu_before: float
     mu_after: float
     sigma: float
+    reg_level: int = 0
 
     @property
     def min_alpha(self) -> float:
@@ -97,13 +103,58 @@ class IpmStats:
     termination: TerminationCheck | None
     mu: float
     history: list = field(default_factory=list)
+    backend: str = ""
+    max_reg_level: int = 0
+
+
+def normal_backend(m: int) -> str:
+    """"dense" while the m x m normal matrix fits _DENSE_CAP_BYTES, else "sparse"."""
+    return "dense" if 8 * m * m <= _DENSE_CAP_BYTES else "sparse"
+
+
+def normal_matrix(p: StandardLp, d2: np.ndarray) -> sp.csc_matrix:
+    """A D^2 A' in CSC form: a copy of the cached CSC A with each column
+    scaled by d2, times A' (a CSC view of the CSR A).
+
+    The product comes out in CSC, so the dense backend writes it into a
+    Fortran-ordered array without a format conversion.
+    """
+    AD = p.A_csc.copy()
+    AD.data *= np.repeat(d2, np.diff(AD.indptr))
+    return AD @ p.A.T
+
+
+def _factorize(M: sp.csc_matrix, delta: float, backend: str):
+    """A function solving (M + delta I) v = r.
+
+    The dense backend writes M + delta I into one Fortran-ordered array and
+    factors it in place; it raises LinAlgError unless the matrix is positive
+    definite.  splu raises RuntimeError on an exactly singular matrix.
+    """
+    if backend == "sparse":
+        return spla.splu(M + delta * sp.identity(M.shape[0], format="csc") if delta else M).solve
+    a = M.toarray(order="F")
+    if delta:
+        a[np.diag_indices_from(a)] += delta
+    factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+    return lambda r: cho_solve(factor, r, check_finite=False)
 
 
 class NormalEquationsSolver:
     """Factor A D^2 A' once per iterate and solve Newton systems against it.
 
-    Regularization escalates through a fixed ladder when factorization fails
-    or the solved system's relative residual exceeds 1e-8.
+    The backend follows from m alone.  While the dense m x m matrix fits
+    _DENSE_CAP_BYTES (256 MB, m <= 5792), M + delta I is factored by LAPACK
+    Cholesky in one Fortran-ordered array: the factors of A D^2 A' fill in
+    almost completely even when M itself is a few percent full, so dense is
+    the faster choice on every model that fits.  Above the cap, SuperLU
+    (splu) factors the sparse M + delta I; it stays because it is the one
+    path that runs when m is too large for a dense matrix.
+
+    Regularization delta escalates through a fixed ladder when factorization
+    fails (a matrix that is not positive definite, or exactly singular for
+    splu) or the solved system's relative residual exceeds 1e-8.  Each rung
+    drops the previous factor before it rebuilds its matrix from the sparse M.
     """
 
     def __init__(self, p: StandardLp, x: np.ndarray, z: np.ndarray):
@@ -111,22 +162,20 @@ class NormalEquationsSolver:
         self.x = x
         self.z = z
         self.d2 = np.clip(x / z, *_D2_CLIP)
-        AD = p.A @ sp.diags(self.d2)
-        self.M = (AD @ p.A.T).tocsc()
-        self._level = 0
-        self._lu = None
+        self.M = normal_matrix(p, self.d2)
+        self.backend = normal_backend(p.m)
+        self.level = 0
+        self._solve_normal = None
         self._factor()
 
     def _factor(self):
-        while self._level < len(_REG_LADDER):
-            delta = _REG_LADDER[self._level]
-            M = self.M if delta == 0.0 else self.M + delta * sp.identity(self.M.shape[0], format="csc")
+        while self.level < len(_REG_LADDER):
+            self._solve_normal = None  # free the old factor before the next
             try:
-                self._lu = spla.splu(M.tocsc())
+                self._solve_normal = _factorize(self.M, _REG_LADDER[self.level], self.backend)
                 return
-            except RuntimeError:
-                self._level += 1
-                self._lu = None
+            except (LinAlgError, RuntimeError):
+                self.level += 1
         raise NumericalFailure("normal-equations factorization failed at max regularization")
 
     def _residual_ok(self, dx, dy, dz, rhs_p, rhs_d, rhs_c) -> bool:
@@ -145,14 +194,14 @@ class NormalEquationsSolver:
         while True:
             w = rhs_d - rhs_c / self.x
             rhs = rhs_p + p.A @ (self.d2 * w)
-            dy = self._lu.solve(rhs)
+            dy = self._solve_normal(rhs)
             dx = self.d2 * (p.at_y(dy) - w)
             dz = rhs_d - p.at_y(dy)
             finite = np.all(np.isfinite(dx)) and np.all(np.isfinite(dy)) and np.all(np.isfinite(dz))
             if finite and self._residual_ok(dx, dy, dz, rhs_p, rhs_d, rhs_c):
                 return dx, dy, dz
-            self._level += 1
-            if self._level >= len(_REG_LADDER):
+            self.level += 1
+            if self.level >= len(_REG_LADDER):
                 raise NumericalFailure("Newton system residual above tolerance at max regularization")
             self._factor()
 
@@ -228,6 +277,7 @@ def predictor_corrector_iteration(
         mu_before=mu,
         mu_after=state.mu,
         sigma=sigma,
+        reg_level=solver.level,
     )
 
 
@@ -258,10 +308,13 @@ def run_ipm(
     status = SolveStatus.ITERATION_LIMIT
     stall_iteration = None
     termination = None
+    max_reg_level = 0
+    # z stays strictly positive, so the clip changes no iterate; one residual
+    # evaluation per iterate serves its history entry and the next check.
+    res = residuals(p, KktPoint(state.x, state.y, np.maximum(state.z, 0.0)))
 
     for it in range(params.max_iters + 1):
-        pt = KktPoint(state.x, state.y, np.maximum(state.z, 0.0))
-        termination = check_relative_termination(p, pt, params.eps_rel)
+        termination = termination_from_residuals(p, res, params.eps_rel)
         if termination.ok:
             status = SolveStatus.OPTIMAL
             break
@@ -275,15 +328,17 @@ def run_ipm(
             state, report = predictor_corrector_iteration(p, state, params)
         except NumericalFailure:
             status = SolveStatus.NUMERICAL_FAILURE
+            max_reg_level = len(_REG_LADDER) - 1
             break
-        summary = violation_summary(p, KktPoint(state.x, state.y, state.z))
+        max_reg_level = max(max_reg_level, report.reg_level)
+        res = residuals(p, KktPoint(state.x, state.y, np.maximum(state.z, 0.0)))
         history.append(
             {
                 "mu": report.mu_after,
                 "alpha_p": report.alpha_p,
                 "alpha_d": report.alpha_d,
                 "sigma": report.sigma,
-                "max_violation": summary.max_violation,
+                "max_violation": summary_from_residuals(res).max_violation,
             }
         )
         if report.min_alpha < params.min_step:
@@ -299,5 +354,7 @@ def run_ipm(
         termination=termination,
         mu=state.mu,
         history=history,
+        backend=normal_backend(p.m),
+        max_reg_level=max_reg_level,
     )
     return KktPoint(state.x, state.y, state.z), stats

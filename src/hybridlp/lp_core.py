@@ -523,8 +523,14 @@ def summary_from_residuals(res: Residuals) -> ViolationSummary:
     )
 
 
-def evaluate_general_point(g: GeneralLp, x, y) -> ViolationSummary:
-    """Violation of a general-model point, measured on that model's standard form."""
-    p, fmap = to_standard_form(g)
+def evaluate_general_point(
+    g: GeneralLp, x, y, standard: tuple[StandardLp, StandardFormMap] | None = None
+) -> ViolationSummary:
+    """Violation of a general-model point, measured on that model's standard form.
+
+    standard is to_standard_form(g) when the caller already holds it; it is
+    built here otherwise.
+    """
+    p, fmap = standard if standard is not None else to_standard_form(g)
     pt = lift_point(g, p, fmap, x, y)
     return violation_summary(p, pt)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hybridlp.ipm
 from hybridlp import (
     IpmParams,
     IpmState,
@@ -10,6 +11,7 @@ from hybridlp import (
     StandardLp,
     cold_start_point,
     evaluate_general_point,
+    hybrid_solve,
     kkt_solve,
     predictor_corrector_iteration,
     restrict_point,
@@ -18,8 +20,9 @@ from hybridlp import (
     to_standard_form,
     unscale_point,
 )
+from hybridlp.ipm import NormalEquationsSolver, NumericalFailure
 
-from _desk import lp1, lp2, planted_equality_lp
+from _desk import desk_suite, lp1, lp2, planted_equality_lp
 
 
 class TestColdStart:
@@ -200,3 +203,125 @@ class TestRunIpm:
             below = [i for i, v in enumerate(viols) if v < 1e-4]
             assert below, "never reached 1e-4"
             assert len(viols) - 1 - below[0] <= 4
+
+
+def _newton_residual(p, st, rhs, direction):
+    """Largest relative residual of the three Newton equations."""
+    (rhs_p, rhs_d, rhs_c), (dx, dy, dz) = rhs, direction
+    pairs = (
+        (p.A @ dx - rhs_p, rhs_p),
+        (p.A.T @ dy + dz - rhs_d, rhs_d),
+        (st.z * dx + st.x * dz - rhs_c, rhs_c),
+    )
+    return max(np.max(np.abs(r)) / (1.0 + np.max(np.abs(b))) for r, b in pairs)
+
+
+def _cold_rhs(p, st):
+    return p.b - p.A @ st.x, p.c - p.A.T @ st.y - st.z, -st.x * st.z
+
+
+def _with_duplicated_row(p, i=0):
+    A = np.vstack([p.A.toarray(), p.A.toarray()[i]])
+    return StandardLp(A, np.append(p.b, p.b[i]), p.c)
+
+
+# Rows 0 and 1 are equal, so A A' is singular.  At x = z = 1 every Cholesky
+# step is exact (M[0:2, 0:2] is all 4s): the second pivot is exactly zero.
+SINGULAR = StandardLp(
+    np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 2.0]]),
+    [4.0, 4.0, 2.0],
+    [1.0, 2.0, 3.0, 4.0],
+)
+UNIT_START = IpmState(np.ones(4), np.zeros(3), np.ones(4))
+
+
+class TestRegularizationLadder:
+    def test_singular_normal_matrix_climbs_the_ladder(self):
+        rhs = _cold_rhs(SINGULAR, UNIT_START)
+        solver = NormalEquationsSolver(SINGULAR, UNIT_START.x, UNIT_START.z)
+        direction = solver.solve(*rhs)
+        assert solver.level > 0
+        assert _newton_residual(SINGULAR, UNIT_START, rhs, direction) <= 1e-8
+        for a, b in zip(kkt_solve(SINGULAR, UNIT_START, *rhs), direction):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("inst", desk_suite(), ids=lambda inst: inst.name)
+    def test_duplicated_row_on_desk_models(self, inst):
+        """A duplicated equality row leaves the Newton equations solvable to
+        1e-8 at whatever rung the solver settles on."""
+        p = _with_duplicated_row(to_standard_form(inst.model)[0])
+        st = cold_start_point(p)
+        rhs = _cold_rhs(p, st)
+        assert _newton_residual(p, st, rhs, kkt_solve(p, st, *rhs)) <= 1e-8
+
+    def test_inconsistent_system_exhausts_the_ladder(self):
+        rhs_p, rhs_d, rhs_c = _cold_rhs(SINGULAR, UNIT_START)
+        rhs_p[1] += 1.0  # A dx cannot differ in two equal rows
+        with pytest.raises(NumericalFailure, match="residual above tolerance"):
+            kkt_solve(SINGULAR, UNIT_START, rhs_p, rhs_d, rhs_c)
+
+    def test_factorization_failure_on_the_last_rung(self, monkeypatch):
+        monkeypatch.setattr(hybridlp.ipm, "_REG_LADDER", (0.0,))
+        with pytest.raises(NumericalFailure, match="factorization failed"):
+            NormalEquationsSolver(SINGULAR, UNIT_START.x, UNIT_START.z)
+
+    def test_stats_report_backend_and_level(self):
+        _, stats = run_ipm(SINGULAR)
+        assert stats.status.value == "Optimal"
+        assert stats.backend == "dense"
+        assert stats.max_reg_level > 0
+
+
+def _solve_all(models):
+    return [
+        (stats.status, stats.iterations, stats.backend)
+        for stats in (run_ipm(p)[1] for p in models)
+    ]
+
+
+class TestSparseFallback:
+    """With the memory cap at zero every model takes the splu path."""
+
+    def test_backend_follows_the_cap(self, monkeypatch):
+        assert hybridlp.ipm.normal_backend(5792) == "dense"
+        assert hybridlp.ipm.normal_backend(5793) == "sparse"
+        monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
+        assert hybridlp.ipm.normal_backend(1) == "sparse"
+
+    def test_statuses_and_iterations_match_dense(self, monkeypatch):
+        models = []
+        for inst in desk_suite():
+            p, _ = to_standard_form(inst.model)
+            models.extend([p, ruiz_equilibrate(p)[0]])
+        dense = _solve_all(models)
+        monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
+        sparse = _solve_all(models)
+        assert {b for _, _, b in dense} == {"dense"}
+        assert {b for _, _, b in sparse} == {"sparse"}
+        assert [s[:2] for s in sparse] == [d[:2] for d in dense]
+
+    def test_hybrid_stats_carry_the_backend(self, monkeypatch):
+        g = lp2().model
+        sol, stats = hybrid_solve(g)
+        monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
+        sparse_sol, sparse_stats = hybrid_solve(g)
+        assert stats.ipm_stats.backend == "dense"
+        assert sparse_stats.ipm_stats.backend == "sparse"
+        assert (sparse_sol.status, sparse_stats.ipm_iterations) == (
+            sol.status, stats.ipm_iterations
+        )
+
+
+def test_one_residual_evaluation_per_iterate(monkeypatch):
+    calls = []
+    real = hybridlp.ipm.residuals
+
+    def counted(p, pt):
+        calls.append(1)
+        return real(p, pt)
+
+    monkeypatch.setattr(hybridlp.ipm, "residuals", counted)
+    p, _ = to_standard_form(planted_equality_lp(15, 27, seed=1).model)
+    _, stats = run_ipm(p)
+    assert stats.status.value == "Optimal"
+    assert len(calls) == stats.iterations + 1

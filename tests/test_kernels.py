@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from hybridlp import PdhgParams, StandardLp, parse_mps, ruiz_equilibrate, to_standard_form
+from hybridlp.ipm import NormalEquationsSolver, normal_matrix
 from hybridlp.lp_core import csr_matvec
 from hybridlp.pdhg import estimate_opnorm, initial_state, pdhg_step
 
@@ -199,3 +200,30 @@ class TestRuizBitwise:
         scaled, _ = ruiz_equilibrate(p)
         assert scaled.A.nnz == 7
         assert p.A.nnz == 9  # the input is left as it was
+
+
+def reference_normal_matrix(p, d2):
+    """A D^2 A' through diags.
+
+    scipy's sparse product emits each row of A @ diags(d2) in reverse column
+    order, so the second product would sum every entry of A D^2 A' in the
+    reverse order; sorting the rows first gives the order in which
+    normal_matrix sums them.
+    """
+    return (p.A @ sp.diags(d2)).sorted_indices() @ p.A.T
+
+
+class TestNormalMatrixBitwise:
+    @over_models
+    def test_equals_diagonal_product(self, p):
+        d2 = np.random.default_rng(p.n).uniform(1e-3, 1e3, p.n)
+        M = normal_matrix(p, d2)
+        assert M.format == "csc"
+        assert np.array_equal(M.toarray(), reference_normal_matrix(p, d2).toarray())
+
+    @over_models
+    def test_solver_assembles_at_its_iterate(self, p):
+        rng = np.random.default_rng(p.m)
+        x, z = rng.uniform(0.1, 10.0, p.n), rng.uniform(0.1, 10.0, p.n)
+        solver = NormalEquationsSolver(p, x, z)
+        assert np.array_equal(solver.M.toarray(), reference_normal_matrix(p, x / z).toarray())
