@@ -282,103 +282,75 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
     variables with no lower bound are split into a difference of two
     nonnegative columns, finite upper bounds become explicit rows with slack
     columns, and inequality rows gain slack (<=) or surplus (>=) columns.
+    Duplicate entries of A are summed first, so b is shifted by the same
+    coefficients that A_std holds.
     """
     g.validate()
     m, n = g.n_rows, g.n_vars
     A_csc = g.A.tocsc()
+    A_csc.sum_duplicates()
+    col_nnz = np.diff(A_csc.indptr)
+    lo, up = g.lower, g.upper
 
-    shifts = np.zeros(n)
-    pos_col = np.full(n, -1, dtype=int)
-    neg_col = np.full(n, -1, dtype=int)
+    # structural columns: one per variable, a (pos, neg) pair when lo = -inf
+    split = ~np.isfinite(lo)
+    widths = 1 + split
+    pos_col = np.cumsum(widths) - widths
+    neg_col = np.where(split, pos_col + 1, -1)
+    n_struct = int(widths.sum())
+    shifts = np.where(split, 0.0, lo)
 
-    rows_ij = []
-    cols_ij = []
-    vals = []
-    c_std = []
-    obj_shift = g.obj_offset
+    # each structural column repeats its variable's CSC entries, negated for neg
+    src = np.repeat(np.arange(n), widths)
+    counts = col_nnz[src]
+    starts = np.cumsum(counts) - counts
+    entry = np.arange(counts.sum()) + np.repeat(A_csc.indptr[src] - starts, counts)
+    sign = np.ones(n_struct)
+    sign[neg_col[split]] = -1.0
+    struct_vals = A_csc.data[entry] * np.repeat(sign, counts)
+
+    # shifting x_j >= lo_j to zero moves b by A[:, j] lo_j; subtract.at and
+    # cumsum apply the terms one column at a time, in column order
+    shifted = ~split & (lo != 0.0)
+    entry_col = np.repeat(np.arange(n), col_nnz)
+    on = shifted[entry_col]
     b_work = g.rhs.copy()
-
-    next_col = 0
-    for j in range(n):
-        start, end = A_csc.indptr[j], A_csc.indptr[j + 1]
-        col_rows = A_csc.indices[start:end]
-        col_vals = A_csc.data[start:end]
-        lo = g.lower[j]
-        if np.isfinite(lo):
-            pos_col[j] = next_col
-            shifts[j] = lo
-            rows_ij.extend(col_rows)
-            cols_ij.extend([next_col] * col_rows.size)
-            vals.extend(col_vals)
-            c_std.append(g.c[j])
-            if lo != 0.0:
-                b_work[col_rows] -= col_vals * lo
-                obj_shift += g.c[j] * lo
-            next_col += 1
-        else:
-            pos_col[j] = next_col
-            neg_col[j] = next_col + 1
-            rows_ij.extend(col_rows)
-            cols_ij.extend([next_col] * col_rows.size)
-            vals.extend(col_vals)
-            rows_ij.extend(col_rows)
-            cols_ij.extend([next_col + 1] * col_rows.size)
-            vals.extend(-col_vals)
-            c_std.extend([g.c[j], -g.c[j]])
-            next_col += 2
+    np.subtract.at(b_work, A_csc.indices[on], A_csc.data[on] * lo[entry_col[on]])
+    obj_terms = np.concatenate([[g.obj_offset], g.c[shifted] * lo[shifted]])
+    obj_shift = np.cumsum(obj_terms)[-1]
 
     # inequality rows get a slack / surplus column each
-    row_slack_col = {}
-    for i, sense in enumerate(g.senses):
-        if sense == EQ:
-            continue
-        coef = 1.0 if sense == LE else -1.0
-        rows_ij.append(i)
-        cols_ij.append(next_col)
-        vals.append(coef)
-        c_std.append(0.0)
-        row_slack_col[i] = (next_col, coef)
-        next_col += 1
+    senses = np.asarray(g.senses, dtype=str)
+    ineq = np.nonzero(senses != EQ)[0]
+    ineq_coef = np.where(senses[ineq] == LE, 1.0, -1.0)
+    ineq_slack = n_struct + np.arange(ineq.size)
 
     # finite upper bounds become rows x_j (+ slack) = upper - shift
-    b_extra = []
-    bound_rows = []
-    next_row = m
-    for j in range(n):
-        up = g.upper[j]
-        if not np.isfinite(up):
-            continue
-        rows_ij.append(next_row)
-        cols_ij.append(pos_col[j])
-        vals.append(1.0)
-        if neg_col[j] >= 0:
-            rows_ij.append(next_row)
-            cols_ij.append(neg_col[j])
-            vals.append(-1.0)
-        rows_ij.append(next_row)
-        cols_ij.append(next_col)
-        vals.append(1.0)
-        c_std.append(0.0)
-        row_slack_col[next_row] = (next_col, 1.0)
-        bound_rows.append((next_row, j))
-        b_extra.append(up - shifts[j])
-        next_col += 1
-        next_row += 1
+    bound_var = np.nonzero(np.isfinite(up))[0]
+    bound_row = m + np.arange(bound_var.size)
+    bound_slack = n_struct + ineq.size + np.arange(bound_var.size)
+    bound_cols = np.column_stack([pos_col[bound_var], neg_col[bound_var], bound_slack])
+    present = bound_cols >= 0
+    bound_vals = np.broadcast_to([1.0, -1.0, 1.0], bound_cols.shape)[present]
 
-    m_std, n_std = next_row, next_col
-    A_std = sp.csr_matrix(
-        (np.asarray(vals, dtype=float), (rows_ij, cols_ij)), shape=(m_std, n_std)
-    )
-    b_std = np.concatenate([b_work, np.asarray(b_extra, dtype=float)])
+    m_std, n_std = m + bound_var.size, n_struct + ineq.size + bound_var.size
+    rows = np.concatenate([A_csc.indices[entry], ineq, np.repeat(bound_row, present.sum(axis=1))])
+    cols = np.concatenate([np.repeat(np.arange(n_struct), counts), ineq_slack, bound_cols[present]])
+    vals = np.concatenate([struct_vals, ineq_coef, bound_vals])
+    A_std = sp.csr_matrix((vals, (rows, cols)), shape=(m_std, n_std))
+    b_std = np.concatenate([b_work, up[bound_var] - shifts[bound_var]])
+    c_std = np.zeros(n_std)
+    c_std[pos_col] = g.c
+    c_std[neg_col[split]] = -g.c[split]
 
     slack_of_row = np.full(m_std, -1, dtype=int)
+    slack_of_row[ineq] = ineq_slack
+    slack_of_row[bound_row] = bound_slack
     slack_coef = np.zeros(m_std)
-    for i, (col, coef) in row_slack_col.items():
-        slack_of_row[i] = col
-        slack_coef[i] = coef
-    bound_var = np.full(m_std, -1, dtype=int)
-    for r, j in bound_rows:
-        bound_var[r] = j
+    slack_coef[ineq] = ineq_coef
+    slack_coef[bound_row] = 1.0
+    bound_var_of_row = np.full(m_std, -1, dtype=int)
+    bound_var_of_row[bound_row] = bound_var
 
     fmap = StandardFormMap(
         n_general=n,
@@ -391,9 +363,9 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
         neg_col=neg_col,
         slack_of_row=slack_of_row,
         slack_coef=slack_coef,
-        bound_var=bound_var,
+        bound_var=bound_var_of_row,
     )
-    return StandardLp(A_std, b_std, np.asarray(c_std, dtype=float)), fmap
+    return StandardLp(A_std, b_std, c_std), fmap
 
 
 def restrict_point(g: GeneralLp, fmap: StandardFormMap, pt: KktPoint):
@@ -434,22 +406,18 @@ def lift_point(
     if split.any():
         x_std[fmap.neg_col[split]] = np.maximum(-shifted[split], 0.0)
 
-    # slack values from row activities, clamped to stay feasible in sign
+    # slack values from row activities, clamped to stay feasible in sign; the
+    # zero goes second in both clamps so that a -0.0 input comes out +0.0
     r = p.b - p.A @ x_std
-    has_slack = fmap.slack_of_row >= 0
-    rows = np.nonzero(has_slack)[0]
-    for i in rows:
-        col = fmap.slack_of_row[i]
-        coef = fmap.slack_coef[i]
-        x_std[col] = max(0.0, r[i] / coef)
+    rows = np.nonzero(fmap.slack_of_row >= 0)[0]
+    x_std[fmap.slack_of_row[rows]] = np.maximum(r[rows] / fmap.slack_coef[rows], 0.0)
 
     y_std = np.zeros(fmap.m_std)
     y_std[: fmap.m_general] = y
     bound_rows = np.nonzero(fmap.bound_var >= 0)[0]
     if bound_rows.size:
         z_gen = g.c - g.A.T @ y
-        for i in bound_rows:
-            y_std[i] = min(0.0, z_gen[fmap.bound_var[i]])
+        y_std[bound_rows] = np.minimum(z_gen[fmap.bound_var[bound_rows]], 0.0)
 
     z_std = np.maximum(0.0, p.c - p.at_y(y_std))
     return KktPoint(x_std, y_std, z_std)
@@ -523,14 +491,8 @@ def summary_from_residuals(res: Residuals) -> ViolationSummary:
     )
 
 
-def evaluate_general_point(
-    g: GeneralLp, x, y, standard: tuple[StandardLp, StandardFormMap] | None = None
-) -> ViolationSummary:
-    """Violation of a general-model point, measured on that model's standard form.
-
-    standard is to_standard_form(g) when the caller already holds it; it is
-    built here otherwise.
-    """
-    p, fmap = standard if standard is not None else to_standard_form(g)
+def evaluate_general_point(g: GeneralLp, x, y) -> ViolationSummary:
+    """Violation of a general-model point, measured on that model's standard form."""
+    p, fmap = to_standard_form(g)
     pt = lift_point(g, p, fmap, x, y)
     return violation_summary(p, pt)

@@ -207,11 +207,7 @@ class FinishedPoint:
 
 
 def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
-    """Unscale, postsolve, and measure the point on the original model.
-
-    When presolve changed nothing, the original model's standard form is
-    prep.standard, so it is not built again.
-    """
+    """Unscale, postsolve, and measure the point on the original model."""
     scaled_viol = None
     if prep.solve_model is not None:
         scaled_viol = violation_summary(prep.solve_model, pt_solve)
@@ -224,34 +220,8 @@ def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
     restored = postsolve(
         prep.presolve_result.stack, KktPoint(x_r, y_r, z_r), prep.original
     )
-    standard = None
-    if prep.standard is not None and not prep.presolve_result.stack.records:
-        if _same_model(prep.original, prep.reduced):
-            standard = (prep.standard, prep.fmap)
-    viol = evaluate_general_point(prep.original, restored.x, restored.y, standard)
+    viol = evaluate_general_point(prep.original, restored.x, restored.y)
     return FinishedPoint(restored.x, restored.y, restored.z, viol, scaled_viol)
-
-
-def _same_model(a: GeneralLp, b: GeneralLp) -> bool:
-    """True when b holds a's data entry for entry, so both have one standard form.
-
-    A presolve that reduced nothing still returns a canonical copy of A,
-    which differs from the original when that has duplicates or stored zeros.
-    """
-    if a is b:
-        return True
-    return (
-        a.A.shape == b.A.shape
-        and np.array_equal(a.A.indptr, b.A.indptr)
-        and np.array_equal(a.A.indices, b.A.indices)
-        and np.array_equal(a.A.data, b.A.data)
-        and np.array_equal(a.c, b.c)
-        and np.array_equal(a.rhs, b.rhs)
-        and np.array_equal(a.lower, b.lower)
-        and np.array_equal(a.upper, b.upper)
-        and a.senses == b.senses
-        and a.obj_offset == b.obj_offset
-    )
 
 
 def _zero_point_file(

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import hybridlp.lp_core
 import hybridlp.warmstart
 from hybridlp import EQ, GE, LE, GeneralLp, KktPoint, evaluate_general_point, parse_mps
 from hybridlp.bench import METHOD_TAGS, solve_with_method
@@ -98,8 +97,7 @@ def test_stored_zero_is_not_a_pivot(method):
 
 # Row 0 holds the duplicate pair (0, 0) = 1, 2 and a stored zero at (0, 1),
 # and column 0 has a finite lower bound of 1.  Presolve reduces nothing, but
-# its canonical copy of A sums the pair, while to_standard_form(g) shifts the
-# rhs by only the last entry of the pair: the two standard forms differ.
+# its canonical copy of A sums the pair.
 NONCANONICAL = GeneralLp(
     c=[1.0, 2.0, -1.0],
     A=sp.csr_matrix(
@@ -111,43 +109,39 @@ NONCANONICAL = GeneralLp(
 )
 
 
-def _cache_models():
+def _finish_models():
     models = [(inst.name, inst.model) for inst in desk_suite()]
     models += [(path.name, parse_mps(path.read_text())) for path in sorted(FIXTURES.glob("*.mps"))]
     return models + [("noncanonical", NONCANONICAL)]
 
 
 @pytest.mark.parametrize("use_presolve", [True, False], ids=["presolve", "no-presolve"])
-@pytest.mark.parametrize("name, g", _cache_models(), ids=[n for n, _ in _cache_models()])
-def test_finish_reuses_the_standard_form_only_when_it_is_the_original(
-    monkeypatch, name, g, use_presolve
-):
-    """finish_point measures on prep.standard when presolve changed nothing,
-    and its violation summary is bitwise the one from rebuilding the original
-    model's standard form."""
+@pytest.mark.parametrize("name, g", _finish_models(), ids=[n for n, _ in _finish_models()])
+def test_finish_measures_on_the_original_model(name, g, use_presolve):
+    """finish_point's violation summary is bitwise the one from measuring
+    the restored point on the original model."""
     prep = prepare_model(g, use_presolve=use_presolve)
     p = prep.solve_model
     rng = np.random.default_rng(p.n)
     pt = KktPoint(rng.uniform(0.0, 2.0, p.n), rng.normal(size=p.m), rng.uniform(0.0, 1.0, p.n))
-
-    builds = []
-    real = hybridlp.lp_core.to_standard_form
-
-    def counted(model):
-        builds.append(model)
-        return real(model)
-
-    monkeypatch.setattr(hybridlp.lp_core, "to_standard_form", counted)
     finished = finish_point(prep, pt)
-    monkeypatch.undo()
-
     rebuilt = evaluate_general_point(g, finished.x, finished.y)
     assert repr(finished.violation) == repr(rebuilt)
-    reduced_nothing = not prep.presolve_result.stack.records
-    if name == "noncanonical" and use_presolve:
-        # the cached form would misreport this model, so it is rebuilt
-        assert reduced_nothing and len(builds) == 1
-        cached = evaluate_general_point(g, finished.x, finished.y, (prep.standard, prep.fmap))
-        assert repr(cached) != repr(rebuilt)
-    else:
-        assert len(builds) == int(not reduced_nothing)
+
+
+# A duplicate pair (0, 0) = 1, 1 in the one row 2 x0 + x1 = 5, with x0 >= 1:
+# shifting x0 must move b by the summed coefficient 2, as A holds it.
+DUPLICATE_ENTRY = GeneralLp(
+    c=[1.0, 1.0],
+    A=sp.csr_matrix(([1.0, 1.0, 1.0], [0, 0, 1], [0, 3]), shape=(1, 2)),
+    senses=[EQ], rhs=[5.0], lower=[1.0, 0.0], upper=[np.inf, np.inf],
+)
+
+
+@pytest.mark.parametrize("use_presolve", [True, False], ids=["presolve", "no-presolve"])
+@pytest.mark.parametrize("method", ["hybrid", "ipm-cold"])
+def test_duplicate_entries_are_solved_and_measured_as_summed(method, use_presolve):
+    sol, _ = solve_with_method(DUPLICATE_ENTRY, method, use_presolve=use_presolve)
+    assert sol.status == "Optimal"
+    assert 2.0 * sol.x[0] + sol.x[1] == pytest.approx(5.0, abs=1e-7)
+    assert sol.violation.max_violation <= 1e-7
