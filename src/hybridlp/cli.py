@@ -34,6 +34,13 @@ _EXIT_BY_STATUS = {
 PARSE_ERROR_EXIT = 3
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridlp",
@@ -44,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one MPS model")
     solve.add_argument("model", help="path to an MPS file")
     solve.add_argument("--method", choices=["pdhg", "ipm", "hybrid"], default="hybrid")
-    solve.add_argument("--eps-rel", type=float, default=None,
+    solve.add_argument("--eps-rel", type=_positive_float, default=None,
                        help="relative tolerance (pdhg stage for hybrid)")
     solve.add_argument("--time-limit", type=float, default=10_000.0)
     solve.add_argument("--out", default=None, help="solution file path")

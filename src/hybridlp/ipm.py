@@ -31,6 +31,8 @@ from .status import SolveStatus
 _REG_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _SOLVE_TOL = 1e-8
 _D2_CLIP = (1e-32, 1e32)
+# Mehrotra's centering parameter: sigma = (mu_aff / mu) ** _CENTERING_POWER
+_CENTERING_POWER = 3.0
 # Largest dense normal matrix, 8 m^2 bytes, factored by LAPACK (m <= 5792).
 _DENSE_CAP_BYTES = 256 << 20
 
@@ -45,9 +47,10 @@ class IpmParams:
     max_iters: int = 200
     step_fraction: float = 0.99
     min_step: float = 1e-6
-    centering_power: float = 3.0
 
     def __post_init__(self):
+        if self.eps_rel <= 0:
+            raise ValueError("eps_rel must be positive")
         if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must lie in (0, 1)")
         if self.min_step <= 0:
@@ -255,7 +258,7 @@ def predictor_corrector_iteration(
     a_p_aff = min(1.0, _max_step(x, dx_aff))
     a_d_aff = min(1.0, _max_step(z, dz_aff))
     mu_aff = float((x + a_p_aff * dx_aff) @ (z + a_d_aff * dz_aff)) / n
-    sigma = (max(mu_aff, 0.0) / mu) ** params.centering_power if mu > 0 else 0.0
+    sigma = (max(mu_aff, 0.0) / mu) ** _CENTERING_POWER if mu > 0 else 0.0
     sigma = min(sigma, 1.0)
 
     rhs_c = sigma * mu - x * z - dx_aff * dz_aff

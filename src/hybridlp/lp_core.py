@@ -42,6 +42,19 @@ def csr_matvec(M: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _canonical_csr(A) -> sp.csr_matrix:
+    """A as float64 CSR with sorted indices, duplicates summed and no stored
+    zeros.  A matrix already in that form is returned sharing its arrays;
+    any other is canonicalized in a copy, so the caller's is never changed."""
+    A = sp.csr_matrix(A, dtype=float)
+    if A.has_canonical_format and A.data.all():
+        return A
+    A = A.copy()
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
+
+
 def _as_float_array(v, n=None) -> np.ndarray:
     a = np.asarray(v, dtype=float).ravel()
     if n is not None and a.size != n:
@@ -51,7 +64,7 @@ def _as_float_array(v, n=None) -> np.ndarray:
 
 @dataclass
 class GeneralLp:
-    """A minimization LP with row senses and variable bounds.
+    """A minimization LP with row senses, variable bounds and a canonical A.
 
     min c'x + obj_offset  s.t.  A[i,:] x (<=, >=, =) rhs[i],  lower <= x <= upper
     """
@@ -67,7 +80,7 @@ class GeneralLp:
     row_names: list | None = None
 
     def __post_init__(self):
-        self.A = sp.csr_matrix(self.A, dtype=float)
+        self.A = _canonical_csr(self.A)
         m, n = self.A.shape
         self.c = _as_float_array(self.c, n)
         self.rhs = _as_float_array(self.rhs, m)
@@ -119,14 +132,14 @@ class GeneralLp:
 
 @dataclass
 class StandardLp:
-    """min c'x s.t. Ax = b, x >= 0, with both row- and column-wise access to A."""
+    """min c'x s.t. Ax = b, x >= 0, with a canonical A read row- and column-wise."""
 
     A: sp.csr_matrix
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        self.A = sp.csr_matrix(self.A, dtype=float)
+        self.A = _canonical_csr(self.A)
         m, n = self.A.shape
         self.b = _as_float_array(self.b, m)
         self.c = _as_float_array(self.c, n)
@@ -282,13 +295,10 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
     variables with no lower bound are split into a difference of two
     nonnegative columns, finite upper bounds become explicit rows with slack
     columns, and inequality rows gain slack (<=) or surplus (>=) columns.
-    Duplicate entries of A are summed first, so b is shifted by the same
-    coefficients that A_std holds.
     """
     g.validate()
     m, n = g.n_rows, g.n_vars
     A_csc = g.A.tocsc()
-    A_csc.sum_duplicates()
     col_nnz = np.diff(A_csc.indptr)
     lo, up = g.lower, g.upper
 

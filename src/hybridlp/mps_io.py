@@ -58,7 +58,9 @@ def parse_mps(text: str) -> GeneralLp:
     col_names: list[str] = []
     col_index: dict[str, int] = {}
     costs: list[float] = []
-    entries: dict[tuple[int, int], float] = {}
+    entry_rows: list[int] = []
+    entry_cols: list[int] = []
+    entry_vals: list[float] = []
     rhs: dict[int, float] = {}
     obj_rhs = 0.0
     ranges: dict[int, float] = {}
@@ -159,8 +161,9 @@ def parse_mps(text: str) -> GeneralLp:
                 if rname == obj_name:
                     costs[j] += val
                 elif rname in row_index:
-                    key = (row_index[rname], j)
-                    entries[key] = entries.get(key, 0.0) + val
+                    entry_rows.append(row_index[rname])
+                    entry_cols.append(j)
+                    entry_vals.append(val)
                 else:
                     raise MpsParseError(f"unknown row {rname!r}", line_no)
 
@@ -244,25 +247,16 @@ def parse_mps(text: str) -> GeneralLp:
     for i, v in rhs.items():
         rhs_vec[i] = v
 
-    if entries:
-        rows_ij, cols_ij = zip(*entries.keys())
-        A = sp.csr_matrix(
-            (list(entries.values()), (rows_ij, cols_ij)), shape=(m, n)
-        )
-    else:
-        A = sp.csr_matrix((m, n))
-
+    A = sp.csr_matrix((entry_vals, (entry_rows, entry_cols)), shape=(m, n))
     sense_list = list(senses)
     row_name_list = list(row_names)
 
     # RANGES: a ranged row becomes a two-sided constraint, expressed as the
     # original row plus a mirror row with the complementary sense.
     if ranges:
-        extra_rows = []
         extra_senses = []
         extra_rhs = []
         extra_names = []
-        A_csr = A.tocsr()
         for i, r in sorted(ranges.items()):
             s = sense_list[i]
             b = rhs_vec[i]
@@ -274,11 +268,10 @@ def parse_mps(text: str) -> GeneralLp:
                 lo_b, hi_b = (b, b + r) if r >= 0 else (b + r, b)
             sense_list[i] = LE
             rhs_vec[i] = hi_b
-            extra_rows.append(A_csr.getrow(i))
             extra_senses.append(GE)
             extra_rhs.append(lo_b)
             extra_names.append(f"{row_name_list[i]}.range")
-        A = sp.vstack([A_csr] + extra_rows, format="csr")
+        A = sp.vstack([A, A[sorted(ranges)]], format="csr")
         sense_list.extend(extra_senses)
         rhs_vec = np.concatenate([rhs_vec, extra_rhs])
         row_name_list.extend(extra_names)

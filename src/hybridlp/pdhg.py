@@ -28,6 +28,8 @@ from .lp_core import (
 from .status import SolveStatus
 
 _WEIGHT_CLIP = (1e-4, 1e4)
+_RESTART_BETA = 0.2  # restart below this fraction of the last restart's score
+_PRIMAL_WEIGHT_INIT = 1.0
 
 
 @dataclass
@@ -36,18 +38,12 @@ class PdhgParams:
     max_kkt_passes: int = 200_000
     time_limit_s: float = 10_000.0
     check_every: int = 64
-    restart_beta: float = 0.2
-    primal_weight_init: float = 1.0
 
     def __post_init__(self):
         if self.eps_rel <= 0:
             raise ValueError("eps_rel must be positive")
         if self.check_every < 1:
             raise ValueError("check_every must be at least 1")
-        if not 0.0 < self.restart_beta < 1.0:
-            raise ValueError("restart_beta must lie in (0, 1)")
-        if self.primal_weight_init <= 0:
-            raise ValueError("primal_weight_init must be positive")
 
 
 @dataclass
@@ -134,7 +130,7 @@ def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState
         avg_weight=0.0,
         tau=step,
         sigma=step,
-        omega=params.primal_weight_init,
+        omega=_PRIMAL_WEIGHT_INIT,
         iterations=0,
         restarts=0,
         restart_score=score,
@@ -199,7 +195,7 @@ def run_pdhg(
     Every check_every iterations both the current and the averaged iterate
     are scored; a passing iterate is returned immediately, otherwise the
     better one becomes the restart target once its score beats
-    restart_beta times the score at the last restart.  On failure statuses
+    _RESTART_BETA times the score at the last restart.  On failure statuses
     the best point seen so far is returned.  Non-finite iterates are
     detected at the check points, so NumericalFailure reports the iteration
     count of the first check (or limit) after the overflow.
@@ -229,19 +225,12 @@ def run_pdhg(
         if not _finite(state):
             break
 
-        cur_pt, cur_res, cur_sum, cur_term = _score(p, state.x, state.y, params.eps_rel)
-        avg_pt, avg_res, avg_sum, avg_term = _score(p, state.avg_x, state.avg_y, params.eps_rel)
-
-        passing = [
-            (pt, term, s)
-            for pt, term, s in (
-                (cur_pt, cur_term, cur_sum),
-                (avg_pt, avg_term, avg_sum),
-            )
-            if term.ok
-        ]
+        # current first: min keeps the first of equal scores
+        scored = [_score(p, x, y, params.eps_rel)
+                  for x, y in ((state.x, state.y), (state.avg_x, state.avg_y))]
+        passing = [sc for sc in scored if sc[3].ok]
         if passing:
-            pt, term, summ = min(passing, key=lambda t: t[2].max_violation)
+            pt, _, summ, term = min(passing, key=lambda sc: sc[2].max_violation)
             stats = SolveStats(
                 status=SolveStatus.OPTIMAL,
                 iterations=state.iterations,
@@ -252,16 +241,12 @@ def run_pdhg(
             )
             return pt, stats
 
-        if avg_sum.max_violation < cur_sum.max_violation:
-            cand_pt, cand_res, cand_sum, cand_term = avg_pt, avg_res, avg_sum, avg_term
-        else:
-            cand_pt, cand_res, cand_sum, cand_term = cur_pt, cur_res, cur_sum, cur_term
-
+        cand_pt, cand_res, cand_sum, cand_term = min(scored, key=lambda sc: sc[2].max_violation)
         if cand_sum.max_violation < best_summary.max_violation:
             # a copy: the averaged iterate is updated in place by pdhg_step
             best_pt, best_summary, best_term = cand_pt.copy(), cand_sum, cand_term
 
-        if cand_sum.max_violation <= params.restart_beta * state.restart_score:
+        if cand_sum.max_violation <= _RESTART_BETA * state.restart_score:
             state.x = cand_pt.x.copy()
             state.y = cand_pt.y.copy()
             state.avg_x = cand_pt.x.copy()

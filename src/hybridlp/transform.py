@@ -40,13 +40,11 @@ def ruiz_equilibrate(
     Each pass divides every row by the square root of its max-abs entry and
     every column likewise, stopping once all row and column norms lie in
     [1/(1+tol), 1+tol] or after max_iters passes.  b is scaled by the row
-    scales and c by the column scales.  A is first put in canonical form
-    (duplicates summed, explicit zeros dropped, indices sorted) and then
-    scaled entry by entry, with the rounding of diag(r) @ A @ diag(c).
+    scales and c by the column scales.  A copy of the canonical A is scaled
+    entry by entry, with the rounding of diag(r) @ A @ diag(c); building the
+    scaled StandardLp drops products that underflowed to zero.
     """
     A = p.A.copy()
-    A.sum_duplicates()
-    A.eliminate_zeros()
     m, n = A.shape
     row_nnz = np.diff(A.indptr)
     if (row_nnz == 0).any():
@@ -80,7 +78,6 @@ def ruiz_equilibrate(
         row_scale *= r
         col_scale *= c
         applied += 1
-    A.eliminate_zeros()  # products that underflowed
 
     scaled = StandardLp(A, row_scale * p.b, col_scale * p.c)
     return scaled, ScalingInfo(row_scale, col_scale, applied)
@@ -205,17 +202,14 @@ def presolve(g: GeneralLp) -> PresolveResult:
     by the cost sign, and substitute singleton equality rows.  Detected
     infeasibility or unboundedness is returned as a verdict, not raised.
 
-    Reductions only clear live flags over one canonical copy of A (duplicates
-    summed, explicit zeros dropped), so records carry original indices and
-    the reduced model is sliced once at the end.  Fixed variables go first;
+    Reductions only clear live flags over the model's canonical A, so
+    records carry original indices and the reduced model is sliced once at
+    the end.  Fixed variables go first;
     then each pass takes the first empty row, else the first empty column,
     else the first singleton equality row.
     """
     g.validate()
-    A = g.A.copy()
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A_csc = A.tocsc()
+    A, A_csc = g.A, g.A.tocsc()
     m, n = A.shape
     c, lower, upper = g.c, g.lower, g.upper
     rhs = g.rhs.copy()

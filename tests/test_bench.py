@@ -184,6 +184,12 @@ class TestCli:
             main(["solve", "whatever.mps", "--method", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("eps", ["0", "-1e-4", "nan"])
+    def test_nonpositive_eps_rel_usage_error(self, eps):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(FIXTURES / "lp1.mps"), "--eps-rel", eps])
+        assert exc.value.code == 2
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.mps"
         bad.write_text("ROWS\n N OBJ\n")  # no ENDATA
@@ -260,3 +266,14 @@ class TestSolveWithMethodTolerance:
         g = parse_mps((FIXTURES / "lp2.mps").read_text())
         with pytest.raises(ValueError, match="eps_rel"):
             solve_with_method(g, "hybrid", eps_rel=0.0)
+
+    def test_ipm_nonpositive_eps_rel_rejected_before_presolve(self, monkeypatch):
+        import hybridlp.warmstart
+
+        def unreachable(g):
+            raise AssertionError("presolve ran on an invalid tolerance")
+
+        monkeypatch.setattr(hybridlp.warmstart, "presolve", unreachable)
+        g = parse_mps((FIXTURES / "lp2.mps").read_text())
+        with pytest.raises(ValueError, match="eps_rel"):
+            solve_with_method(g, "ipm-cold", eps_rel=-1.0)

@@ -325,3 +325,9 @@ def test_one_residual_evaluation_per_iterate(monkeypatch):
     _, stats = run_ipm(p)
     assert stats.status.value == "Optimal"
     assert len(calls) == stats.iterations + 1
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-8])
+def test_params_reject_nonpositive_eps_rel(eps):
+    with pytest.raises(ValueError, match="eps_rel"):
+        IpmParams(eps_rel=eps)

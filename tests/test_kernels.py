@@ -185,11 +185,8 @@ class TestRuizBitwise:
     def test_explicit_zero_and_duplicate_entry(self):
         """Sorted rows holding an explicit zero and a duplicate pair.
 
-        ruiz_equilibrate sums the duplicates before scaling, while the
-        products sum their scaled values, so on a duplicate pair the two
-        agree only where both sums round alike, as they do for this one.
-        On canonical matrices, which are all the pipeline builds, they
-        always agree."""
+        StandardLp sums the duplicates and drops the zero when it is built,
+        so ruiz_equilibrate and the products both scale the canonical A."""
         data = np.array([3.0, 0.0, 1.5, 2.5, -0.5, 6.0, 0.25, -4.0, 2.0])
         indices = np.array([0, 1, 2, 2, 3, 1, 3, 0, 2])
         indptr = np.array([0, 5, 7, 9])
@@ -199,7 +196,7 @@ class TestRuizBitwise:
         _assert_ruiz_equal(p)
         scaled, _ = ruiz_equilibrate(p)
         assert scaled.A.nnz == 7
-        assert p.A.nnz == 9  # the input is left as it was
+        assert A.nnz == 9  # the input is left as it was
 
 
 def reference_normal_matrix(p, d2):

@@ -12,6 +12,7 @@ from hybridlp import (
     GeneralLp,
     InvalidModelError,
     KktPoint,
+    StandardLp,
     check_relative_termination,
     evaluate_general_point,
     lift_point,
@@ -172,8 +173,6 @@ class TestResiduals:
         A = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
         c = rng.standard_normal(n)
-        from hybridlp import StandardLp
-
         p = StandardLp(sp.csr_matrix(A), b, c)
         x = rng.uniform(0, 2, n)
         y = rng.standard_normal(m)
@@ -321,3 +320,41 @@ class TestProvenanceRoundTrip:
         x_back, y_back, _ = restrict_point(g, fmap, pt)
         np.testing.assert_allclose(x_back, x, atol=1e-14)
         np.testing.assert_allclose(y_back, y, atol=1e-14)
+
+
+
+def _general(A):
+    return GeneralLp(c=np.zeros(3), A=A, senses=[EQ, LE], rhs=[1.0, 2.0],
+                     lower=np.zeros(3), upper=np.full(3, np.inf))
+
+
+def _standard(A):
+    return StandardLp(A, [1.0, 2.0], np.zeros(3))
+
+
+@pytest.mark.parametrize("build", [_general, _standard], ids=["general", "standard"])
+class TestCanonicalMatrix:
+    """GeneralLp and StandardLp hold A as float64 CSR with sorted indices,
+    duplicates summed and no stored zeros, and never change the caller's A."""
+
+    def test_messy_input_is_canonicalized_in_a_copy(self, build):
+        # row 0: unsorted, a duplicate pair at column 2 and a stored zero;
+        # row 1: a pair at column 0 that sums to zero
+        data = np.array([2.0, 1.0, 0.0, 4.0, 3.0, -3.0, 5.0])
+        indices = np.array([2, 0, 1, 2, 0, 0, 1])
+        A = sp.csr_matrix((data, indices, [0, 4, 7]), shape=(2, 3))
+        held = build(A).A
+        assert held.format == "csr" and held.dtype == np.float64
+        assert held.has_canonical_format and held.data.all()
+        assert held.nnz == 3
+        np.testing.assert_array_equal(held.toarray(), A.toarray())
+        np.testing.assert_array_equal(held.toarray(), [[1.0, 0.0, 6.0], [0.0, 5.0, 0.0]])
+        assert A.nnz == 7, "the caller's matrix is left as it was"
+        np.testing.assert_array_equal(A.indices, indices)
+        np.testing.assert_array_equal(A.data, data)
+
+    def test_canonical_float_csr_is_shared(self, build):
+        A = sp.csr_matrix([[1.0, 0.0, 6.0], [0.0, 5.0, 0.0]])
+        held = build(A).A
+        assert np.shares_memory(held.data, A.data)
+        assert np.shares_memory(held.indices, A.indices)

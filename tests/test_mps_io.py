@@ -79,6 +79,18 @@ class TestParseMps:
         g = parse_mps(text)
         assert g.A[0, 0] == pytest.approx(3.5)
 
+    def test_repeated_and_zero_entries_canonical(self):
+        """One row listed three times sums; an explicit 0 is not stored."""
+        text = (
+            "NAME T\nROWS\n N OBJ\n E R1\n E R2\nCOLUMNS\n"
+            "    X1 R1 1.0 R1 2.0\n    X1 R1 4.0 R2 0\n    X2 R2 3.0\n"
+            "RHS\n    RHS R1 7.0\nENDATA\n"
+        )
+        g = parse_mps(text)
+        np.testing.assert_array_equal(g.A.toarray(), [[7.0, 0.0], [0.0, 3.0]])
+        assert g.A.nnz == 2
+        assert g.A.has_canonical_format
+
     def test_ranges_expand_to_two_sided_rows(self):
         g = parse_mps(read("ranges.mps"))
         rows = dict(zip(g.row_names, zip(g.senses, g.rhs)))

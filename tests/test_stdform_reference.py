@@ -395,4 +395,4 @@ def test_duplicates_are_summed_before_the_shift():
     np.testing.assert_array_equal(p.A.toarray(), [[2.0, 1.0]])
     np.testing.assert_array_equal(p.b, [3.0])
     assert_same_form((p, fmap), reference_to_standard_form(canonical))
-    assert g.A.nnz == 3, "the caller's matrix is left as it was"
+    assert A.nnz == 3, "the caller's matrix is left as it was"
