@@ -18,7 +18,7 @@ from .ipm import IpmParams
 from .lp_core import GeneralLp, ViolationSummary, evaluate_general_point
 from .mps_io import SolutionFile, parse_mps
 from .pdhg import PdhgParams
-from .warmstart import WarmStartParams, solve
+from .warmstart import solve
 
 METHOD_TAGS = ("pdhg-1e4", "pdhg-1e6", "pdhg-1e8", "ipm-cold", "hybrid")
 _PDHG_EPS = {"pdhg-1e4": 1e-4, "pdhg-1e6": 1e-6, "pdhg-1e8": 1e-8}
@@ -81,11 +81,9 @@ def solve_with_method(
     model_name: str = "model",
     time_limit_s: float = 10_000.0,
     eps_rel: float | None = None,
-    seed: int = 0,
     use_presolve: bool = True,
     use_scaling: bool = True,
     ipm_params: IpmParams | None = None,
-    ws_params: WarmStartParams | None = None,
 ) -> tuple[SolutionFile, ResultRecord]:
     """Run one (model, method) combination through the full pipeline."""
     pdhg_params = None
@@ -105,9 +103,8 @@ def solve_with_method(
         raise ValueError(f"unknown method {method!r}")
 
     sol, stats = solve(
-        g, stages, pdhg_params, ipm_params, ws_params, time_limit_s=time_limit_s,
-        use_presolve=use_presolve, use_scaling=use_scaling, seed=seed,
-        method_tag=method,
+        g, stages, pdhg_params, ipm_params, time_limit_s=time_limit_s,
+        use_presolve=use_presolve, use_scaling=use_scaling, method_tag=method,
     )
     return sol, _record_from_solution(model_name, method, sol, stats.scaled_violation)
 
@@ -306,12 +303,21 @@ def write_scatter_csv(rows: list[ScatterRow], stream) -> None:
 # Directory benchmark and the solution checker
 # ---------------------------------------------------------------------------
 
+def _error_record(model: str, method: str, message: str) -> ResultRecord:
+    return ResultRecord(
+        model=model, method=method, status="Error",
+        wall_seconds=0.0, pdhg_iterations=0, ipm_iterations=0,
+        escalations=0, primal_inf=math.nan, dual_inf=math.nan,
+        rel_gap=math.nan, max_violation=math.nan,
+        scaled_max_violation=math.nan, message=message,
+    )
+
+
 def bench_directory(
     directory: str,
     methods: list[str],
     *,
     time_limit_s: float = 10_000.0,
-    seed: int = 0,
     use_presolve: bool = True,
     use_scaling: bool = True,
 ) -> list[ResultRecord]:
@@ -324,22 +330,20 @@ def bench_directory(
     records = []
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
+        try:
+            with open(path) as fh:
+                g = parse_mps(fh.read())
+        except Exception as exc:  # unreadable model: one Error row per method
+            records.extend(_error_record(name, method, str(exc)) for method in methods)
+            continue
         for method in methods:
             try:
-                with open(path) as fh:
-                    g = parse_mps(fh.read())
                 _, record = solve_with_method(
-                    g, method, model_name=name, time_limit_s=time_limit_s, seed=seed,
+                    g, method, model_name=name, time_limit_s=time_limit_s,
                     use_presolve=use_presolve, use_scaling=use_scaling,
                 )
-            except Exception as exc:  # unreadable model: record and continue
-                record = ResultRecord(
-                    model=name, method=method, status="Error",
-                    wall_seconds=0.0, pdhg_iterations=0, ipm_iterations=0,
-                    escalations=0, primal_inf=math.nan, dual_inf=math.nan,
-                    rel_gap=math.nan, max_violation=math.nan,
-                    scaled_max_violation=math.nan, message=str(exc),
-                )
+            except Exception as exc:  # failed solve: record and continue
+                record = _error_record(name, method, str(exc))
             records.append(record)
     return sorted(records, key=lambda r: (r.model, r.method))
 

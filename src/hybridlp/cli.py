@@ -41,6 +41,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _time_limit(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridlp",
@@ -53,19 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=["pdhg", "ipm", "hybrid"], default="hybrid")
     solve.add_argument("--eps-rel", type=_positive_float, default=None,
                        help="relative tolerance (pdhg stage for hybrid)")
-    solve.add_argument("--time-limit", type=float, default=10_000.0)
+    solve.add_argument("--time-limit", type=_time_limit, default=10_000.0)
     solve.add_argument("--out", default=None, help="solution file path")
     solve.add_argument("--no-presolve", action="store_true")
     solve.add_argument("--no-scaling", action="store_true")
-    solve.add_argument("--seed", type=int, default=0)
 
     bench = sub.add_parser("bench", help="run a method grid over a directory of MPS files")
     bench.add_argument("directory")
     bench.add_argument("--methods", default="pdhg-1e4,ipm-cold,hybrid",
                        help=f"comma-separated tags from {', '.join(METHOD_TAGS)}")
     bench.add_argument("--out", default="results.csv")
-    bench.add_argument("--time-limit", type=float, default=10_000.0)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--time-limit", type=_time_limit, default=10_000.0)
     bench.add_argument("--no-presolve", action="store_true")
     bench.add_argument("--no-scaling", action="store_true")
 
@@ -96,7 +101,6 @@ def _cmd_solve(args) -> int:
         model_name=args.model,
         time_limit_s=args.time_limit,
         eps_rel=args.eps_rel,
-        seed=args.seed,
         use_presolve=not args.no_presolve,
         use_scaling=not args.no_scaling,
     )
@@ -126,7 +130,6 @@ def _cmd_bench(args) -> int:
         args.directory,
         methods,
         time_limit_s=args.time_limit,
-        seed=args.seed,
         use_presolve=not args.no_presolve,
         use_scaling=not args.no_scaling,
     )

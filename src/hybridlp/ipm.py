@@ -65,8 +65,6 @@ class IpmState:
     y: np.ndarray
     z: np.ndarray
     iterations: int = 0
-    last_alpha_p: float = float("nan")
-    last_alpha_d: float = float("nan")
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -87,7 +85,6 @@ class IpmState:
 class StepReport:
     alpha_p: float
     alpha_d: float
-    mu_before: float
     mu_after: float
     sigma: float
     reg_level: int = 0
@@ -271,13 +268,10 @@ def predictor_corrector_iteration(
     state.y = y + alpha_d * dy
     state.z = z + alpha_d * dz
     state.iterations += 1
-    state.last_alpha_p = alpha_p
-    state.last_alpha_d = alpha_d
 
     return state, StepReport(
         alpha_p=alpha_p,
         alpha_d=alpha_d,
-        mu_before=mu,
         mu_after=state.mu,
         sigma=sigma,
         reg_level=solver.level,

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lp_core import EQ, GE, LE, GeneralLp, ViolationSummary
-from .status import SolveStatus, file_status
+from .status import FILE_STATUSES, SolveStatus, file_status
 
 _SECTIONS = ["NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"]
 _SENSE_OF = {"L": LE, "G": GE, "E": EQ}
@@ -294,9 +294,6 @@ def parse_mps(text: str) -> GeneralLp:
 # Solution files
 # ---------------------------------------------------------------------------
 
-_FILE_STATUSES = ("Optimal", "TimeLimit", "Stalled", "IterationLimit", "Error")
-
-
 @dataclass
 class SolutionFile:
     """One solve's outcome: status, named solution arrays, and the violation."""
@@ -316,7 +313,7 @@ class SolutionFile:
     message: str = ""
 
     def __post_init__(self):
-        if self.status not in _FILE_STATUSES:
+        if self.status not in FILE_STATUSES:
             raise ValueError(f"unknown solution status {self.status!r}")
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)

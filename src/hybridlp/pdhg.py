@@ -23,13 +23,15 @@ from .lp_core import (
     residuals,
     summary_from_residuals,
     termination_from_residuals,
-    violation_summary,
 )
 from .status import SolveStatus
 
 _WEIGHT_CLIP = (1e-4, 1e4)
 _RESTART_BETA = 0.2  # restart below this fraction of the last restart's score
 _PRIMAL_WEIGHT_INIT = 1.0
+# power iteration stops once the estimate moves by at most this relative amount
+_OPNORM_TOL = 1e-4
+_OPNORM_MAX_ITERS = 100
 
 
 @dataclass
@@ -78,7 +80,7 @@ class SolveStats:
     max_violation: float
 
 
-def estimate_opnorm(A, seed: int = 0, tol: float = 1e-4, max_iters: int = 100) -> float:
+def estimate_opnorm(A, seed: int = 0) -> float:
     """Spectral-norm estimate by power iteration on A'A.
 
     Returns lam with lam <= ||A||_2 <= 1.05 lam on the matrices this solver
@@ -92,14 +94,14 @@ def estimate_opnorm(A, seed: int = 0, tol: float = 1e-4, max_iters: int = 100) -
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(_OPNORM_MAX_ITERS):
         w = At @ (A @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             break
         new_lam = np.sqrt(norm_w)
         v = w / norm_w
-        if lam > 0 and abs(new_lam - lam) <= tol * new_lam:
+        if lam > 0 and abs(new_lam - lam) <= _OPNORM_TOL * new_lam:
             lam = new_lam
             break
         lam = new_lam
@@ -117,14 +119,12 @@ def extract_reduced_costs(p: StandardLp, y: np.ndarray) -> np.ndarray:
 
 
 def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState:
+    """The zero point; restart_score stays inf until run_pdhg scores it."""
     opnorm = estimate_opnorm(p.A, seed=seed)
     step = 1.0 / (1.05 * opnorm)
-    x = np.zeros(p.n)
-    y = np.zeros(p.m)
-    score = violation_summary(p, KktPoint(x, y, extract_reduced_costs(p, y))).max_violation
     return PdhgState(
-        x=x,
-        y=y,
+        x=np.zeros(p.n),
+        y=np.zeros(p.m),
         avg_x=np.zeros(p.n),
         avg_y=np.zeros(p.m),
         avg_weight=0.0,
@@ -133,7 +133,7 @@ def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState
         omega=_PRIMAL_WEIGHT_INIT,
         iterations=0,
         restarts=0,
-        restart_score=score,
+        restart_score=np.inf,
         work_n=np.empty(p.n),
         work_m=np.empty(p.m),
     )
@@ -208,6 +208,7 @@ def run_pdhg(
     state = initial_state(p, params, seed=seed)
 
     best_pt, _, best_summary, best_term = _score(p, state.x, state.y, params.eps_rel)
+    state.restart_score = best_summary.max_violation
     status = SolveStatus.ITERATION_LIMIT
 
     while True:

@@ -18,13 +18,8 @@ class SolveStatus(enum.Enum):
 
 # statuses a solution file can carry; everything else folds into Error with
 # the original status preserved in the message field
-_FILE_LEVEL = {
-    SolveStatus.OPTIMAL: "Optimal",
-    SolveStatus.TIME_LIMIT: "TimeLimit",
-    SolveStatus.STALLED: "Stalled",
-    SolveStatus.ITERATION_LIMIT: "IterationLimit",
-}
+FILE_STATUSES = ("Optimal", "TimeLimit", "Stalled", "IterationLimit", "Error")
 
 
 def file_status(status: SolveStatus) -> str:
-    return _FILE_LEVEL.get(status, "Error")
+    return status.value if status.value in FILE_STATUSES else "Error"

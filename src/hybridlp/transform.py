@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from .lp_core import EQ, GE, LE, GeneralLp, InvalidModelError, KktPoint, StandardLp
 
 _FEAS_TOL = 1e-9
+_RUIZ_TOL = 1e-2
 
 
 class ScalingError(ValueError):
@@ -32,17 +33,15 @@ class ScalingInfo:
     applied_iterations: int
 
 
-def ruiz_equilibrate(
-    p: StandardLp, max_iters: int = 20, tol: float = 1e-2
-) -> tuple[StandardLp, ScalingInfo]:
+def ruiz_equilibrate(p: StandardLp, max_iters: int = 20) -> tuple[StandardLp, ScalingInfo]:
     """Iterative infinity-norm equilibration.
 
     Each pass divides every row by the square root of its max-abs entry and
     every column likewise, stopping once all row and column norms lie in
-    [1/(1+tol), 1+tol] or after max_iters passes.  b is scaled by the row
-    scales and c by the column scales.  A copy of the canonical A is scaled
-    entry by entry, with the rounding of diag(r) @ A @ diag(c); building the
-    scaled StandardLp drops products that underflowed to zero.
+    [1/(1+_RUIZ_TOL), 1+_RUIZ_TOL] or after max_iters passes.  b is scaled
+    by the row scales and c by the column scales.  A copy of the canonical A
+    is scaled entry by entry, with the rounding of diag(r) @ A @ diag(c);
+    building the scaled StandardLp drops products that underflowed to zero.
     """
     A = p.A.copy()
     m, n = A.shape
@@ -58,7 +57,7 @@ def ruiz_equilibrate(
     row_of = np.repeat(np.arange(m), row_nnz)
     row_scale = np.ones(m)
     col_scale = np.ones(n)
-    lo, hi = 1.0 / (1.0 + tol), 1.0 + tol
+    lo, hi = 1.0 / (1.0 + _RUIZ_TOL), 1.0 + _RUIZ_TOL
     applied = 0
     for _ in range(max_iters):
         abs_data = np.abs(A.data)

@@ -240,8 +240,6 @@ def _zero_point_file(
 @dataclass
 class HybridStats:
     status: SolveStatus
-    pdhg_status: SolveStatus | None
-    ipm_status: SolveStatus | None
     pdhg_iterations: int
     ipm_iterations: int
     escalations: int
@@ -257,12 +255,10 @@ def solve(
     method: str,
     pdhg_params: PdhgParams | None = None,
     ipm_params: IpmParams | None = None,
-    ws_params: WarmStartParams | None = None,
     *,
     time_limit_s: float = 10_000.0,
     use_presolve: bool = True,
     use_scaling: bool = True,
-    seed: int = 0,
     method_tag: str | None = None,
 ) -> tuple[SolutionFile, HybridStats]:
     """Run one method through the shared pipeline, measured on the original model.
@@ -277,7 +273,6 @@ def solve(
         raise ValueError(f"unknown method {method!r}")
     pdhg_params = pdhg_params or PdhgParams()
     ipm_params = ipm_params or IpmParams()
-    ws_params = ws_params or WarmStartParams()
     method_tag = method_tag or method
     t0 = time.monotonic()
 
@@ -294,7 +289,7 @@ def solve(
             else SolveStatus.UNBOUNDED
         )
         sol = _zero_point_file(g, status, method_tag, wall, f"presolve: {pres.message}")
-        stats = HybridStats(status, None, None, 0, 0, 0, wall, sol.violation, None)
+        stats = HybridStats(status, 0, 0, 0, wall, sol.violation, None)
         return sol, stats
 
     pt = KktPoint(np.zeros(0), np.zeros(0), np.zeros(0))
@@ -305,12 +300,13 @@ def solve(
     if not prep.solved_by_presolve:
         if method != "ipm":
             params = replace(pdhg_params, time_limit_s=time_left())
-            pt, pdhg_stats = run_pdhg(prep.solve_model, params, seed=seed)
+            pt, pdhg_stats = run_pdhg(prep.solve_model, params)
             status, stage = pdhg_stats.status, "pdhg"
         if method == "ipm":
             pt, ipm_stats = run_ipm(prep.solve_model, ipm_params, time_limit_s=time_left())
             ipm_iterations = ipm_stats.iterations
         elif method == "hybrid" and status is SolveStatus.OPTIMAL:
+            ws_params = WarmStartParams()
             warm = centered_start(pt, ws_params)
             result = warm_started_ipm(
                 prep.solve_model, warm, ipm_params, ws_params, time_left()
@@ -334,10 +330,7 @@ def solve(
         message=message,
     )
     stats = HybridStats(
-        status,
-        pdhg_stats.status if pdhg_stats else None,
-        ipm_stats.status if ipm_stats else None,
-        pdhg_iterations, ipm_iterations, escalations,
+        status, pdhg_iterations, ipm_iterations, escalations,
         wall, finished.violation, finished.scaled_violation,
         pdhg_stats, ipm_stats,
     )
@@ -345,14 +338,7 @@ def solve(
 
 
 def hybrid_solve(
-    g: GeneralLp,
-    pdhg_params: PdhgParams | None = None,
-    ipm_params: IpmParams | None = None,
-    ws_params: WarmStartParams | None = None,
-    *,
-    use_presolve: bool = True,
-    use_scaling: bool = True,
-    seed: int = 0,
+    g: GeneralLp, pdhg_params: PdhgParams | None = None
 ) -> tuple[SolutionFile, HybridStats]:
     """First-order solve, centered warm start, interior-point refinement.
 
@@ -363,8 +349,4 @@ def hybrid_solve(
     pdhg_params.time_limit_s bounds the whole solve, presolve included.
     """
     pdhg_params = pdhg_params or PdhgParams()
-    return solve(
-        g, "hybrid", pdhg_params, ipm_params, ws_params,
-        time_limit_s=pdhg_params.time_limit_s, use_presolve=use_presolve,
-        use_scaling=use_scaling, seed=seed,
-    )
+    return solve(g, "hybrid", pdhg_params, time_limit_s=pdhg_params.time_limit_s)

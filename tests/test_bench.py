@@ -20,7 +20,8 @@ from hybridlp.bench import (
     summarize,
     write_records_csv,
 )
-from hybridlp.cli import main
+from hybridlp.cli import _EXIT_BY_STATUS, main
+from hybridlp.status import FILE_STATUSES, SolveStatus, file_status
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -190,6 +191,26 @@ class TestCli:
             main(["solve", str(FIXTURES / "lp1.mps"), "--eps-rel", eps])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("verb", ["solve", "bench"])
+    def test_negative_or_nan_time_limit_usage_error(self, tmp_path, verb, value):
+        target = FIXTURES / "lp2.mps" if verb == "solve" else FIXTURES
+        with pytest.raises(SystemExit) as exc:
+            main([verb, str(target), "--time-limit", value, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+    def test_infinite_time_limit_accepted(self, tmp_path):
+        out = tmp_path / "sol.txt"
+        code = main(["solve", str(FIXTURES / "lp1.mps"), "--time-limit", "inf", "--out", str(out)])
+        assert code == 0
+        assert parse_solution(out.read_text()).status == "Optimal"
+
+    def test_every_status_has_a_file_status_and_exit_code(self):
+        for status in SolveStatus:
+            assert file_status(status) in FILE_STATUSES
+        for name in FILE_STATUSES:
+            assert name in _EXIT_BY_STATUS
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.mps"
         bad.write_text("ROWS\n N OBJ\n")  # no ENDATA
@@ -235,6 +256,30 @@ class TestCli:
         assert by_model["broken"].status == "Error"
         assert by_model["broken"].message
         assert by_model["good"].status == "Optimal"
+
+    def test_bench_directory_parses_each_file_once(self, tmp_path, monkeypatch):
+        import hybridlp.bench
+        from hybridlp.bench import bench_directory
+
+        real_parse = hybridlp.bench.parse_mps
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(hybridlp.bench, "parse_mps", counting_parse)
+        for name in ("lp1", "lp2"):
+            (tmp_path / f"{name}.mps").write_text((FIXTURES / f"{name}.mps").read_text())
+        (tmp_path / "broken.mps").write_text("ROWS\n N OBJ\nCOLUMNS\n")
+        methods = ["pdhg-1e4", "ipm-cold"]
+        records = bench_directory(str(tmp_path), methods)
+        assert len(calls) == 3
+        assert len(records) == 3 * len(methods)
+        broken = [r for r in records if r.model == "broken"]
+        assert [r.method for r in broken] == sorted(methods)
+        assert {r.status for r in broken} == {"Error"}
+        assert len({r.message for r in broken}) == 1 and broken[0].message
 
     def test_check_verb_prints_components(self, tmp_path, capsys):
         out = tmp_path / "sol.txt"

@@ -200,6 +200,29 @@ class TestRunPdhg:
         assert stats.status.value == "IterationLimit"
         assert stats.iterations == 128
 
+    def test_start_point_scored_once(self, monkeypatch):
+        """One residual evaluation for the zero start, two per check after it."""
+        import hybridlp.lp_core
+        import hybridlp.pdhg
+
+        inst = planted_equality_lp(10, 18, seed=9)
+        p, _ = to_standard_form(inst.model)
+        checks, every = 3, 16
+        params = PdhgParams(eps_rel=1e-12, max_kkt_passes=checks * every, check_every=every)
+        real_residuals = hybridlp.lp_core.residuals
+        calls = []
+
+        def counting_residuals(*args):
+            calls.append(1)
+            return real_residuals(*args)
+
+        monkeypatch.setattr(hybridlp.lp_core, "residuals", counting_residuals)
+        monkeypatch.setattr(hybridlp.pdhg, "residuals", counting_residuals)
+        _, stats = run_pdhg(p, params)
+        assert stats.status.value == "IterationLimit"
+        assert stats.iterations == checks * every
+        assert len(calls) == 1 + 2 * checks
+
     def test_restarts_happen_and_never_hurt(self):
         """At least one restart on a planted instance, and the restart-score
         sequence is decreasing (each restart target beat the previous score)."""

@@ -8,7 +8,9 @@ import pytest
 import scipy.sparse as sp
 
 import hybridlp.warmstart
-from hybridlp import EQ, GE, LE, GeneralLp, KktPoint, evaluate_general_point, parse_mps
+from hybridlp import (
+    EQ, GE, LE, GeneralLp, KktPoint, PdhgParams, evaluate_general_point, hybrid_solve, parse_mps,
+)
 from hybridlp.bench import METHOD_TAGS, solve_with_method
 from hybridlp.warmstart import finish_point, prepare_model
 
@@ -36,6 +38,24 @@ def test_time_limit_covers_presolve(monkeypatch, method):
     assert sol.x.shape == (g.n_vars,)
     assert (sol.pdhg_iterations, sol.ipm_iterations) == (0, 0)
     assert record.status == "TimeLimit"
+
+
+def test_hybrid_solve_deadline_covers_presolve(monkeypatch):
+    """PdhgParams.time_limit_s bounds hybrid_solve from its start, presolve included."""
+    real_presolve = hybridlp.warmstart.presolve
+
+    def slow_presolve(g):
+        result = real_presolve(g)
+        time.sleep(0.3)
+        return result
+
+    monkeypatch.setattr(hybridlp.warmstart, "presolve", slow_presolve)
+    g = parse_mps((FIXTURES / "lp2.mps").read_text())
+    sol, stats = hybrid_solve(g, PdhgParams(time_limit_s=0.1))
+    assert sol.status == "TimeLimit"
+    assert sol.message == "pdhg: TimeLimit"
+    assert (stats.pdhg_iterations, stats.ipm_iterations) == (0, 0)
+    assert (sol.pdhg_iterations, sol.ipm_iterations) == (0, 0)
 
 
 FULLY_FIXED = GeneralLp(
