@@ -21,6 +21,7 @@ from .bench import (
     write_records_csv,
     write_scatter_csv,
 )
+from .lp_core import InvalidModelError
 from .mps_io import MpsParseError, parse_mps, parse_solution, write_solution
 
 _EXIT_BY_STATUS = {
@@ -92,7 +93,8 @@ def _load_model(path: str):
 def _cmd_solve(args) -> int:
     try:
         g = _load_model(args.model)
-    except (OSError, MpsParseError) as exc:
+        g.validate()
+    except (OSError, MpsParseError, InvalidModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR_EXIT
     sol, record = solve_with_method(

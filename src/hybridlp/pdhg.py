@@ -1,10 +1,12 @@
-"""Restarted primal-dual hybrid gradient for standard-form LPs.
+"""Reflected restarted Halpern PDHG for standard-form LPs.
 
-The saddle-point iteration alternates a projected primal gradient step and a
-dual step on the extrapolated primal iterate, with constant step sizes from
-an operator-norm bound, uniform iterate averaging since the last restart,
-and adaptive restarts driven by the max-violation score of the better of
-the current and averaged iterates.
+The PDHG operator T is a projected primal gradient step and a dual step on
+the extrapolated primal point, with constant steps from an operator-norm
+bound.  The iterates follow the reflected Halpern iteration anchored at the
+last restart (Lu & Yang, "Restarted Halpern PDHG for linear programming",
+arXiv:2407.16144), with PDLP's restart rules on the max-violation score and
+its smoothed primal weight (Applegate et al., "Practical large-scale linear
+programming using primal-dual hybrid gradient", arXiv:2106.04756).
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ from .lp_core import (
 )
 from .status import SolveStatus
 
-_WEIGHT_CLIP = (1e-4, 1e4)
-_RESTART_BETA = 0.2  # restart below this fraction of the last restart's score
-_PRIMAL_WEIGHT_INIT = 1.0
+_WEIGHT_CLIP = (1e-4, 1e4)  # bounds on the starting primal weight
+# Restart when the score r <= SUFFICIENT r0 (r0: the score at the first check
+# after the last restart), when r <= NECESSARY r0 and r grew since the last
+# check, or when the restart is ARTIFICIAL times all iterations old.
+_RESTART_SUFFICIENT = 0.2
+_RESTART_NECESSARY = 0.8
+_RESTART_ARTIFICIAL = 0.36
 # power iteration stops once the estimate moves by at most this relative amount
 _OPNORM_TOL = 1e-4
 _OPNORM_MAX_ITERS = 100
@@ -50,24 +56,17 @@ class PdhgParams:
 
 @dataclass
 class PdhgState:
-    """Mutable iteration state: iterates, averages, steps, restart score.
-
-    work_n and work_m are scratch vectors of length n and m for pdhg_step.
-    """
+    """Mutable iteration state: the point T is applied to, steps, counters,
+    and a scratch vector of length n + m."""
 
     x: np.ndarray
     y: np.ndarray
-    avg_x: np.ndarray
-    avg_y: np.ndarray
-    avg_weight: float
     tau: float
     sigma: float
     omega: float
     iterations: int
     restarts: int
-    restart_score: float
-    work_n: np.ndarray
-    work_m: np.ndarray
+    work: np.ndarray
 
 
 @dataclass
@@ -119,60 +118,50 @@ def extract_reduced_costs(p: StandardLp, y: np.ndarray) -> np.ndarray:
 
 
 def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState:
-    """The zero point; restart_score stays inf until run_pdhg scores it."""
+    """The zero point with unit primal weight."""
     opnorm = estimate_opnorm(p.A, seed=seed)
     step = 1.0 / (1.05 * opnorm)
     return PdhgState(
         x=np.zeros(p.n),
         y=np.zeros(p.m),
-        avg_x=np.zeros(p.n),
-        avg_y=np.zeros(p.m),
-        avg_weight=0.0,
         tau=step,
         sigma=step,
-        omega=_PRIMAL_WEIGHT_INIT,
+        omega=1.0,
         iterations=0,
         restarts=0,
-        restart_score=np.inf,
-        work_n=np.empty(p.n),
-        work_m=np.empty(p.m),
+        work=np.empty(p.n + p.m),
     )
 
 
-def pdhg_step(state: PdhgState, p: StandardLp) -> PdhgState:
-    """One primal-dual step; updates the running averages with unit weight.
+def pdhg_step(state: PdhgState, p: StandardLp) -> np.ndarray:
+    """T(x, y), the PDHG operator at the state's point:
 
         x+ = max(0, x - (tau / omega) (c - A'y))
         y+ = y + (sigma omega) (b - A (2 x+ - x))
 
-    Each operation is evaluated in this order, in the state's work vectors.
-    x+ and y+ are new arrays, never updated in place, because scored points
-    wrap state.x and state.y without a copy.
+    Each operation is evaluated in this order, in the state's work vector.
+    T is returned as a fresh array of length n + m whose halves become
+    state.x and state.y; nothing writes it later, so scored points wrap it
+    without a copy.
     """
-    gx, gy = state.work_n, state.work_m
+    n = p.n
+    gx, gy = state.work[:n], state.work[n:]
+    t = np.empty(n + p.m)
+    x_new, y_new = t[:n], t[n:]
     csr_matvec(p.A_T, state.y, gx)
     np.subtract(p.c, gx, out=gx)
     np.multiply(state.tau / state.omega, gx, out=gx)
     np.subtract(state.x, gx, out=gx)
-    x_new = np.maximum(0.0, gx)
+    np.maximum(0.0, gx, out=x_new)
     np.multiply(2.0, x_new, out=gx)
     np.subtract(gx, state.x, out=gx)
     csr_matvec(p.A, gx, gy)
     np.subtract(p.b, gy, out=gy)
     np.multiply(state.sigma * state.omega, gy, out=gy)
-    y_new = state.y + gy
-    state.x = x_new
-    state.y = y_new
-    w = state.avg_weight + 1.0
-    np.subtract(x_new, state.avg_x, out=gx)
-    gx /= w
-    state.avg_x += gx
-    np.subtract(y_new, state.avg_y, out=gy)
-    gy /= w
-    state.avg_y += gy
-    state.avg_weight = w
+    np.add(state.y, gy, out=y_new)
+    state.x, state.y = x_new, y_new
     state.iterations += 1
-    return state
+    return t
 
 
 def _finite(state: PdhgState) -> bool:
@@ -180,25 +169,28 @@ def _finite(state: PdhgState) -> bool:
 
 
 def _score(p: StandardLp, x: np.ndarray, y: np.ndarray, eps_rel: float):
-    """The point, its residuals, violation summary and termination check."""
+    """The point, its violation summary and termination check."""
     z = extract_reduced_costs(p, y)
     pt = KktPoint(x, y, z)
     res = residuals(p, pt)
-    return pt, res, summary_from_residuals(res), termination_from_residuals(p, res, eps_rel)
+    return pt, summary_from_residuals(res), termination_from_residuals(p, res, eps_rel)
 
 
 def run_pdhg(
     p: StandardLp, params: PdhgParams | None = None, seed: int = 0
 ) -> tuple[KktPoint, SolveStats]:
-    """Iterate to the requested relative tolerance, restarting adaptively.
+    """Iterate to the requested relative tolerance by restarted Halpern PDHG.
 
-    Every check_every iterations both the current and the averaged iterate
-    are scored; a passing iterate is returned immediately, otherwise the
-    better one becomes the restart target once its score beats
-    _RESTART_BETA times the score at the last restart.  On failure statuses
-    the best point seen so far is returned.  Non-finite iterates are
-    detected at the check points, so NumericalFailure reports the iteration
-    count of the first check (or limit) after the overflow.
+    Each iteration sets z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0), with z0 the
+    anchor (the point of the last restart) and k the iterations since it.
+    Every check_every iterations T(z), never z, is scored and returned if it
+    passes; its max violation drives the _RESTART_* rules.  A restart sets
+    z = z0 = T(z), k = 0, and moves the primal weight omega, which starts at
+    ||c|| / ||b||, halfway in log scale towards ||dy|| / ||dx||, the
+    anchor's movement.  On failure statuses the best point scored so far is
+    returned.  Non-finite iterates are detected at the check points, so
+    NumericalFailure reports the iteration count of the first check (or
+    limit) after the overflow.
     """
     if params is None:
         params = PdhgParams()
@@ -206,59 +198,63 @@ def run_pdhg(
         raise InvalidModelError("pdhg requires a nonempty model")
     t0 = time.monotonic()
     state = initial_state(p, params, seed=seed)
+    c_norm, b_norm = np.linalg.norm(p.c), np.linalg.norm(p.b)
+    if c_norm > 0.0 and b_norm > 0.0:
+        state.omega = float(np.clip(c_norm / b_norm, *_WEIGHT_CLIP))
+    n, work = p.n, state.work
 
-    best_pt, _, best_summary, best_term = _score(p, state.x, state.y, params.eps_rel)
-    state.restart_score = best_summary.max_violation
+    best_pt, best_summary, best_term = _score(p, state.x, state.y, params.eps_rel)
+    z = np.concatenate((state.x, state.y))  # fresh: best_pt wraps the start
+    zx, zy = z[:n], z[n:]  # views: z is only ever written in place
+    anchor = z.copy()
+    since_restart = 0
+    r0 = r_prev = np.inf
     status = SolveStatus.ITERATION_LIMIT
 
-    while True:
-        if state.iterations >= params.max_kkt_passes:
-            status = SolveStatus.ITERATION_LIMIT
-            break
+    while state.iterations < params.max_kkt_passes:
         if time.monotonic() - t0 > params.time_limit_s:
             status = SolveStatus.TIME_LIMIT
             break
 
-        pdhg_step(state, p)
+        state.x, state.y = zx, zy
+        t = pdhg_step(state, p)
+        since_restart += 1
 
-        if state.iterations % params.check_every != 0:
-            continue
-        if not _finite(state):
-            break
-
-        # current first: min keeps the first of equal scores
-        scored = [_score(p, x, y, params.eps_rel)
-                  for x, y in ((state.x, state.y), (state.avg_x, state.avg_y))]
-        passing = [sc for sc in scored if sc[3].ok]
-        if passing:
-            pt, _, summ, term = min(passing, key=lambda sc: sc[2].max_violation)
-            stats = SolveStats(
-                status=SolveStatus.OPTIMAL,
-                iterations=state.iterations,
-                restarts=state.restarts,
-                wall_seconds=time.monotonic() - t0,
-                termination=term,
-                max_violation=summ.max_violation,
+        if state.iterations % params.check_every == 0:
+            if not _finite(state):
+                break
+            pt, summ, term = _score(p, state.x, state.y, params.eps_rel)
+            r = summ.max_violation
+            if term.ok or r < best_summary.max_violation:
+                best_pt, best_summary, best_term = pt, summ, term
+            if term.ok:
+                status = SolveStatus.OPTIMAL
+                break
+            r0 = r if r0 == np.inf else r0
+            restart = (
+                r <= _RESTART_SUFFICIENT * r0
+                or (r <= _RESTART_NECESSARY * r0 and r > r_prev)
+                or since_restart >= _RESTART_ARTIFICIAL * state.iterations
             )
-            return pt, stats
+            r_prev = r
+            if restart:
+                np.subtract(t, anchor, out=work)
+                dx, dy = np.linalg.norm(work[:n]), np.linalg.norm(work[n:])
+                if dx > 0.0 and dy > 0.0:
+                    log_w = 0.5 * np.log(dy / dx) + 0.5 * np.log(state.omega)
+                    state.omega = float(np.exp(log_w))
+                anchor[:] = t
+                z[:] = t
+                since_restart, r0 = 0, np.inf
+                state.restarts += 1
+                continue
 
-        cand_pt, cand_res, cand_sum, cand_term = min(scored, key=lambda sc: sc[2].max_violation)
-        if cand_sum.max_violation < best_summary.max_violation:
-            # a copy: the averaged iterate is updated in place by pdhg_step
-            best_pt, best_summary, best_term = cand_pt.copy(), cand_sum, cand_term
-
-        if cand_sum.max_violation <= _RESTART_BETA * state.restart_score:
-            state.x = cand_pt.x.copy()
-            state.y = cand_pt.y.copy()
-            state.avg_x = cand_pt.x.copy()
-            state.avg_y = cand_pt.y.copy()
-            state.avg_weight = 0.0
-            rp = float(np.linalg.norm(cand_res.r_p))
-            rd = float(np.linalg.norm(cand_res.r_d))
-            if rp > 0.0 and rd > 0.0:
-                state.omega = float(np.clip(rp / rd, *_WEIGHT_CLIP))
-            state.restart_score = cand_sum.max_violation
-            state.restarts += 1
+        # z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0), with k = since_restart - 1
+        np.multiply(2.0, t, out=work)
+        np.subtract(work, z, out=work)
+        np.subtract(work, anchor, out=work)
+        np.multiply(since_restart / (since_restart + 1.0), work, out=work)
+        np.add(anchor, work, out=z)
 
     if not _finite(state):
         status = SolveStatus.NUMERICAL_FAILURE

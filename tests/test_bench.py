@@ -216,6 +216,16 @@ class TestCli:
         bad.write_text("ROWS\n N OBJ\n")  # no ENDATA
         assert main(["solve", str(bad)]) == 3
 
+    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    def test_invalid_model_exit_code(self, tmp_path, capsys, method):
+        crossed = tmp_path / "crossed.mps"
+        crossed.write_text(
+            "NAME CROSSED\nROWS\n N OBJ\n L R1\nCOLUMNS\n x1 OBJ 1 R1 1\n"
+            "RHS\n RHS R1 4\nBOUNDS\n LO bnd x1 3\n UP bnd x1 1\nENDATA\n"
+        )
+        assert main(["solve", str(crossed), "--method", method]) == 3
+        assert capsys.readouterr().err.startswith("error: variable 0 has lower bound")
+
     def test_time_limit_zero_still_writes_best_point(self, tmp_path):
         out = tmp_path / "sol.txt"
         code = main([

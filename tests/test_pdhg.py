@@ -20,8 +20,9 @@ from hybridlp import (
     violation_summary,
 )
 from hybridlp.pdhg import initial_state, pdhg_step
+from hybridlp.warmstart import prepare_model
 
-from _desk import lp1, lp2, planted_equality_lp
+from _desk import desk_suite, lp1, lp2, planted_equality_lp
 
 
 class TestEstimateOpnorm:
@@ -201,7 +202,7 @@ class TestRunPdhg:
         assert stats.iterations == 128
 
     def test_start_point_scored_once(self, monkeypatch):
-        """One residual evaluation for the zero start, two per check after it."""
+        """One residual evaluation for the zero start, one per check after it."""
         import hybridlp.lp_core
         import hybridlp.pdhg
 
@@ -221,7 +222,7 @@ class TestRunPdhg:
         _, stats = run_pdhg(p, params)
         assert stats.status.value == "IterationLimit"
         assert stats.iterations == checks * every
-        assert len(calls) == 1 + 2 * checks
+        assert len(calls) == 1 + checks
 
     def test_restarts_happen_and_never_hurt(self):
         """At least one restart on a planted instance, and the restart-score
@@ -264,6 +265,42 @@ class TestRunPdhgFailurePoints:
             _, stats = run_pdhg(p, PdhgParams(check_every=16, max_kkt_passes=5))
         assert stats.status.value == "NumericalFailure"
         assert stats.iterations == 5
+
+
+def _pipeline_scaled(inst):
+    """The model run_pdhg sees in the pipeline: presolve, standard form, Ruiz."""
+    return prepare_model(inst.model).solve_model
+
+
+@pytest.mark.parametrize("inst", desk_suite(), ids=lambda inst: inst.name)
+def test_only_projected_points_returned(inst):
+    """Whether it converges or hits the iteration limit, run_pdhg returns a
+    point T produced (x >= 0, z = max(0, c - A'y)), never the Halpern
+    iterate, and two runs return bitwise the same point and stats."""
+    p = _pipeline_scaled(inst)
+    for passes in (PdhgParams().max_kkt_passes, 64, 640):
+        params = PdhgParams(eps_rel=1e-6, max_kkt_passes=passes)
+        (pt, s1), (pt2, s2) = run_pdhg(p, params), run_pdhg(p, params)
+        assert np.all(pt.x >= 0.0)
+        assert np.array_equal(pt.z, np.maximum(0.0, p.c - p.at_y(pt.y)))
+        for a, b in ((pt.x, pt2.x), (pt.y, pt2.y), (pt.z, pt2.z)):
+            assert np.array_equal(a, b)
+        assert (s1.status, s1.iterations, s1.restarts, s1.max_violation, s1.termination) == (
+            s2.status, s2.iterations, s2.restarts, s2.max_violation, s2.termination)
+
+
+@pytest.mark.parametrize("m, n, seed, eps, ceiling", [
+    (100, 175, 23, 1e-6, 181_888),
+    (25, 45, 18, 1e-8, 137_088),
+    (40, 70, 20, 1e-8, 150_400),
+])
+def test_tail_cases_within_iteration_ceiling(m, n, seed, eps, ceiling):
+    """The slowest desk instances converge within the iterations that the
+    averaged-iterate PDHG needed on them."""
+    p = _pipeline_scaled(planted_equality_lp(m, n, seed))
+    _, stats = run_pdhg(p, PdhgParams(eps_rel=eps))
+    assert stats.status.value == "Optimal"
+    assert stats.iterations <= ceiling
 
 
 def test_overflowed_norms_fail_termination():
