@@ -20,6 +20,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .lp_core import (
     InvalidModelError,
     KktPoint,
+    Residuals,
     StandardLp,
     TerminationCheck,
     residuals,
@@ -33,6 +34,10 @@ _SOLVE_TOL = 1e-8
 _D2_CLIP = (1e-32, 1e32)
 # Mehrotra's centering parameter: sigma = (mu_aff / mu) ** _CENTERING_POWER
 _CENTERING_POWER = 3.0
+# Fixed by the method, not by the model: the share of the distance to the
+# boundary a step may take, and the step length below which run_ipm stalls.
+_STEP_FRACTION = 0.99
+_MIN_STEP = 1e-6
 # Largest dense normal matrix, 8 m^2 bytes, factored by LAPACK (m <= 5792).
 _DENSE_CAP_BYTES = 256 << 20
 
@@ -45,31 +50,17 @@ class NumericalFailure(RuntimeError):
 class IpmParams:
     eps_rel: float = 1e-8
     max_iters: int = 200
-    step_fraction: float = 0.99
-    min_step: float = 1e-6
 
     def __post_init__(self):
         if self.eps_rel <= 0:
             raise ValueError("eps_rel must be positive")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
-        if self.min_step <= 0:
-            raise ValueError("min_step must be positive")
 
 
 @dataclass
-class IpmState:
+class IpmState(KktPoint):
     """Strictly positive (x, z) with free duals y."""
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
     iterations: int = 0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
 
     @property
     def mu(self) -> float:
@@ -178,10 +169,10 @@ class NormalEquationsSolver:
                 self.level += 1
         raise NumericalFailure("normal-equations factorization failed at max regularization")
 
-    def _residual_ok(self, dx, dy, dz, rhs_p, rhs_d, rhs_c) -> bool:
+    def _residual_ok(self, dx, aty, dz, rhs_p, rhs_d, rhs_c) -> bool:
         p = self.p
         r1 = p.A @ dx - rhs_p
-        r2 = p.at_y(dy) + dz - rhs_d
+        r2 = aty + dz - rhs_d
         r3 = self.z * dx + self.x * dz - rhs_c
         def rel(r, rhs):
             denom = 1.0 + (float(np.max(np.abs(rhs))) if rhs.size else 0.0)
@@ -195,10 +186,11 @@ class NormalEquationsSolver:
             w = rhs_d - rhs_c / self.x
             rhs = rhs_p + p.A @ (self.d2 * w)
             dy = self._solve_normal(rhs)
-            dx = self.d2 * (p.at_y(dy) - w)
-            dz = rhs_d - p.at_y(dy)
+            aty = p.at_y(dy)
+            dx = self.d2 * (aty - w)
+            dz = rhs_d - aty
             finite = np.all(np.isfinite(dx)) and np.all(np.isfinite(dy)) and np.all(np.isfinite(dz))
-            if finite and self._residual_ok(dx, dy, dz, rhs_p, rhs_d, rhs_c):
+            if finite and self._residual_ok(dx, aty, dz, rhs_p, rhs_d, rhs_c):
                 return dx, dy, dz
             self.level += 1
             if self.level >= len(_REG_LADDER):
@@ -238,16 +230,19 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 def predictor_corrector_iteration(
-    p: StandardLp, state: IpmState, params: IpmParams
+    p: StandardLp, state: IpmState, res: Residuals | None = None
 ) -> tuple[IpmState, StepReport]:
-    """Affine predictor, adaptive centering corrector, fraction-to-boundary step."""
+    """Affine predictor, adaptive centering corrector, fraction-to-boundary step.
+
+    res holds the residuals of state; they are computed here when not given.
+    """
     state.require_interior()
+    if res is None:
+        res = residuals(p, state)
     x, y, z = state.x, state.y, state.z
     n = x.size
     mu = state.mu
-
-    rhs_p = p.b - p.A @ x
-    rhs_d = p.c - p.at_y(y) - z
+    rhs_p, rhs_d = res.r_p, res.r_d
 
     solver = NormalEquationsSolver(p, x, z)
     dx_aff, dy_aff, dz_aff = solver.solve(rhs_p, rhs_d, -x * z)
@@ -261,8 +256,8 @@ def predictor_corrector_iteration(
     rhs_c = sigma * mu - x * z - dx_aff * dz_aff
     dx, dy, dz = solver.solve(rhs_p, rhs_d, rhs_c)
 
-    alpha_p = min(1.0, params.step_fraction * _max_step(x, dx))
-    alpha_d = min(1.0, params.step_fraction * _max_step(z, dz))
+    alpha_p = min(1.0, _STEP_FRACTION * _max_step(x, dx))
+    alpha_d = min(1.0, _STEP_FRACTION * _max_step(z, dz))
 
     state.x = x + alpha_p * dx
     state.y = y + alpha_d * dy
@@ -287,7 +282,7 @@ def run_ipm(
     """Iterate predictor-corrector steps until the relative criteria hold.
 
     Stops with Stalled as soon as min(alpha_p, alpha_d) drops below
-    min_step on any iteration; the caller (the warm-start driver) owns the
+    _MIN_STEP on any iteration; the caller (the warm-start driver) owns the
     retry policy.  Iteration counts are accepted predictor-corrector steps.
     """
     if params is None:
@@ -306,9 +301,9 @@ def run_ipm(
     stall_iteration = None
     termination = None
     max_reg_level = 0
-    # z stays strictly positive, so the clip changes no iterate; one residual
-    # evaluation per iterate serves its history entry and the next check.
-    res = residuals(p, KktPoint(state.x, state.y, np.maximum(state.z, 0.0)))
+    # One residual evaluation per iterate serves its history entry, the next
+    # check and the next Newton right-hand side.
+    res = residuals(p, state)
 
     for it in range(params.max_iters + 1):
         termination = termination_from_residuals(p, res, params.eps_rel)
@@ -322,13 +317,13 @@ def run_ipm(
             status = SolveStatus.TIME_LIMIT
             break
         try:
-            state, report = predictor_corrector_iteration(p, state, params)
+            state, report = predictor_corrector_iteration(p, state, res)
         except NumericalFailure:
             status = SolveStatus.NUMERICAL_FAILURE
             max_reg_level = len(_REG_LADDER) - 1
             break
         max_reg_level = max(max_reg_level, report.reg_level)
-        res = residuals(p, KktPoint(state.x, state.y, np.maximum(state.z, 0.0)))
+        res = residuals(p, state)
         history.append(
             {
                 "mu": report.mu_after,
@@ -338,7 +333,7 @@ def run_ipm(
                 "max_violation": summary_from_residuals(res).max_violation,
             }
         )
-        if report.min_alpha < params.min_step:
+        if report.min_alpha < _MIN_STEP:
             status = SolveStatus.STALLED
             stall_iteration = state.iterations
             break

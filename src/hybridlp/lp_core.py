@@ -190,9 +190,6 @@ class KktPoint:
         self.y = _as_float_array(self.y)
         self.z = _as_float_array(self.z)
 
-    def copy(self) -> "KktPoint":
-        return KktPoint(self.x.copy(), self.y.copy(), self.z.copy())
-
     def is_finite(self) -> bool:
         return bool(
             np.all(np.isfinite(self.x))

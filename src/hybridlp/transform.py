@@ -20,10 +20,6 @@ _FEAS_TOL = 1e-9
 _RUIZ_TOL = 1e-2
 
 
-class ScalingError(ValueError):
-    """Equilibration met a structurally empty row or column."""
-
-
 @dataclass
 class ScalingInfo:
     """Diagonal row/column scaling: scaled matrix = diag(row_scale) A diag(col_scale)."""
@@ -42,17 +38,15 @@ def ruiz_equilibrate(p: StandardLp, max_iters: int = 20) -> tuple[StandardLp, Sc
     by the row scales and c by the column scales.  A copy of the canonical A
     is scaled entry by entry, with the rounding of diag(r) @ A @ diag(c);
     building the scaled StandardLp drops products that underflowed to zero.
+    Empty rows and columns keep unit scale.
     """
     A = p.A.copy()
     m, n = A.shape
     row_nnz = np.diff(A.indptr)
-    if (row_nnz == 0).any():
-        i = int(np.nonzero(row_nnz == 0)[0][0])
-        raise ScalingError(f"row {i} has no nonzero entries")
-    col_nnz = np.bincount(A.indices, minlength=n)
-    if (col_nnz == 0).any():
-        j = int(np.nonzero(col_nnz == 0)[0][0])
-        raise ScalingError(f"column {j} has no nonzero entries")
+    # reduceat over the starts of the non-empty rows only: each segment then
+    # ends where the next non-empty row starts (an empty segment would not).
+    full_rows = np.flatnonzero(row_nnz)
+    empty_cols = np.bincount(A.indices, minlength=n) == 0
 
     row_of = np.repeat(np.arange(m), row_nnz)
     row_scale = np.ones(m)
@@ -61,9 +55,11 @@ def ruiz_equilibrate(p: StandardLp, max_iters: int = 20) -> tuple[StandardLp, Sc
     applied = 0
     for _ in range(max_iters):
         abs_data = np.abs(A.data)
-        row_norm = np.maximum.reduceat(abs_data, A.indptr[:-1])
+        row_norm = np.ones(m)
+        row_norm[full_rows] = np.maximum.reduceat(abs_data, A.indptr[full_rows])
         col_norm = np.zeros(n)
         np.maximum.at(col_norm, A.indices, abs_data)
+        col_norm[empty_cols] = 1.0
         if (
             np.all((row_norm >= lo) & (row_norm <= hi))
             and np.all((col_norm >= lo) & (col_norm <= hi))

@@ -129,9 +129,7 @@ def warm_started_ipm(
     that iterate.  After max_escalations stalls the Stalled status stands.
     """
     t0 = time.monotonic()
-    x = np.asarray(start.x, dtype=float).copy()
-    y = np.asarray(start.y, dtype=float).copy()
-    z = np.asarray(start.z, dtype=float).copy()
+    x, y, z = start.x, start.y, start.z
     alpha = ws_params.alpha_min
     escalations = 0
     total_iters = 0
@@ -149,7 +147,7 @@ def warm_started_ipm(
             alpha *= ws_params.escalation_factor
             x = np.maximum(pt.x, alpha)
             z = np.maximum(pt.z, alpha)
-            y = pt.y.copy()
+            y = pt.y
             continue
         return WarmIpmResult(pt, stats, escalations, total_iters)
 

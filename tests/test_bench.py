@@ -226,6 +226,23 @@ class TestCli:
         assert main(["solve", str(crossed), "--method", method]) == 3
         assert capsys.readouterr().err.startswith("error: variable 0 has lower bound")
 
+    @pytest.mark.parametrize("empty_row", [False, True], ids=["empty-column", "empty-row"])
+    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    def test_no_presolve_accepts_empty_lines(self, tmp_path, method, empty_row):
+        """Without presolve an empty column (x2) or row (R2) reaches scaling
+        and the solvers unchanged."""
+        model = tmp_path / "empty.mps"
+        model.write_text(
+            "NAME EMPTY\nROWS\n N OBJ\n L R1\n" + (" E R2\n" if empty_row else "")
+            + "COLUMNS\n X1 OBJ -1.0 R1 1.0\n X2 OBJ 1.0\nRHS\n RHS R1 4.0\nENDATA\n"
+        )
+        out = tmp_path / "sol.txt"
+        code = main(["solve", str(model), "--method", method, "--no-presolve", "--out", str(out)])
+        assert code == 0
+        sol = parse_solution(out.read_text())
+        assert sol.status == "Optimal"
+        np.testing.assert_allclose(sol.x, [4.0, 0.0], atol=1e-4)
+
     def test_time_limit_zero_still_writes_best_point(self, tmp_path):
         out = tmp_path / "sol.txt"
         code = main([

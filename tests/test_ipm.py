@@ -99,21 +99,20 @@ class TestPredictorCorrector:
         p = StandardLp(np.array([[1.0]]), [1.0], [1.0])
         st = IpmState(np.array([1.1]), np.array([0.9]), np.array([0.1]))
         mu0 = st.mu
-        st, report = predictor_corrector_iteration(p, st, IpmParams())
+        st, report = predictor_corrector_iteration(p, st)
         assert report.mu_after <= mu0 / 10.0
 
     def test_fraction_to_boundary_guarantee(self):
         """x+ >= (1 - step_fraction) x componentwise on every iteration."""
         inst = planted_equality_lp(10, 18, seed=3)
         p, _ = to_standard_form(inst.model)
-        params = IpmParams()
         st = cold_start_point(p)
         for _ in range(8):
             x_before = st.x.copy()
             z_before = st.z.copy()
-            st, report = predictor_corrector_iteration(p, st, params)
-            floor_x = (1.0 - params.step_fraction) * x_before
-            floor_z = (1.0 - params.step_fraction) * z_before
+            st, report = predictor_corrector_iteration(p, st)
+            floor_x = (1.0 - hybridlp.ipm._STEP_FRACTION) * x_before
+            floor_z = (1.0 - hybridlp.ipm._STEP_FRACTION) * z_before
             assert np.all(st.x >= floor_x - 1e-15)
             assert np.all(st.z >= floor_z - 1e-15)
 
@@ -122,7 +121,7 @@ class TestPredictorCorrector:
         p, _ = to_standard_form(inst.model)
         st = cold_start_point(p)
         for _ in range(10):
-            st, _ = predictor_corrector_iteration(p, st, IpmParams())
+            st, _ = predictor_corrector_iteration(p, st)
             assert np.all(st.x > 0) and np.all(st.z > 0)
 
 
@@ -325,6 +324,22 @@ def test_one_residual_evaluation_per_iterate(monkeypatch):
     _, stats = run_ipm(p)
     assert stats.status.value == "Optimal"
     assert len(calls) == stats.iterations + 1
+
+
+def test_three_transpose_products_per_iterate(monkeypatch):
+    """A'y once for the iterate's residuals and once per Newton solve."""
+    calls = []
+    real = StandardLp.at_y
+
+    def counted(self, y):
+        calls.append(1)
+        return real(self, y)
+
+    monkeypatch.setattr(StandardLp, "at_y", counted)
+    p, _ = ruiz_equilibrate(to_standard_form(planted_equality_lp(15, 27, seed=1).model)[0])
+    _, stats = run_ipm(p, start=cold_start_point(p))
+    assert stats.status.value == "Optimal"
+    assert len(calls) == 1 + 3 * stats.iterations
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-8])

@@ -1,4 +1,4 @@
-"""Bitwise pins of the PDHG kernels against their plain scipy formulations.
+"""Bitwise pins of the solver kernels against their plain scipy formulations.
 
 The hot path calls scipy's CSR kernel into preallocated buffers, caches A',
 and scales A in place.  Each reference below is the straightforward
@@ -13,8 +13,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hybridlp import PdhgParams, StandardLp, parse_mps, ruiz_equilibrate, to_standard_form
-from hybridlp.ipm import NormalEquationsSolver, normal_matrix
+from hybridlp import (
+    PdhgParams,
+    StandardLp,
+    cold_start_point,
+    parse_mps,
+    predictor_corrector_iteration,
+    residuals,
+    ruiz_equilibrate,
+    to_standard_form,
+)
+from hybridlp.ipm import _REG_LADDER, NormalEquationsSolver, NumericalFailure, normal_matrix
 from hybridlp.lp_core import csr_matvec
 from hybridlp.pdhg import estimate_opnorm, initial_state, pdhg_step
 
@@ -34,7 +43,8 @@ def _mps_models():
     ]
 
 
-MODELS = _desk_models() + _mps_models()
+DESK_MODELS = _desk_models()
+MODELS = DESK_MODELS + _mps_models()
 over_models = pytest.mark.parametrize(
     "p", [p for _, p in MODELS], ids=[name for name, _ in MODELS]
 )
@@ -202,6 +212,90 @@ def reference_normal_matrix(p, d2):
     normal_matrix sums them.
     """
     return (p.A @ sp.diags(d2)).sorted_indices() @ p.A.T
+
+
+def reference_pc_iteration(p, x, y, z):
+    """One predictor-corrector step with its residuals formed inline and A'dy
+    formed at each use; returns (x, y, z, alpha_p, alpha_d, mu_after, sigma,
+    reg_level).  The factorization and its ladder are the solver's own."""
+    n = x.size
+    mu = float(x @ z) / n
+
+    rhs_p = p.b - p.A @ x
+    rhs_d = p.c - p.at_y(y) - z
+
+    solver = NormalEquationsSolver(p, x, z)
+
+    def solve(rhs_p, rhs_d, rhs_c):
+        while True:
+            w = rhs_d - rhs_c / x
+            rhs = rhs_p + p.A @ (solver.d2 * w)
+            dy = solver._solve_normal(rhs)
+            dx = solver.d2 * (p.at_y(dy) - w)
+            dz = rhs_d - p.at_y(dy)
+            finite = np.all(np.isfinite(dx)) and np.all(np.isfinite(dy)) and np.all(np.isfinite(dz))
+            r1 = p.A @ dx - rhs_p
+            r2 = p.at_y(dy) + dz - rhs_d
+            r3 = z * dx + x * dz - rhs_c
+
+            def rel(r, rhs):
+                denom = 1.0 + (float(np.max(np.abs(rhs))) if rhs.size else 0.0)
+                return (float(np.max(np.abs(r))) if r.size else 0.0) / denom
+
+            if finite and max(rel(r1, rhs_p), rel(r2, rhs_d), rel(r3, rhs_c)) <= 1e-8:
+                return dx, dy, dz
+            solver.level += 1
+            if solver.level >= len(_REG_LADDER):
+                raise NumericalFailure("Newton system residual above tolerance at max regularization")
+            solver._factor()
+
+    def max_step(v, dv):
+        neg = dv < 0
+        if not neg.any():
+            return np.inf
+        return float(np.min(v[neg] / -dv[neg]))
+
+    dx_aff, dy_aff, dz_aff = solve(rhs_p, rhs_d, -x * z)
+
+    a_p_aff = min(1.0, max_step(x, dx_aff))
+    a_d_aff = min(1.0, max_step(z, dz_aff))
+    mu_aff = float((x + a_p_aff * dx_aff) @ (z + a_d_aff * dz_aff)) / n
+    sigma = (max(mu_aff, 0.0) / mu) ** 3.0 if mu > 0 else 0.0
+    sigma = min(sigma, 1.0)
+
+    rhs_c = sigma * mu - x * z - dx_aff * dz_aff
+    dx, dy, dz = solve(rhs_p, rhs_d, rhs_c)
+
+    alpha_p = min(1.0, 0.99 * max_step(x, dx))
+    alpha_d = min(1.0, 0.99 * max_step(z, dz))
+
+    x_new = x + alpha_p * dx
+    y_new = y + alpha_d * dy
+    z_new = z + alpha_d * dz
+    mu_after = float(x_new @ z_new) / n
+    return x_new, y_new, z_new, alpha_p, alpha_d, mu_after, sigma, solver.level
+
+
+class TestIpmStepBitwise:
+    @pytest.mark.parametrize(
+        "p", [p for _, p in DESK_MODELS], ids=[name for name, _ in DESK_MODELS]
+    )
+    def test_6_steps_equal_reference(self, p):
+        """Six steps from the cold start on the scaled model; even steps get
+        the caller's residuals, as run_ipm passes them, odd steps form their own."""
+        scaled, _ = ruiz_equilibrate(p)
+        st = cold_start_point(scaled)
+        x, y, z = st.x, st.y, st.z
+        for k in range(6):
+            res = residuals(scaled, st) if k % 2 == 0 else None
+            st, report = predictor_corrector_iteration(scaled, st, res)
+            x, y, z, *ref_report = reference_pc_iteration(scaled, x, y, z)
+            assert np.array_equal(st.x, x)
+            assert np.array_equal(st.y, y)
+            assert np.array_equal(st.z, z)
+            assert [report.alpha_p, report.alpha_d, report.mu_after, report.sigma,
+                    report.reg_level] == ref_report
+        assert st.iterations == 6
 
 
 class TestNormalMatrixBitwise:

@@ -25,7 +25,6 @@ from hybridlp.transform import (
     EmptyColumn,
     EmptyRow,
     FixedVariable,
-    ScalingError,
     SingletonRow,
 )
 
@@ -64,14 +63,23 @@ class TestRuizEquilibrate:
         np.testing.assert_allclose(scaled.c, info.col_scale * p.c)
 
     def test_zero_row_named(self):
-        p = StandardLp(np.array([[1.0, 1.0], [0.0, 0.0]]), [1.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ScalingError, match="row 1"):
-            ruiz_equilibrate(p)
+        """An empty row keeps unit scale; the other lines reach the norm box."""
+        p = StandardLp(np.array([[4.0, 1.0], [0.0, 0.0], [1.0, 9.0]]), [1.0, 0.0, 1.0], [1.0, 1.0])
+        scaled, info = ruiz_equilibrate(p)
+        assert info.row_scale[1] == 1.0
+        absA = np.abs(scaled.A.toarray())
+        for norm in np.r_[absA.max(axis=1)[[0, 2]], absA.max(axis=0)]:
+            assert 0.99 <= norm <= 1.01
 
     def test_zero_column_named(self):
-        p = StandardLp(np.array([[1.0, 0.0]]), [1.0], [1.0, 1.0])
-        with pytest.raises(ScalingError, match="column 1"):
-            ruiz_equilibrate(p)
+        """An empty column keeps unit scale; the other lines reach the norm box."""
+        p = StandardLp(np.array([[4.0, 0.0, 1.0], [1.0, 0.0, 9.0]]), [1.0, 1.0], [1.0, 1.0, 1.0])
+        scaled, info = ruiz_equilibrate(p)
+        assert info.col_scale[1] == 1.0
+        assert scaled.c[1] == 1.0
+        absA = np.abs(scaled.A.toarray())
+        for norm in np.r_[absA.max(axis=1), absA.max(axis=0)[[0, 2]]]:
+            assert 0.99 <= norm <= 1.01
 
     def test_norm_box_on_desk_suite(self):
         """Loose [0.5, 2] box holds for every desk matrix at max_iters."""
