@@ -1,8 +1,9 @@
 """Bitwise pins of the solver kernels against their plain scipy formulations.
 
 The hot path calls scipy's CSR kernel into preallocated buffers, caches A',
-and scales A in place.  Each reference below is the straightforward
-formulation those kernels replaced; every comparison is exact
+and scales A in place; PDHG also lets the kernel add its products into
+vectors that already hold the rest of a step.  Each reference below is the
+straightforward formulation of a kernel's arithmetic; every comparison is exact
 (np.array_equal), because the solver's iteration counts and returned points
 depend on every rounding.
 """
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from hybridlp import (
     PdhgParams,
@@ -100,11 +102,35 @@ def reference_opnorm(A, seed=0, tol=1e-4, max_iters=100):
     return float(lam)
 
 
+def reference_row_sums(init, M, v):
+    """init + M v with each row summed from init, then over the row's
+    entries in stored order, one rounded product at a time."""
+    out = init.copy()
+    lengths = np.diff(M.indptr)
+    for k in range(lengths.max(initial=0)):
+        rows = np.flatnonzero(lengths > k)
+        j = M.indptr[rows] + k
+        out[rows] += M.data[j] * v[M.indices[j]]
+    return out
+
+
+def added_product(init, scale, M, v):
+    """init + (scale M) v through scipy's CSR kernel, which sums each row from
+    the value already in its output (pinned by TestCsrMatvec)."""
+    out = init.copy()
+    _sparsetools.csr_matvec(
+        M.shape[0], M.shape[1], M.indptr, M.indices, scale * M.data, v, out
+    )
+    return out
+
+
 def reference_step(p, x, y, tau, sigma, omega):
-    """One PDHG step as one-line array expressions; returns the new point."""
-    x_new = np.maximum(0.0, x - (tau / omega) * (p.c - p.A.T @ y))
-    y_new = y + (sigma * omega) * (p.b - p.A @ (2.0 * x_new - x))
-    return x_new, y_new
+    """One PDHG step through A' scaled by tau/omega and A by -2 sigma omega,
+    each product added into the rest of its half-step; returns the new point."""
+    s, g = tau / omega, 2.0 * sigma * omega
+    x_new = np.maximum(0.0, added_product(x + (-s * p.c), s, p.A_T, y))
+    w_y = added_product(y + g * p.b, -g, p.A, 2.0 * x_new - x)
+    return x_new, 0.5 * (y + w_y)
 
 
 class TestCsrMatvec:
@@ -125,6 +151,21 @@ class TestCsrMatvec:
         )
         v = np.array([0.1, -2.3, 4.7])
         assert np.array_equal(csr_matvec(M, v, np.empty(2)), M @ v)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raw_kernel_adds_into_out(self, seed):
+        """The fused PDHG iteration relies on scipy's kernel summing each row
+        from the value already in out, never overwriting it."""
+        rng = np.random.default_rng(seed)
+        M = sp.random(30, 50, density=0.1, random_state=seed, format="csr")
+        M.indices = M.indices[::-1].copy()  # stored order need not be sorted
+        v, init = rng.standard_normal(50), rng.standard_normal(30)
+        out = init.copy()
+        _sparsetools.csr_matvec(30, 50, M.indptr, M.indices, M.data, v, out)
+        assert np.array_equal(out, reference_row_sums(init, M, v)), (
+            "scipy.sparse._sparsetools.csr_matvec no longer adds into its output; "
+            "hybridlp.pdhg's fused iteration depends on it"
+        )
 
 
 class TestAtY:

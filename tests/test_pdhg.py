@@ -19,10 +19,12 @@ from hybridlp import (
     unscale_point,
     violation_summary,
 )
+from hybridlp.lp_core import residuals, summary_from_residuals, termination_from_residuals
 from hybridlp.pdhg import initial_state, pdhg_step
 from hybridlp.warmstart import prepare_model
 
 from _desk import desk_suite, lp1, lp2, planted_equality_lp
+from test_kernels import reference_step
 
 
 class TestEstimateOpnorm:
@@ -301,6 +303,76 @@ def test_tail_cases_within_iteration_ceiling(m, n, seed, eps, ceiling):
     _, stats = run_pdhg(p, PdhgParams(eps_rel=eps))
     assert stats.status.value == "Optimal"
     assert stats.iterations <= ceiling
+
+
+def reference_run(p, eps):
+    """Restarted Halpern PDHG in one-line array expressions: T from
+    reference_step, the README's update z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0)
+    and its restart rules at every 64th iteration; returns (status,
+    iterations, restarts)."""
+    params = PdhgParams(eps_rel=eps)
+    n, every = p.n, params.check_every
+    tau = sigma = initial_state(p, params).tau
+    omega = 1.0
+    if np.linalg.norm(p.c) > 0.0 and np.linalg.norm(p.b) > 0.0:
+        omega = float(np.clip(np.linalg.norm(p.c) / np.linalg.norm(p.b), 1e-4, 1e4))
+    z = z0 = np.zeros(n + p.m)
+    k, restarts, r0, r_prev = 0, 0, np.inf, np.inf
+    for it in range(1, params.max_kkt_passes + 1):
+        t = np.concatenate(reference_step(p, z[:n], z[n:], tau, sigma, omega))
+        if it % every == 0:
+            x, y = t[:n], t[n:]
+            res = residuals(p, KktPoint(x, y, np.maximum(0.0, p.c - p.A.T @ y)))
+            if termination_from_residuals(p, res, eps).ok:
+                return "Optimal", it, restarts
+            r = summary_from_residuals(res).max_violation
+            r0 = r if r0 == np.inf else r0
+            restart = r <= 0.2 * r0 or (r <= 0.8 * r0 and r > r_prev) or k + 1 >= 0.36 * it
+            r_prev = r
+            if restart:
+                dx, dy = np.linalg.norm(x - z0[:n]), np.linalg.norm(y - z0[n:])
+                if dx > 0.0 and dy > 0.0:
+                    omega = float(np.exp(0.5 * np.log(dy / dx) + 0.5 * np.log(omega)))
+                z = z0 = t
+                k, r0, restarts = 0, np.inf, restarts + 1
+                continue
+        z = z0 + (k + 1) / (k + 2) * (2.0 * t - z - z0)
+        k += 1
+    return "IterationLimit", params.max_kkt_passes, restarts
+
+
+@pytest.mark.parametrize(
+    "inst, eps",
+    [(inst, 1e-4) for inst in desk_suite()] + [(planted_equality_lp(100, 175, 23), 1e-6)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_fused_iteration_follows_reference_loop(inst, eps):
+    """run_pdhg's fused iteration takes the decisions of the plain loop:
+    the same status, iteration count and restarts."""
+    p = _pipeline_scaled(inst)
+    _, stats = run_pdhg(p, PdhgParams(eps_rel=eps))
+    assert (stats.status.value, stats.iterations, stats.restarts) == reference_run(p, eps)
+
+
+@pytest.mark.parametrize("passes, every", [(40, 64), (48, 16)])
+def test_two_sparse_products_per_iteration(monkeypatch, passes, every):
+    """Every iteration, between checks or at one, makes exactly two sparse
+    products, both through hybridlp.pdhg._csr_matvec_add; the start score
+    and the norm estimate make theirs elsewhere."""
+    import hybridlp.pdhg
+
+    real = hybridlp.pdhg._csr_matvec_add
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(hybridlp.pdhg, "_csr_matvec_add", counted)
+    p = _pipeline_scaled(planted_equality_lp(15, 27, seed=1))
+    _, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, max_kkt_passes=passes, check_every=every))
+    assert stats.status.value == "IterationLimit"
+    assert len(calls) == 2 * passes
 
 
 def test_overflowed_norms_fail_termination():
