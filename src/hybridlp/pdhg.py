@@ -10,11 +10,9 @@ programming using primal-dual hybrid gradient", arXiv:2106.04756).
 
 An iteration costs two sparse products and a few vector operations, so at
 desk scale the interpreter's per-call overhead, not the flops, sets its
-time.  The steps are therefore folded into copies of A' and A whose values
-are pre-scaled by tau / omega and -2 sigma omega, and scipy's CSR kernel
-adds each product into a vector that already holds the rest of the step.
-Between checks an iteration forms only the reflected point 2 T(z) - z,
-never T(z) itself.
+time.  Every iteration therefore runs one kernel, _reflect, on copies of A'
+and A whose values are pre-scaled by tau / omega and -2 sigma omega, with
+scipy's CSR kernel adding each product into a vector that holds the rest.
 """
 
 from __future__ import annotations
@@ -69,27 +67,8 @@ class PdhgParams:
 
 
 @dataclass
-class ScaledOperator:
-    """The steps folded into the operator: A' with values scaled by
-    tau / omega, A by -2 sigma omega, and q = (-(tau / omega) c,
-    2 sigma omega b), for steps = (tau, sigma, omega).
-
-    at and a are the leading arguments of _csr_matvec_add; the scaled
-    matrices share indptr and indices with p.A_T and p.A.
-    """
-
-    steps: tuple
-    at: tuple
-    a: tuple
-    q: np.ndarray
-
-
-@dataclass
 class PdhgState:
-    """Mutable iteration state: the point T is applied to, steps, counters,
-    a work vector of length n + m that pdhg_step leaves holding the
-    reflected point 2 T(x, y) - (x, y), and the operator scaled for the
-    steps it was last built for."""
+    """A point that pdhg_step applies T to, its steps and iteration count."""
 
     x: np.ndarray
     y: np.ndarray
@@ -97,9 +76,6 @@ class PdhgState:
     sigma: float
     omega: float
     iterations: int
-    restarts: int
-    work: np.ndarray
-    scaled: ScaledOperator | None = None
 
 
 @dataclass
@@ -122,15 +98,19 @@ def estimate_opnorm(A, seed: int = 0) -> float:
     if m == 0 or n == 0 or A.nnz == 0:
         raise InvalidModelError("cannot estimate the norm of an empty matrix")
     A = sp.csr_matrix(A, dtype=float)
-    At = A.T.tocsr()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     av, w = np.empty(m), np.empty(n)
+
+    def norm_at_a(v):  # ||A'A v||, leaving A'A v in w; A's CSR arrays are A' in CSC
+        w.fill(0.0)
+        _sparsetools.csc_matvec(n, m, A.indptr, A.indices, A.data, csr_matvec(A, v, av), w)
+        return np.linalg.norm(w)
+
     lam = 0.0
     for _ in range(_OPNORM_MAX_ITERS):
-        csr_matvec(At, csr_matvec(A, v, av), w)
-        norm_w = np.linalg.norm(w)
+        norm_w = norm_at_a(v)
         if norm_w == 0.0:
             break
         new_lam = np.sqrt(norm_w)
@@ -140,8 +120,7 @@ def estimate_opnorm(A, seed: int = 0) -> float:
             break
         lam = new_lam
     # safeguard multiply: one more pass tightens the estimate from below
-    csr_matvec(At, csr_matvec(A, v, av), w)
-    norm_w = np.linalg.norm(w)
+    norm_w = norm_at_a(v)
     if norm_w > 0:
         lam = max(lam, float(np.sqrt(norm_w)))
     return float(lam)
@@ -163,26 +142,44 @@ def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState
         sigma=step,
         omega=1.0,
         iterations=0,
-        restarts=0,
-        work=np.empty(p.n + p.m),
     )
 
 
-def _scaled_operator(state: PdhgState, p: StandardLp) -> ScaledOperator:
-    """The state's scaled operator, rebuilt if tau, sigma or omega changed
-    since it was built."""
-    steps = (state.tau, state.sigma, state.omega)
-    if state.scaled is None or state.scaled.steps != steps:
-        s = state.tau / state.omega
-        g = 2.0 * state.sigma * state.omega
-        At, A = p.A_T, p.A
-        state.scaled = ScaledOperator(
-            steps=steps,
-            at=(p.n, p.m, At.indptr, At.indices, s * At.data),
-            a=(p.m, p.n, A.indptr, A.indices, -g * A.data),
-            q=np.concatenate((-s * p.c, g * p.b)),
-        )
-    return state.scaled
+def _operator(p: StandardLp, tau: float, sigma: float, omega: float):
+    """The leading arguments of _csr_matvec_add for A' scaled by tau / omega
+    and A by -2 sigma omega (sharing indptr and indices with p.A_T and p.A),
+    and q = (-(tau / omega) c, 2 sigma omega b)."""
+    s, g = tau / omega, 2.0 * sigma * omega
+    At, A = p.A_T, p.A
+    return (
+        (p.n, p.m, At.indptr, At.indices, s * At.data),
+        (p.m, p.n, A.indptr, A.indices, -g * A.data),
+        np.concatenate((-s * p.c, g * p.b)),
+    )
+
+
+def _reflect(op, zs, ws, tx, ty=None):
+    """The reflected point w = 2 T(z) - z for the operator op, with zs and ws
+    the (whole, x half, y half) views of z and w, T(z)'s x half written to
+    tx and, if ty is given, its y half to ty:
+
+        tx = max(0, (z_x + q_x) + (tau / omega) A'z_y)
+        w  = (2 tx - z_x, (z_y + q_y) - 2 sigma omega A (2 tx - z_x))
+        ty = (z_y + w_y) / 2
+
+    where each product is summed into the vector before it.
+    """
+    at, a, q = op
+    (z, zx, zy), (w, wx, wy) = zs, ws
+    np.add(z, q, out=w)
+    _csr_matvec_add(*at, zy, wx)
+    np.maximum(0.0, wx, out=tx)
+    np.multiply(2.0, tx, out=wx)
+    np.subtract(wx, zx, out=wx)
+    _csr_matvec_add(*a, wx, wy)
+    if ty is not None:
+        np.add(zy, wy, out=ty)
+        np.multiply(0.5, ty, out=ty)
 
 
 def pdhg_step(state: PdhgState, p: StandardLp) -> np.ndarray:
@@ -191,39 +188,17 @@ def pdhg_step(state: PdhgState, p: StandardLp) -> np.ndarray:
         x+ = max(0, x - (tau / omega) (c - A'y))
         y+ = y + (sigma omega) (b - A (2 x+ - x))
 
-    evaluated through the state's scaled operator, with q = (qx, qy):
-
-        x+ = max(0, (x + qx) + (tau / omega) A'y)
-        w  = (2 x+ - x, (y + qy) - 2 sigma omega A (2 x+ - x))
-        y+ = (y + w_y) / 2
-
-    where each product is summed into the vector before it.  w, the
-    reflected point 2 T - (x, y) that run_pdhg's Halpern update takes, is
-    left in the state's work vector.  T is returned as a fresh array of
-    length n + m whose halves become state.x and state.y; nothing writes it
-    later, so scored points wrap it without a copy.
+    evaluated as run_pdhg evaluates it at a check.  T is returned as a fresh
+    array of length n + m whose halves become state.x and state.y.
     """
-    op = _scaled_operator(state, p)
     n = p.n
-    wx, wy = state.work[:n], state.work[n:]
-    t = np.empty(n + p.m)
-    x_new, y_new = t[:n], t[n:]
-    np.add(state.x, op.q[:n], out=x_new)
-    _csr_matvec_add(*op.at, state.y, x_new)
-    np.maximum(0.0, x_new, out=x_new)
-    np.multiply(2.0, x_new, out=wx)
-    np.subtract(wx, state.x, out=wx)
-    np.add(state.y, op.q[n:], out=wy)
-    _csr_matvec_add(*op.a, wx, wy)
-    np.add(state.y, wy, out=y_new)
-    np.multiply(0.5, y_new, out=y_new)
-    state.x, state.y = x_new, y_new
+    z = np.concatenate((state.x, state.y))
+    w, t = np.empty_like(z), np.empty_like(z)
+    op = _operator(p, state.tau, state.sigma, state.omega)
+    _reflect(op, (z, z[:n], z[n:]), (w, w[:n], w[n:]), t[:n], t[n:])
+    state.x, state.y = t[:n], t[n:]
     state.iterations += 1
     return t
-
-
-def _finite(state: PdhgState) -> bool:
-    return bool(np.isfinite(state.x).all() and np.isfinite(state.y).all())
 
 
 def _score(p: StandardLp, x: np.ndarray, y: np.ndarray, eps_rel: float):
@@ -249,23 +224,18 @@ def run_pdhg(
     """Iterate to the requested relative tolerance by restarted Halpern PDHG.
 
     Each iteration sets z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0), with z0 the
-    anchor (the point of the last restart) and k the iterations since it.
-    Between checks the reflected point w = 2 T(z) - z comes from the fused
-    kernel in the loop below, which never forms T: w = z + q, then
-    w_x += (tau / omega) A'z_y, w_x = 2 max(0, w_x) - z_x and
-    w_y += -2 sigma omega A w_x, all through the state's scaled operator,
-    which is rebuilt only when a restart moves omega.
-    Every check_every iterations pdhg_step forms T(z) as a fresh array (and
-    the same w); T(z), never z, is scored and returned if it passes, and its
-    max violation drives the _RESTART_* rules.  A restart sets
-    z = z0 = T(z), k = 0, and moves the primal weight omega, which starts at
-    ||c|| / ||b||, halfway in log scale towards ||dy|| / ||dx||, the
-    anchor's movement.  On failure statuses the best point scored so far is
+    anchor (the point of the last restart) and k the iterations since it,
+    by one _reflect and one _halpern_update.  Every check_every-th
+    iteration's _reflect also forms T(z) as a fresh array; T(z), never z, is
+    scored and returned if it passes, and its max violation drives the
+    _RESTART_* rules.  A restart sets z = z0 = T(z), k = 0, and moves the
+    primal weight omega, which starts at ||c|| / ||b||, halfway in log scale
+    towards ||dy|| / ||dx||, the anchor's movement; the scaled operator is
+    rebuilt then.  On failure statuses the best point scored so far is
     returned.  The time limit is tested once per block of check_every
     iterations, before the block starts, so a run may overrun it by one
-    block.  Non-finite iterates are detected at the check points, so
-    NumericalFailure reports the iteration count of the first check (or
-    limit) after the overflow.
+    block.  Non-finite iterates are detected at the checks, and at the end
+    of a run that the iteration limit stops between them.
     """
     if params is None:
         params = PdhgParams()
@@ -273,48 +243,38 @@ def run_pdhg(
         raise InvalidModelError("pdhg requires a nonempty model")
     t0 = time.monotonic()
     state = initial_state(p, params, seed=seed)
+    tau, sigma, omega = state.tau, state.sigma, state.omega
     c_norm, b_norm = np.linalg.norm(p.c), np.linalg.norm(p.b)
     if c_norm > 0.0 and b_norm > 0.0:
-        state.omega = float(np.clip(c_norm / b_norm, *_WEIGHT_CLIP))
+        omega = float(np.clip(c_norm / b_norm, *_WEIGHT_CLIP))
+    op = _operator(p, tau, sigma, omega)
     n, every, limit = p.n, params.check_every, params.max_kkt_passes
 
     best_pt, best_summary, best_term = _score(p, state.x, state.y, params.eps_rel)
     z = np.concatenate((state.x, state.y))  # fresh: best_pt wraps the start
-    zx, zy = z[:n], z[n:]  # views: z is only ever written in place
-    w = state.work
-    wx, wy = w[:n], w[n:]
-    anchor = z.copy()
-    since_restart = 0
+    w, tx, anchor = np.empty_like(z), np.empty(n), z.copy()
+    zs, ws = (z, z[:n], z[n:]), (w, w[:n], w[n:])  # z and w are only written in place
+    iterations = restarts = since_restart = 0
     r0 = r_prev = np.inf
     status = SolveStatus.ITERATION_LIMIT
 
-    while state.iterations < limit:
-        if time.monotonic() - t0 > params.time_limit_s:
+    while iterations < limit:
+        if iterations % every == 0 and time.monotonic() - t0 > params.time_limit_s:
             status = SolveStatus.TIME_LIMIT
             break
-        state.x, state.y = zx, zy
-        op = _scaled_operator(state, p)
-        q, at, a = op.q, op.at, op.a
-        # the iterations before the next check, or all that the limit leaves
-        between = min((state.iterations // every + 1) * every - 1, limit) - state.iterations
-        for j in range(since_restart + 1, since_restart + 1 + between):
-            np.add(z, q, out=w)
-            _csr_matvec_add(*at, zy, wx)
-            np.maximum(0.0, wx, out=wx)
-            np.multiply(2.0, wx, out=wx)
-            np.subtract(wx, zx, out=wx)
-            _csr_matvec_add(*a, wx, wy)
-            _halpern_update(z, anchor, w, j)
-        since_restart += between
-        state.iterations += between
-        if state.iterations == limit:
-            break
-
-        t = pdhg_step(state, p)
+        iterations += 1
         since_restart += 1
-        if not _finite(state):
+        if iterations % every:
+            _reflect(op, zs, ws, tx)
+            _halpern_update(z, anchor, w, since_restart)
+            continue
+
+        t = np.empty(n + p.m)  # fresh: best_pt may wrap it
+        _reflect(op, zs, ws, t[:n], t[n:])
+        if not np.isfinite(t).all():
+            status = SolveStatus.NUMERICAL_FAILURE
             break
-        pt, summ, term = _score(p, state.x, state.y, params.eps_rel)
+        pt, summ, term = _score(p, t[:n], t[n:], params.eps_rel)
         r = summ.max_violation
         if term.ok or r < best_summary.max_violation:
             best_pt, best_summary, best_term = pt, summ, term
@@ -325,28 +285,28 @@ def run_pdhg(
         restart = (
             r <= _RESTART_SUFFICIENT * r0
             or (r <= _RESTART_NECESSARY * r0 and r > r_prev)
-            or since_restart >= _RESTART_ARTIFICIAL * state.iterations
+            or since_restart >= _RESTART_ARTIFICIAL * iterations
         )
         r_prev = r
         if restart:
             np.subtract(t, anchor, out=w)
-            dx, dy = np.linalg.norm(wx), np.linalg.norm(wy)
+            dx, dy = np.linalg.norm(ws[1]), np.linalg.norm(ws[2])
             if dx > 0.0 and dy > 0.0:
-                log_w = 0.5 * np.log(dy / dx) + 0.5 * np.log(state.omega)
-                state.omega = float(np.exp(log_w))
+                omega = float(np.exp(0.5 * np.log(dy / dx) + 0.5 * np.log(omega)))
+                op = _operator(p, tau, sigma, omega)
             anchor[:] = t
             z[:] = t
             since_restart, r0 = 0, np.inf
-            state.restarts += 1
+            restarts += 1
         else:
             _halpern_update(z, anchor, w, since_restart)
 
-    if not _finite(state):
+    if status is SolveStatus.ITERATION_LIMIT and not np.isfinite(z).all():
         status = SolveStatus.NUMERICAL_FAILURE
     stats = SolveStats(
         status=status,
-        iterations=state.iterations,
-        restarts=state.restarts,
+        iterations=iterations,
+        restarts=restarts,
         wall_seconds=time.monotonic() - t0,
         termination=best_term,
         max_violation=best_summary.max_violation,

@@ -44,19 +44,17 @@ from .transform import (
 )
 
 
+# The centering's complementarity floor, coordinate floor and trust region,
+# and the factor by which each stall escalation raises the coordinate floor.
+_MU_MIN = 1e-6
+_ALPHA_MIN = 1e-6
+_DELTA_MAX = 1e-4
+_ESCALATION_FACTOR = 10.0
+
+
 @dataclass
 class WarmStartParams:
-    mu_min: float = 1e-6
-    alpha_min: float = 1e-6
-    delta_max: float = 1e-4
-    escalation_factor: float = 10.0
     max_escalations: int = 6
-
-    def __post_init__(self):
-        if min(self.mu_min, self.alpha_min, self.delta_max) <= 0:
-            raise ValueError("mu_min, alpha_min and delta_max must be positive")
-        if self.escalation_factor <= 1.0:
-            raise ValueError("escalation_factor must exceed 1")
 
 
 def mu_target(x, z, n: int, mu_min: float) -> float:
@@ -97,13 +95,10 @@ def center_toward_target(
 
 
 def centered_start(pt: KktPoint, params: WarmStartParams | None = None) -> KktPoint:
-    """Perturb (x, z) toward max(x'z/n, mu_min) complementarity; y is untouched."""
-    if params is None:
-        params = WarmStartParams()
-    mu = mu_target(pt.x, pt.z, pt.x.size, params.mu_min)
-    x_new, z_new = center_toward_target(
-        pt.x, pt.z, mu, params.alpha_min, params.delta_max
-    )
+    """Perturb (x, z) toward max(x'z/n, mu_min) complementarity; y is untouched.
+    params is accepted from callers that pass one and read by nothing."""
+    mu = mu_target(pt.x, pt.z, pt.x.size, _MU_MIN)
+    x_new, z_new = center_toward_target(pt.x, pt.z, mu, _ALPHA_MIN, _DELTA_MAX)
     return KktPoint(x_new, pt.y.copy(), z_new)
 
 
@@ -130,7 +125,7 @@ def warm_started_ipm(
     """
     t0 = time.monotonic()
     x, y, z = start.x, start.y, start.z
-    alpha = ws_params.alpha_min
+    alpha = _ALPHA_MIN
     escalations = 0
     total_iters = 0
 
@@ -144,7 +139,7 @@ def warm_started_ipm(
         total_iters += stats.iterations
         if stats.status is SolveStatus.STALLED and escalations < ws_params.max_escalations:
             escalations += 1
-            alpha *= ws_params.escalation_factor
+            alpha *= _ESCALATION_FACTOR
             x = np.maximum(pt.x, alpha)
             z = np.maximum(pt.z, alpha)
             y = pt.y
@@ -304,10 +299,9 @@ def solve(
             pt, ipm_stats = run_ipm(prep.solve_model, ipm_params, time_limit_s=time_left())
             ipm_iterations = ipm_stats.iterations
         elif method == "hybrid" and status is SolveStatus.OPTIMAL:
-            ws_params = WarmStartParams()
-            warm = centered_start(pt, ws_params)
+            warm = centered_start(pt)
             result = warm_started_ipm(
-                prep.solve_model, warm, ipm_params, ws_params, time_left()
+                prep.solve_model, warm, ipm_params, WarmStartParams(), time_left()
             )
             pt, ipm_stats = result.point, result.stats
             ipm_iterations, escalations = result.total_iterations, result.escalations

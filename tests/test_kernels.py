@@ -124,12 +124,18 @@ def added_product(init, scale, M, v):
     return out
 
 
-def reference_step(p, x, y, tau, sigma, omega):
-    """One PDHG step through A' scaled by tau/omega and A by -2 sigma omega,
-    each product added into the rest of its half-step; returns the new point."""
+def reference_reflection(p, x, y, tau, sigma, omega):
+    """T(x, y)'s x half and the y half of the reflected point 2 T - (x, y),
+    through A' scaled by tau/omega and A by -2 sigma omega, each product
+    added into the rest of its half-step."""
     s, g = tau / omega, 2.0 * sigma * omega
     x_new = np.maximum(0.0, added_product(x + (-s * p.c), s, p.A_T, y))
-    w_y = added_product(y + g * p.b, -g, p.A, 2.0 * x_new - x)
+    return x_new, added_product(y + g * p.b, -g, p.A, 2.0 * x_new - x)
+
+
+def reference_step(p, x, y, tau, sigma, omega):
+    """One PDHG step; returns the new point."""
+    x_new, w_y = reference_reflection(p, x, y, tau, sigma, omega)
     return x_new, 0.5 * (y + w_y)
 
 

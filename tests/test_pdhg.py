@@ -24,7 +24,7 @@ from hybridlp.pdhg import initial_state, pdhg_step
 from hybridlp.warmstart import prepare_model
 
 from _desk import desk_suite, lp1, lp2, planted_equality_lp
-from test_kernels import reference_step
+from test_kernels import reference_reflection
 
 
 class TestEstimateOpnorm:
@@ -305,11 +305,12 @@ def test_tail_cases_within_iteration_ceiling(m, n, seed, eps, ceiling):
     assert stats.iterations <= ceiling
 
 
-def reference_run(p, eps):
-    """Restarted Halpern PDHG in one-line array expressions: T from
-    reference_step, the README's update z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0)
-    and its restart rules at every 64th iteration; returns (status,
-    iterations, restarts)."""
+def reference_loop(p, eps):
+    """Restarted Halpern PDHG in one-line array expressions: T and the
+    reflected point w = 2 T(z) - z from reference_reflection, the README's
+    update z <- z0 + (k+1)/(k+2) (w - z0) and its restart rules at every
+    64th iteration; returns (status, iterations, restarts, the T scored
+    last)."""
     params = PdhgParams(eps_rel=eps)
     n, every = p.n, params.check_every
     tau = sigma = initial_state(p, params).tau
@@ -318,13 +319,15 @@ def reference_run(p, eps):
         omega = float(np.clip(np.linalg.norm(p.c) / np.linalg.norm(p.b), 1e-4, 1e4))
     z = z0 = np.zeros(n + p.m)
     k, restarts, r0, r_prev = 0, 0, np.inf, np.inf
+    scored = None
     for it in range(1, params.max_kkt_passes + 1):
-        t = np.concatenate(reference_step(p, z[:n], z[n:], tau, sigma, omega))
+        tx, wy = reference_reflection(p, z[:n], z[n:], tau, sigma, omega)
+        t = np.concatenate((tx, 0.5 * (z[n:] + wy)))
         if it % every == 0:
-            x, y = t[:n], t[n:]
+            x, y = scored = t[:n], t[n:]
             res = residuals(p, KktPoint(x, y, np.maximum(0.0, p.c - p.A.T @ y)))
             if termination_from_residuals(p, res, eps).ok:
-                return "Optimal", it, restarts
+                return "Optimal", it, restarts, scored
             r = summary_from_residuals(res).max_violation
             r0 = r if r0 == np.inf else r0
             restart = r <= 0.2 * r0 or (r <= 0.8 * r0 and r > r_prev) or k + 1 >= 0.36 * it
@@ -336,9 +339,14 @@ def reference_run(p, eps):
                 z = z0 = t
                 k, r0, restarts = 0, np.inf, restarts + 1
                 continue
-        z = z0 + (k + 1) / (k + 2) * (2.0 * t - z - z0)
+        z = z0 + (k + 1) / (k + 2) * (np.concatenate((2.0 * tx - z[:n], wy)) - z0)
         k += 1
-    return "IterationLimit", params.max_kkt_passes, restarts
+    return "IterationLimit", params.max_kkt_passes, restarts, scored
+
+
+def reference_run(p, eps):
+    """reference_loop's (status, iterations, restarts)."""
+    return reference_loop(p, eps)[:3]
 
 
 @pytest.mark.parametrize(
@@ -352,6 +360,43 @@ def test_fused_iteration_follows_reference_loop(inst, eps):
     p = _pipeline_scaled(inst)
     _, stats = run_pdhg(p, PdhgParams(eps_rel=eps))
     assert (stats.status.value, stats.iterations, stats.restarts) == reference_run(p, eps)
+
+
+@pytest.mark.parametrize("inst", desk_suite(), ids=lambda inst: inst.name)
+def test_returned_point_is_reference_t(inst):
+    """Checks evaluate T with the kernel of every other iteration: on each
+    desk case, Optimal at 1e-4, run_pdhg returns bitwise the T that the plain
+    loop scored last."""
+    p = _pipeline_scaled(inst)
+    pt, stats = run_pdhg(p, PdhgParams(eps_rel=1e-4))
+    status, iterations, _, (x, y) = reference_loop(p, 1e-4)
+    assert status == "Optimal"
+    assert (stats.status.value, stats.iterations) == (status, iterations)
+    assert np.array_equal(pt.x, x)
+    assert np.array_equal(pt.y, y)
+
+
+def test_time_limit_ends_the_run_at_a_block(monkeypatch):
+    """A time limit that expires mid-run stops it before a block of
+    check_every iterations starts: the clock is read once before each block
+    (the one that ends the run too), at the start and for the wall time."""
+    import hybridlp.pdhg
+
+    reads = []
+
+    class Clock:  # one second passes per read
+        @staticmethod
+        def monotonic():
+            reads.append(1)
+            return float(len(reads))
+
+    monkeypatch.setattr(hybridlp.pdhg, "time", Clock)
+    p = _pipeline_scaled(planted_equality_lp(15, 27, seed=1))
+    _, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, check_every=16, time_limit_s=4.5))
+    assert stats.status.value == "TimeLimit"
+    assert stats.iterations % 16 == 0
+    assert len(reads) == stats.iterations // 16 + 1 + 2
+    assert stats.wall_seconds == len(reads) - 1.0
 
 
 @pytest.mark.parametrize("passes, every", [(40, 64), (48, 16)])
