@@ -403,6 +403,13 @@ def lift_point(
     z = max(0, c - A'y).  An exactly optimal general point lifts to an
     exactly optimal standard point.
     """
+    return _lift(g, p, fmap, x, y)[0]
+
+
+def _lift(
+    g: GeneralLp, p: StandardLp, fmap: StandardFormMap, x: np.ndarray, y: np.ndarray
+) -> tuple[KktPoint, np.ndarray]:
+    """lift_point, and the A'y of the lifted y that its z came from."""
     x = _as_float_array(x, fmap.n_general)
     y = _as_float_array(y, fmap.m_general)
 
@@ -426,8 +433,8 @@ def lift_point(
         z_gen = g.c - g.A.T @ y
         y_std[bound_rows] = np.minimum(z_gen[fmap.bound_var[bound_rows]], 0.0)
 
-    z_std = np.maximum(0.0, p.c - p.at_y(y_std))
-    return KktPoint(x_std, y_std, z_std)
+    aty = p.at_y(y_std)
+    return KktPoint(x_std, y_std, np.maximum(0.0, p.c - aty)), aty
 
 
 def residuals(p: StandardLp, pt: KktPoint) -> Residuals:
@@ -436,8 +443,13 @@ def residuals(p: StandardLp, pt: KktPoint) -> Residuals:
         raise InvalidModelError(
             f"point dims ({pt.x.size}, {pt.y.size}, {pt.z.size}) do not match model ({p.n}, {p.m})"
         )
+    return _residuals(p, pt, p.at_y(pt.y))
+
+
+def _residuals(p: StandardLp, pt: KktPoint, aty: np.ndarray) -> Residuals:
+    """residuals, given A'y for pt.y."""
     r_p = p.b - p.A @ pt.x
-    r_d = p.c - p.at_y(pt.y) - pt.z
+    r_d = p.c - aty - pt.z
     return Residuals(
         r_p=np.asarray(r_p),
         r_d=np.asarray(r_d),
@@ -501,5 +513,5 @@ def summary_from_residuals(res: Residuals) -> ViolationSummary:
 def evaluate_general_point(g: GeneralLp, x, y) -> ViolationSummary:
     """Violation of a general-model point, measured on that model's standard form."""
     p, fmap = to_standard_form(g)
-    pt = lift_point(g, p, fmap, x, y)
-    return violation_summary(p, pt)
+    pt, aty = _lift(g, p, fmap, x, y)
+    return summary_from_residuals(_residuals(p, pt, aty))

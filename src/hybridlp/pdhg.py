@@ -40,7 +40,7 @@ from .status import SolveStatus
 # data, v, out).  scipy's kernel sums each row from the value already in out.
 _csr_matvec_add = _sparsetools.csr_matvec
 
-_WEIGHT_CLIP = (1e-4, 1e4)  # bounds on the starting primal weight
+_WEIGHT_CLIP = (1e-4, 1e4)  # bounds on the primal weight
 # Restart when the score r <= SUFFICIENT r0 (r0: the score at the first check
 # after the last restart), when r <= NECESSARY r0 and r grew since the last
 # check, or when the restart is ARTIFICIAL times all iterations old.
@@ -230,12 +230,13 @@ def run_pdhg(
     scored and returned if it passes, and its max violation drives the
     _RESTART_* rules.  A restart sets z = z0 = T(z), k = 0, and moves the
     primal weight omega, which starts at ||c|| / ||b||, halfway in log scale
-    towards ||dy|| / ||dx||, the anchor's movement; the scaled operator is
-    rebuilt then.  On failure statuses the best point scored so far is
-    returned.  The time limit is tested once per block of check_every
-    iterations, before the block starts, so a run may overrun it by one
-    block.  Non-finite iterates are detected at the checks, and at the end
-    of a run that the iteration limit stops between them.
+    towards ||dy|| / ||dx||, the anchor's movement, both clipped to
+    _WEIGHT_CLIP; the scaled operator is rebuilt then.  On failure statuses
+    the best point scored so far is returned.  The time limit is tested
+    once per block of check_every iterations, before the block starts, so
+    a run may overrun it by one block.  Non-finite iterates are detected at
+    the checks, and at the end of a run that the iteration limit stops
+    between them.
     """
     if params is None:
         params = PdhgParams()
@@ -292,7 +293,9 @@ def run_pdhg(
             np.subtract(t, anchor, out=w)
             dx, dy = np.linalg.norm(ws[1]), np.linalg.norm(ws[2])
             if dx > 0.0 and dy > 0.0:
-                omega = float(np.exp(0.5 * np.log(dy / dx) + 0.5 * np.log(omega)))
+                omega = float(np.clip(
+                    np.exp(0.5 * np.log(dy / dx) + 0.5 * np.log(omega)), *_WEIGHT_CLIP
+                ))
                 op = _operator(p, tau, sigma, omega)
             anchor[:] = t
             z[:] = t

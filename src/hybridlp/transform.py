@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_core import EQ, GE, LE, GeneralLp, InvalidModelError, KktPoint, StandardLp
+from .lp_core import EQ, LE, GeneralLp, InvalidModelError, KktPoint, StandardLp
 
 _FEAS_TOL = 1e-9
 _RUIZ_TOL = 1e-2
@@ -146,16 +146,35 @@ class PresolveStack:
     n_original: int
     m_original: int
     records: list = field(default_factory=list)
+    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _removed(self) -> tuple:
+        """(columns, their values, rows, SingletonRow records) removed, in
+        record order; read from the records once per record count."""
+        if self._index is None or self._index[0] != len(self.records):
+            cols, values, rows, singles = [], [], [], []
+            for rec in self.records:
+                if isinstance(rec, EmptyRow):
+                    rows.append(rec.i)
+                    continue
+                cols.append(rec.j)
+                values.append(rec.value)
+                if isinstance(rec, SingletonRow):
+                    rows.append(rec.i)
+                    singles.append(rec)
+            self._index = (
+                len(self.records), np.array(cols, dtype=np.intp), np.array(values, dtype=float),
+                np.array(rows, dtype=np.intp), singles,
+            )
+        return self._index[1:]
 
     @property
     def n_reduced(self) -> int:
-        return self.n_original - sum(not isinstance(r, EmptyRow) for r in self.records)
+        return self.n_original - self._removed()[0].size
 
     @property
     def m_reduced(self) -> int:
-        return self.m_original - sum(
-            isinstance(r, (EmptyRow, SingletonRow)) for r in self.records
-        )
+        return self.m_original - self._removed()[2].size
 
 
 class PresolveStatus(enum.Enum):
@@ -181,12 +200,16 @@ class PresolveResult:
         )
 
 
-def _live_entries(M: sp.csr_matrix | sp.csc_matrix, k: int, live: np.ndarray):
-    """Minor indices and values of the stored entries of slice k of M that are live."""
-    start, end = M.indptr[k], M.indptr[k + 1]
-    idx = M.indices[start:end]
-    keep = live[idx]
-    return idx[keep], M.data[start:end][keep]
+def _entries(M: sp.csr_matrix | sp.csc_matrix, major: np.ndarray):
+    """Positions in M.indices and M.data of the stored entries of the major
+    slices `major`, slice after slice, and the index into `major` of each
+    entry's slice."""
+    starts = M.indptr[major]
+    counts = M.indptr[major + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    owner = np.repeat(np.arange(major.size), counts)
+    return np.arange(total) + (starts - ends + counts)[owner], owner
 
 
 def presolve(g: GeneralLp) -> PresolveResult:
@@ -199,17 +222,27 @@ def presolve(g: GeneralLp) -> PresolveResult:
 
     Reductions only clear live flags over the model's canonical A, so
     records carry original indices and the reduced model is sliced once at
-    the end.  Fixed variables go first;
-    then each pass takes the first empty row, else the first empty column,
-    else the first singleton equality row.
+    the end (not at all when nothing was removed).  Each kind of reduction
+    is one batch of array operations: all fixed variables, then all
+    current empty rows, the empty columns (once: a live column's count
+    never changes), and singleton equality rows in rounds.  A round takes
+    the current singletons in index order and ends right after the first
+    whose column removal empties another row or leaves an equality row
+    with one entry, or just before the first bound violation.  So the
+    records, rhs and offset come out bitwise as from a loop that makes one
+    reduction at a time (fixed variables first, then the first empty row,
+    else the first empty column, else the first singleton): no singleton
+    in a round changes another's rhs, and np.subtract.at and np.cumsum add
+    in reduction order.  A verdict stops its batch after the records of
+    the rows or columns before it.
     """
     g.validate()
-    A, A_csc = g.A, g.A.tocsc()
+    A = g.A
     m, n = A.shape
     c, lower, upper = g.c, g.lower, g.upper
     rhs = g.rhs.copy()
     senses = g.senses
-    is_eq = np.array([s == EQ for s in senses], dtype=bool)
+    is_eq = np.fromiter((s == EQ for s in senses), bool, m)
     col_names = g.variable_names()
     row_names = g.constraint_names()
     offset = g.obj_offset
@@ -218,95 +251,147 @@ def presolve(g: GeneralLp) -> PresolveResult:
     row_count = np.diff(A.indptr)
     # A row dies only once its live entries are gone or belong to the column
     # dying with it, so a live column's count never changes.
-    col_count = np.diff(A_csc.indptr)
+    col_count = np.bincount(A.indices, minlength=n)
+    A_csc = None  # built on first use: models with nothing to remove skip it
     stack = PresolveStack(n_original=n, m_original=m)
+    records = stack.records
 
-    def remove_variable(j: int, value: float):
-        """Move x_j = value into rhs and the offset; returns column j's live entries."""
+    def column_entries(cols: np.ndarray):
+        """Rows and values of the stored entries of columns cols, column
+        after column, and the index into cols of each entry's column."""
+        nonlocal A_csc
+        if A_csc is None:
+            A_csc = A.tocsc()
+        pos, owner = _entries(A_csc, cols)
+        return A_csc.indices[pos], A_csc.data[pos], owner
+
+    def remove_columns(cols: np.ndarray, values: np.ndarray):
+        """Move x_cols = values into rhs and the offset, column by column.
+
+        Returns the rows and values of the columns' live entries, column
+        after column, and how many of them each column has.
+        """
         nonlocal offset
-        rows, vals = _live_entries(A_csc, j, row_live)
-        rhs[rows] -= vals * value
-        offset += c[j] * value
-        row_count[rows] -= 1
-        col_live[j] = False
-        return rows, vals
+        rows, vals, owner = column_entries(cols)
+        live = row_live[rows]
+        rows, vals, owner = rows[live], vals[live], owner[live]
+        np.subtract.at(rhs, rows, vals * values[owner])
+        row_count[:] -= np.bincount(rows, minlength=m)
+        offset = np.cumsum(np.concatenate(([offset], c[cols] * values)))[-1]
+        col_live[cols] = False
+        return rows, vals, np.bincount(owner, minlength=cols.size)
 
-    for j in np.flatnonzero(np.isfinite(lower) & (lower == upper)):
-        stack.records.append(FixedVariable(int(j), float(lower[j])))
-        remove_variable(j, lower[j])
-
-    while True:
-        empty_rows = np.flatnonzero(row_live & (row_count == 0))
-        if empty_rows.size:
-            i = int(empty_rows[0])
-            r, s = rhs[i], senses[i]
-            bad = (
-                (s == EQ and abs(r) > _FEAS_TOL)
-                or (s == LE and r < -_FEAS_TOL)
-                or (s == GE and r > _FEAS_TOL)
+    def remove_empty_rows():
+        empty = np.flatnonzero(row_live & (row_count == 0))
+        r = rhs[empty]
+        is_le = np.fromiter((senses[i] == LE for i in empty.tolist()), bool, empty.size)
+        bad = np.where(
+            is_eq[empty], np.abs(r) > _FEAS_TOL,
+            np.where(is_le, r < -_FEAS_TOL, r > _FEAS_TOL),
+        )
+        k = int(np.argmax(bad)) if bad.any() else empty.size
+        records.extend(map(EmptyRow, empty[:k].tolist()))
+        row_live[empty] = False
+        if k < empty.size:
+            i = int(empty[k])
+            return PresolveResult(
+                PresolveStatus.INFEASIBLE, None, stack,
+                f"empty row {row_names[i]} requires 0 {senses[i]} {rhs[i]}",
             )
-            if bad:
-                return PresolveResult(
-                    PresolveStatus.INFEASIBLE, None, stack,
-                    f"empty row {row_names[i]} requires 0 {s} {r}",
-                )
-            stack.records.append(EmptyRow(i))
-            row_live[i] = False
-            continue
+        return None
 
-        empty_cols = np.flatnonzero(col_live & (col_count == 0))
-        if empty_cols.size:
-            j = int(empty_cols[0])
-            if c[j] > 0.0:
-                if not np.isfinite(lower[j]):
-                    return PresolveResult(
-                        PresolveStatus.UNBOUNDED, None, stack,
-                        f"column {col_names[j]} has positive cost and no lower bound",
-                    )
-                value = lower[j]
-            elif c[j] < 0.0:
-                if not np.isfinite(upper[j]):
-                    return PresolveResult(
-                        PresolveStatus.UNBOUNDED, None, stack,
-                        f"column {col_names[j]} has negative cost and no upper bound",
-                    )
-                value = upper[j]
-            else:
-                if np.isfinite(lower[j]):
-                    value = lower[j]
-                elif np.isfinite(upper[j]):
-                    value = upper[j]
-                else:
-                    value = 0.0
-            stack.records.append(EmptyColumn(j, float(value)))
-            remove_variable(j, value)
-            continue
+    def remove_empty_columns():
+        empty = np.flatnonzero(col_live & (col_count == 0))
+        cost, lo, up = c[empty], lower[empty], upper[empty]
+        pos, neg = cost > 0.0, cost < 0.0
+        lo_ok, up_ok = np.isfinite(lo), np.isfinite(up)
+        unbounded = (pos & ~lo_ok) | (neg & ~up_ok)
+        values = np.where(pos | (~neg & lo_ok), lo, np.where(neg | up_ok, up, 0.0))
+        k = int(np.argmax(unbounded)) if unbounded.any() else empty.size
+        records.extend(map(EmptyColumn, empty[:k].tolist(), values[:k].tolist()))
+        if k < empty.size:
+            j = int(empty[k])
+            sign, bound = ("positive", "lower") if pos[k] else ("negative", "upper")
+            return PresolveResult(
+                PresolveStatus.UNBOUNDED, None, stack,
+                f"column {col_names[j]} has {sign} cost and no {bound} bound",
+            )
+        if empty.size:
+            remove_columns(empty, values)
+        return None
 
-        singletons = np.flatnonzero(row_live & (row_count == 1) & is_eq)
-        if not singletons.size:
-            break
-        i = int(singletons[0])
-        cols, vals = _live_entries(A, i, col_live)
-        j, coeff = int(cols[0]), float(vals[0])
-        value = rhs[i] / coeff
-        tol = _FEAS_TOL * max(1.0, abs(value))
-        if value < lower[j] - tol or value > upper[j] + tol:
+    def singleton_round(singles: np.ndarray):
+        pos, _ = _entries(A, singles)
+        cols = A.indices[pos]
+        live = col_live[cols]
+        cols, coeffs = cols[live], A.data[pos][live]
+        values = rhs[singles] / coeffs
+        tol = _FEAS_TOL * np.maximum(1.0, np.abs(values))
+        bad = (values < lower[cols] - tol) | (values > upper[cols] + tol)
+
+        # The round ends at the first removal that drops a row other than
+        # its own to 0 entries or an equality row to 1 (a live column's rows
+        # are all live).  A stable sort of the touched rows counts the
+        # removals before each touch.
+        touched, _, owner = column_entries(cols)
+        other = touched != singles[owner]
+        touched, owner = touched[other], owner[other]
+        order = np.argsort(touched, kind="stable")
+        ranked = touched[order]
+        at = np.arange(order.size)
+        new_row = np.r_[True, ranked[1:] != ranked[:-1]]
+        before = np.empty_like(at)
+        before[order] = at - np.maximum.accumulate(np.where(new_row, at, 0))
+        left = row_count[touched] - before - 1
+        stops = (left == 0) | ((left == 1) & is_eq[touched])
+        size = int(owner[np.argmax(stops)]) + 1 if stops.any() else singles.size
+        k = int(np.argmax(bad[:size])) if bad[:size].any() else size
+
+        rows, done = singles[:k], cols[:k]
+        row_live[rows] = False
+        col_rows, col_vals, counts = remove_columns(done, values[:k])
+        ends = np.cumsum(counts).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        records.extend(map(
+            SingletonRow, rows.tolist(), done.tolist(), values[:k].tolist(),
+            coeffs[:k].tolist(), c[done].tolist(),
+            [col_rows[a:b] for a, b in spans], [col_vals[a:b] for a, b in spans],
+        ))
+        if k < size:
+            i, j, value = int(singles[k]), int(cols[k]), values[k]
             return PresolveResult(
                 PresolveStatus.INFEASIBLE, None, stack,
                 f"row {row_names[i]} fixes {col_names[j]} = {value} outside "
                 f"[{lower[j]}, {upper[j]}]",
             )
-        row_live[i] = False
-        col_rows, col_vals = remove_variable(j, value)
-        stack.records.append(
-            SingletonRow(i, j, float(value), coeff, float(c[j]), col_rows, col_vals)
-        )
+        return None
+
+    fixed = np.flatnonzero(np.isfinite(lower) & (lower == upper))
+    if fixed.size:
+        values = lower[fixed]
+        records.extend(map(FixedVariable, fixed.tolist(), values.tolist()))
+        remove_columns(fixed, values)
+
+    verdict = remove_empty_rows() or remove_empty_columns()
+    while verdict is None:
+        singles = np.flatnonzero(row_live & (row_count == 1) & is_eq)
+        if not singles.size:
+            break
+        verdict = singleton_round(singles) or remove_empty_rows()
+    if verdict is not None:
+        return verdict
 
     rows, cols = np.flatnonzero(row_live), np.flatnonzero(col_live)
+    if rows.size < m:
+        A = A[rows]
+        senses = [senses[i] for i in rows.tolist()]
+        row_names = [row_names[i] for i in rows.tolist()]
+    if cols.size < n:
+        A = A[:, cols]
+        col_names = [col_names[j] for j in cols.tolist()]
     reduced = GeneralLp(
-        c=c[cols], A=A[rows][:, cols], senses=[senses[i] for i in rows],
-        rhs=rhs[rows], lower=lower[cols], upper=upper[cols], obj_offset=offset,
-        col_names=[col_names[j] for j in cols], row_names=[row_names[i] for i in rows],
+        c=c[cols], A=A, senses=senses, rhs=rhs[rows], lower=lower[cols],
+        upper=upper[cols], obj_offset=offset, col_names=col_names, row_names=row_names,
     )
     return PresolveResult(PresolveStatus.REDUCED, reduced, stack)
 
@@ -320,10 +405,12 @@ def postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoi
     column's reduced cost is zero; other removed rows get dual zero.  z is
     recomputed as c - A'y on the original model.
     """
-    if pt.x.size != stack.n_reduced or pt.y.size != stack.m_reduced:
+    cols, values, rows, singles = stack._removed()
+    n_reduced, m_reduced = stack.n_original - cols.size, stack.m_original - rows.size
+    if pt.x.size != n_reduced or pt.y.size != m_reduced:
         raise InvalidModelError(
             f"point dims ({pt.x.size}, {pt.y.size}) do not match reduced model "
-            f"({stack.n_reduced}, {stack.m_reduced})"
+            f"({n_reduced}, {m_reduced})"
         )
     if stack.n_original != original.n_vars or stack.m_original != original.n_rows:
         raise InvalidModelError("stack does not belong to this model")
@@ -332,18 +419,14 @@ def postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoi
     y = np.zeros(stack.m_original)
     col_live = np.ones(stack.n_original, dtype=bool)
     row_live = np.ones(stack.m_original, dtype=bool)
-    for rec in stack.records:
-        if isinstance(rec, (EmptyRow, SingletonRow)):
-            row_live[rec.i] = False
-        if not isinstance(rec, EmptyRow):
-            col_live[rec.j] = False
-            x[rec.j] = rec.value
+    x[cols] = values
+    col_live[cols] = False
+    row_live[rows] = False
     x[col_live] = pt.x
     y[row_live] = pt.y
-    for rec in reversed(stack.records):
-        if isinstance(rec, SingletonRow):
-            partial = rec.col_vals @ y[rec.col_rows] if rec.col_rows.size else 0.0
-            y[rec.i] = (rec.cost - partial) / rec.coeff
+    for rec in reversed(singles):
+        partial = rec.col_vals @ y[rec.col_rows] if rec.col_rows.size else 0.0
+        y[rec.i] = (rec.cost - partial) / rec.coeff
 
     z = original.c - original.A.T @ y
     return KktPoint(x, y, np.asarray(z))

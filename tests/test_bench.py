@@ -226,6 +226,24 @@ class TestCli:
         assert main(["solve", str(crossed), "--method", method]) == 3
         assert capsys.readouterr().err.startswith("error: variable 0 has lower bound")
 
+    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    def test_unbounded_model_exits_with_a_status(self, tmp_path, method):
+        """min -x1 s.t. x1 - x2 <= 1 is unbounded; every method ends with a
+        status and its exit code.  The 1 s limit outlasts the ~0.2 s (on a
+        2-core x86 machine) after which an unclipped PDHG primal weight
+        underflows to 0."""
+        model = tmp_path / "unbounded.mps"
+        model.write_text(
+            "NAME UNBOUNDED\nROWS\n N OBJ\n L R1\nCOLUMNS\n X1 OBJ -1.0 R1 1.0\n"
+            " X2 R1 -1.0\nRHS\n RHS R1 1.0\nENDATA\n"
+        )
+        out = tmp_path / "sol.txt"
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code = main(["solve", str(model), "--method", method, "--time-limit", "1",
+                         "--out", str(out)])
+        assert code in _EXIT_BY_STATUS.values()
+        assert code != _EXIT_BY_STATUS["Optimal"]
+
     @pytest.mark.parametrize("empty_row", [False, True], ids=["empty-column", "empty-row"])
     @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
     def test_no_presolve_accepts_empty_lines(self, tmp_path, method, empty_row):

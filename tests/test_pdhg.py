@@ -429,3 +429,15 @@ def test_overflowed_norms_fail_termination():
     assert stats.status.value == "NumericalFailure"
     assert stats.termination.ok is False
     assert not (stats.termination.primal_ok or stats.termination.dual_ok)
+
+
+def test_unbounded_lp_keeps_primal_weight_positive():
+    """min -x1 s.t. x1 - x2 <= 1, x >= 0 is unbounded: the iterates diverge
+    and the anchor's movement ||dy|| / ||dx|| goes to 0.  The primal weight
+    stays clipped, so the run ends with a status instead of dividing by a
+    weight that underflowed to 0 (after about 17,000 iterations)."""
+    p = StandardLp(np.array([[1.0, -1.0, 1.0]]), [1.0], [-1.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, stats = run_pdhg(p, PdhgParams(max_kkt_passes=20_000))
+    assert stats.status.value in ("IterationLimit", "NumericalFailure")
+    assert not stats.termination.ok

@@ -421,3 +421,129 @@ def test_padded_models(seed):
     res = check_against_reference(g, seed)
     assert res.status is PresolveStatus.REDUCED
     assert len(res.stack.records) >= 750
+
+
+# ---------------------------------------------------------------------------
+# Where a batch of reductions must stop
+# ---------------------------------------------------------------------------
+
+def _small(A, senses, rhs, c=None, lower=None, upper=None) -> GeneralLp:
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    return GeneralLp(
+        c=np.linspace(-1.0, 1.5, n) if c is None else c, A=A, senses=senses, rhs=rhs,
+        lower=np.zeros(n) if lower is None else lower,
+        upper=np.full(n, np.inf) if upper is None else upper,
+        col_names=[f"C{j}" for j in range(n)], row_names=[f"R{i}" for i in range(m)],
+    )
+
+
+def _trace(records) -> list:
+    """(kind, original row or column) of each record."""
+    return [
+        (type(r).__name__, r.i if isinstance(r, (EmptyRow, SingletonRow)) else r.j)
+        for r in records
+    ]
+
+
+def test_singleton_cascade_to_lower_rows():
+    """Each removal leaves the row above with one entry, which comes before
+    the independent singleton R4."""
+    g = _small(
+        [[1, 1, 0, 0, 0, 0],
+         [0, 1, 1, 0, 0, 0],
+         [0, 0, 1, 1, 0, 0],
+         [0, 0, 0, 1, 0, 0],
+         [0, 0, 0, 0, 0, 1],
+         [1, 0, 0, 0, 1, 1]],
+        [EQ, EQ, EQ, EQ, EQ, LE], [3.0, 3.0, 3.0, 1.0, 2.0, 10.0],
+    )
+    res = check_against_reference(g)
+    assert res.status is PresolveStatus.REDUCED
+    assert [(r.i, r.j) for r in res.stack.records] == [(3, 3), (2, 2), (1, 1), (0, 0), (4, 5)]
+
+
+@pytest.mark.parametrize("rhs1, status", [
+    (1.0, PresolveStatus.REDUCED), (2.0, PresolveStatus.INFEASIBLE),
+])
+def test_two_singletons_on_one_column(rhs1, status):
+    """R0 fixes C0 and leaves R1 empty, which is checked before the later
+    singleton R3."""
+    g = _small(
+        [[2, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 0]],
+        [EQ, EQ, LE, EQ], [2.0, rhs1, 5.0, 1.0],
+    )
+    res = check_against_reference(g)
+    assert res.status is status
+    if status is PresolveStatus.REDUCED:
+        assert _trace(res.stack.records) == [
+            ("SingletonRow", 0), ("EmptyRow", 1), ("SingletonRow", 3),
+        ]
+    else:
+        assert _trace(res.stack.records) == [("SingletonRow", 0)]
+        assert res.message == "empty row R1 requires 0 = 1.0"
+
+
+def test_row_emptied_by_two_singletons_of_a_round():
+    """R0 and R1 each remove one of R3's two entries; R3 is then empty and
+    comes before R2."""
+    g = _small(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]],
+        [EQ, EQ, EQ, LE, LE], [1.0, 1.0, 1.0, 5.0, 4.0],
+    )
+    res = check_against_reference(g)
+    assert _trace(res.stack.records) == [
+        ("SingletonRow", 0), ("SingletonRow", 1), ("EmptyRow", 3), ("SingletonRow", 2),
+    ]
+
+
+def test_bound_violation_inside_a_round():
+    """The third singleton of the round fixes C2 above its upper bound; the
+    two before it are recorded."""
+    g = _small(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]],
+        [EQ, EQ, EQ, LE], [1.0, 1.0, 10.0, 20.0],
+        upper=np.array([np.inf, np.inf, 5.0, np.inf]),
+    )
+    res = check_against_reference(g)
+    assert res.status is PresolveStatus.INFEASIBLE
+    assert res.message == "row R2 fixes C2 = 10.0 outside [0.0, 5.0]"
+    assert _trace(res.stack.records) == [("SingletonRow", 0), ("SingletonRow", 1)]
+
+
+def test_unbounded_empty_column_after_others():
+    g = _small(
+        [[1, 1, 0, 0, 0, 0, 0]], [LE], [4.0],
+        c=np.array([1.0, 1.0, 1.0, -1.0, 0.0, -1.0, 1.0]),
+        lower=np.array([0.0, 0.0, 0.0, 0.0, -np.inf, 0.0, -np.inf]),
+        upper=np.array([np.inf, np.inf, np.inf, 2.0, np.inf, np.inf, np.inf]),
+    )
+    res = check_against_reference(g)
+    assert res.status is PresolveStatus.UNBOUNDED
+    assert res.message == "column C5 has negative cost and no upper bound"
+    assert _trace(res.stack.records) == [
+        ("EmptyColumn", 2), ("EmptyColumn", 3), ("EmptyColumn", 4),
+    ]
+    assert [r.value for r in res.stack.records] == [0.0, 2.0, 0.0]
+
+
+def test_inconsistent_empty_row_after_others():
+    """R1 becomes empty when C2 is fixed; R2 to R5 have no entries."""
+    g = _small(
+        [[1, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [LE, LE, EQ, GE, GE, EQ], [4.0, 3.0, 0.0, -1.0, 1.0, 5.0],
+        lower=np.array([0.0, 0.0, 1.0]), upper=np.array([np.inf, np.inf, 1.0]),
+    )
+    res = check_against_reference(g)
+    assert res.status is PresolveStatus.INFEASIBLE
+    assert res.message == "empty row R4 requires 0 >= 1.0"
+    assert _trace(res.stack.records) == [
+        ("FixedVariable", 2), ("EmptyRow", 1), ("EmptyRow", 2), ("EmptyRow", 3),
+    ]
+
+
+def test_model_without_reductions():
+    g = _small([[1, 2, 0], [0, 1, 3]], [LE, GE], [4.0, 1.0])
+    res = check_against_reference(g)
+    assert res.status is PresolveStatus.REDUCED and not res.stack.records
+    assert_same_model(res.model, g)
