@@ -1,10 +1,12 @@
 """Primal-dual path-following interior-point solver (predictor-corrector).
 
 Works in standard form with the normal-equations linear algebra
-(A D^2 A' with D^2 = X/Z, factored by dense Cholesky, or by splu above a
-memory cap), an infeasible-start Newton right-hand side, a
-fraction-to-boundary step rule, and Mehrotra-style adaptive centering.
-Accepts a cold start or an externally supplied strictly positive start.
+(A D^2 A' with D^2 = X/Z: its lower triangle assembled by one bincount over
+the model's cached pair list and factored by dense Cholesky, or the sparse
+product factored by splu above a memory cap), an infeasible-start Newton
+right-hand side, a fraction-to-boundary step rule, and Mehrotra-style
+adaptive centering.  Accepts a cold start or an externally supplied strictly
+positive start.
 """
 
 from __future__ import annotations
@@ -104,48 +106,52 @@ def normal_backend(m: int) -> str:
 
 
 def normal_matrix(p: StandardLp, d2: np.ndarray) -> sp.csc_matrix:
-    """A D^2 A' in CSC form: a copy of the cached CSC A with each column
-    scaled by d2, times A' (a CSC view of the CSR A).
+    """A D^2 A' in CSC form, for the sparse backend: a copy of the cached
+    CSC A with each column scaled by d2, times A' (a CSC view of the CSR A).
 
-    The product comes out in CSC, so the dense backend writes it into a
-    Fortran-ordered array without a format conversion.
+    Each entry (i, k) is the sum over increasing j of a_kj (a_ij d2_j).
     """
     AD = p.A_csc.copy()
     AD.data *= np.repeat(d2, np.diff(AD.indptr))
     return AD @ p.A.T
 
 
-def _factorize(M: sp.csc_matrix, delta: float, backend: str):
-    """A function solving (M + delta I) v = r.
+def normal_lower(p: StandardLp, d2: np.ndarray) -> np.ndarray:
+    """The lower triangle of A D^2 A' in an m x m Fortran-ordered array, zero
+    above the diagonal, for the dense backend.
 
-    The dense backend writes M + delta I into one Fortran-ordered array and
-    factors it in place; it raises LinAlgError unless the matrix is positive
-    definite.  splu raises RuntimeError on an exactly singular matrix.
+    One bincount over p.normal_pairs: it adds each entry's products
+    a_kj (a_ij d2_j) from 0 in increasing j, the order in which normal_matrix's
+    sparse product sums them, so the triangle is bitwise normal_matrix's.
     """
-    if backend == "sparse":
-        return spla.splu(M + delta * sp.identity(M.shape[0], format="csc") if delta else M).solve
-    a = M.toarray(order="F")
-    if delta:
-        a[np.diag_indices_from(a)] += delta
-    factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
-    return lambda r: cho_solve(factor, r, check_finite=False)
+    ei, flat, akj = p.normal_pairs
+    v = (p.A_csc.data * np.repeat(d2, np.diff(p.A_csc.indptr)))[ei]
+    v *= akj
+    m = p.m
+    return np.bincount(flat, weights=v, minlength=m * m).reshape((m, m), order="F")
 
 
 class NormalEquationsSolver:
     """Factor A D^2 A' once per iterate and solve Newton systems against it.
 
     The backend follows from m alone.  While the dense m x m matrix fits
-    _DENSE_CAP_BYTES (256 MB, m <= 5792), M + delta I is factored by LAPACK
-    Cholesky in one Fortran-ordered array: the factors of A D^2 A' fill in
-    almost completely even when M itself is a few percent full, so dense is
-    the faster choice on every model that fits.  Above the cap, SuperLU
-    (splu) factors the sparse M + delta I; it stays because it is the one
-    path that runs when m is too large for a dense matrix.
+    _DENSE_CAP_BYTES (256 MB, m <= 5792), LAPACK Cholesky factors M + delta I
+    in place in one Fortran-ordered array holding only the lower triangle it
+    reads: normal_lower assembles it by one bincount over the pair list that
+    the model builds once and caches beside A_csc (every pair of entries of
+    one column of A, 20 bytes each), bitwise the sparse product's triangle.
+    The factors of A D^2 A' fill in almost completely even when M itself is a
+    few percent full, so dense is the faster choice on every model that
+    fits.  Above the cap, SuperLU (splu) factors the sparse M + delta I from
+    normal_matrix; it stays because it is the one path that runs when m is
+    too large for a dense matrix.
 
     Regularization delta escalates through a fixed ladder when factorization
     fails (a matrix that is not positive definite, or exactly singular for
     splu) or the solved system's relative residual exceeds 1e-8.  Each rung
-    drops the previous factor before it rebuilds its matrix from the sparse M.
+    drops the previous factor before it rebuilds its matrix: the dense
+    backend assembles the triangle again and adds delta to its diagonal, the
+    sparse one adds delta I to its M.  Only the sparse backend keeps M.
     """
 
     def __init__(self, p: StandardLp, x: np.ndarray, z: np.ndarray):
@@ -153,8 +159,8 @@ class NormalEquationsSolver:
         self.x = x
         self.z = z
         self.d2 = np.clip(x / z, *_D2_CLIP)
-        self.M = normal_matrix(p, self.d2)
         self.backend = normal_backend(p.m)
+        self.M = normal_matrix(p, self.d2) if self.backend == "sparse" else None
         self.level = 0
         self._solve_normal = None
         self._factor()
@@ -163,11 +169,26 @@ class NormalEquationsSolver:
         while self.level < len(_REG_LADDER):
             self._solve_normal = None  # free the old factor before the next
             try:
-                self._solve_normal = _factorize(self.M, _REG_LADDER[self.level], self.backend)
+                self._solve_normal = self._factorize(_REG_LADDER[self.level])
                 return
             except (LinAlgError, RuntimeError):
                 self.level += 1
         raise NumericalFailure("normal-equations factorization failed at max regularization")
+
+    def _factorize(self, delta: float):
+        """A function solving (A D^2 A' + delta I) v = r.
+
+        cho_factor raises LinAlgError unless the matrix is positive definite;
+        splu raises RuntimeError on an exactly singular matrix.
+        """
+        if self.backend == "sparse":
+            M = self.M
+            return spla.splu(M + delta * sp.identity(M.shape[0], format="csc") if delta else M).solve
+        a = normal_lower(self.p, self.d2)
+        if delta:
+            a[np.diag_indices_from(a)] += delta
+        factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+        return lambda r: cho_solve(factor, r, check_finite=False)
 
     def _residual_ok(self, dx, aty, dz, rhs_p, rhs_d, rhs_c) -> bool:
         p = self.p

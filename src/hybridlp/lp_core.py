@@ -130,6 +130,23 @@ class GeneralLp:
         return [f"r{i}" for i in range(self.n_rows)]
 
 
+def _normal_pairs(A: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """StandardLp.normal_pairs of the canonical CSC matrix A.
+
+    The entry at position e, the a-th of its column, pairs with the a + 1
+    entries of that column at or above it; taking the entries in CSC order
+    lists the pairs column by column, so no sort is needed.
+    """
+    m = A.shape[0]
+    start = np.repeat(A.indptr[:-1], np.diff(A.indptr))
+    per = np.arange(A.nnz) - start + 1
+    first = np.cumsum(per) - per
+    ei = np.repeat(np.arange(A.nnz, dtype=np.int32), per)
+    ek = np.arange(int(per.sum())) - np.repeat(first - start, per)
+    rows = A.indices.astype(np.intp)  # bincount's index type, so it reads flat without a copy
+    return ei, rows[ei] + m * rows[ek], A.data[ek]
+
+
 @dataclass
 class StandardLp:
     """min c'x s.t. Ax = b, x >= 0, with a canonical A read row- and column-wise."""
@@ -149,6 +166,7 @@ class StandardLp:
             raise InvalidModelError("matrix entries must be finite")
         self._csc = None
         self._at = None
+        self._pairs = None
 
     @property
     def m(self) -> int:
@@ -171,6 +189,16 @@ class StandardLp:
         if self._at is None:
             self._at = self.A_csc.T
         return self._at
+
+    @property
+    def normal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair of entries (a_ij, a_kj) of one column j with i >= k, as
+        (position of a_ij in A_csc.data, flat index i + k m of an m x m
+        Fortran-ordered array, a_kj), in increasing j: the lower triangle of
+        A D^2 A' in the order the sparse product sums it."""
+        if self._pairs is None:
+            self._pairs = _normal_pairs(self.A_csc)
+        return self._pairs
 
     def at_y(self, y: np.ndarray) -> np.ndarray:
         """A'y through the cached transpose."""
@@ -375,21 +403,25 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
     return StandardLp(A_std, b_std, c_std), fmap
 
 
-def restrict_point(g: GeneralLp, fmap: StandardFormMap, pt: KktPoint):
-    """Map a standard-form point back to (x, y, z) over the general model.
-
-    z is the general reduced cost c - A'y; dual values of bound rows are
-    folded away (they reappear, if needed, through lift_point).
-    """
+def _restrict_xy(fmap: StandardFormMap, pt: KktPoint) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of restrict_point, for callers that have no use for z."""
     if pt.x.size != fmap.n_std or pt.y.size != fmap.m_std:
         raise InvalidModelError("point does not match the standard form of this map")
     x = pt.x[fmap.pos_col] + fmap.shifts
     split = fmap.neg_col >= 0
     if split.any():
         x = np.where(split, pt.x[fmap.pos_col] - pt.x[np.maximum(fmap.neg_col, 0)], x)
-    y = pt.y[: fmap.m_general].copy()
-    z = g.c - g.A.T @ y
-    return x, y, np.asarray(z)
+    return x, pt.y[: fmap.m_general].copy()
+
+
+def restrict_point(g: GeneralLp, fmap: StandardFormMap, pt: KktPoint):
+    """Map a standard-form point back to (x, y, z) over the general model.
+
+    z is the general reduced cost c - A'y; dual values of bound rows are
+    folded away (they reappear, if needed, through lift_point).
+    """
+    x, y = _restrict_xy(fmap, pt)
+    return x, y, np.asarray(g.c - g.A.T @ y)
 
 
 def lift_point(

@@ -24,8 +24,9 @@ from .lp_core import (
     StandardLp,
     StandardFormMap,
     ViolationSummary,
+    _restrict_xy,
     evaluate_general_point,
-    restrict_point,
+    restrict_point,  # noqa: F401  (perfbench/run.py traces it through this module)
     to_standard_form,
     violation_summary,
 )
@@ -205,13 +206,13 @@ def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
     if prep.solve_model is not None:
         scaled_viol = violation_summary(prep.solve_model, pt_solve)
         pt_std = unscale_point(prep.scaling, pt_solve) if prep.scaling else pt_solve
-        x_r, y_r, z_r = restrict_point(prep.reduced, prep.fmap, pt_std)
+        x_r, y_r = _restrict_xy(prep.fmap, pt_std)
     else:
         x_r = np.zeros(prep.reduced.n_vars if prep.reduced is not None else 0)
         y_r = np.zeros(prep.reduced.n_rows if prep.reduced is not None else 0)
-        z_r = np.zeros_like(x_r)
+    # postsolve reads x and y only and forms z on the original model
     restored = postsolve(
-        prep.presolve_result.stack, KktPoint(x_r, y_r, z_r), prep.original
+        prep.presolve_result.stack, KktPoint(x_r, y_r, np.zeros_like(x_r)), prep.original
     )
     viol = evaluate_general_point(prep.original, restored.x, restored.y)
     return FinishedPoint(restored.x, restored.y, restored.z, viol, scaled_viol)

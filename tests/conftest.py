@@ -1,4 +1,5 @@
-"""Session-scoped solve cache shared by the acceptance suite.
+"""Session-scoped solve cache shared by the acceptance suite, and a spy on
+the dense normal-equations factorization.
 
 Stages are cached separately (prepare once, PDHG per tolerance, cold IPM,
 warm IPM per starting tolerance) so criteria that share work do not repeat
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+
+import hybridlp.ipm
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -110,3 +113,18 @@ def desk_results(desk_instances) -> DeskResults:
     t0 = time.monotonic()
     items = [solve_instance(inst) for inst in desk_instances]
     return DeskResults(items, time.monotonic() - t0)
+
+
+@pytest.fixture
+def factored(monkeypatch) -> list:
+    """Copies of the matrices the dense backend hands to cho_factor, in call
+    order; cho_factor overwrites its input, so each is copied first."""
+    seen = []
+    real = hybridlp.ipm.cho_factor
+
+    def spy(a, **kwargs):
+        seen.append(a.copy())
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(hybridlp.ipm, "cho_factor", spy)
+    return seen

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hybridlp.ipm
+import hybridlp.lp_core
 from hybridlp import (
     IpmParams,
     IpmState,
@@ -20,7 +21,7 @@ from hybridlp import (
     to_standard_form,
     unscale_point,
 )
-from hybridlp.ipm import NormalEquationsSolver, NumericalFailure
+from hybridlp.ipm import _REG_LADDER, NormalEquationsSolver, NumericalFailure, normal_matrix
 
 from _desk import desk_suite, lp1, lp2, planted_equality_lp
 
@@ -269,6 +270,51 @@ class TestRegularizationLadder:
         assert stats.status.value == "Optimal"
         assert stats.backend == "dense"
         assert stats.max_reg_level > 0
+
+
+class TestDenseLadderMatrix:
+    """Every rung hands cho_factor tril(A D^2 A') + delta I, bitwise."""
+
+    @staticmethod
+    def _assert_rungs(p, st, factored) -> int:
+        solver = NormalEquationsSolver(p, st.x, st.z)
+        solver.solve(*_cold_rhs(p, st))
+        lower = np.tril(normal_matrix(p, solver.d2).toarray())
+        assert len(factored) == solver.level + 1
+        for rung, a in enumerate(factored):
+            assert np.array_equal(a, lower + _REG_LADDER[rung] * np.eye(p.m))
+        return solver.level
+
+    def test_singular(self, factored):
+        assert self._assert_rungs(SINGULAR, UNIT_START, factored) > 0
+
+    def test_duplicated_row_on_desk_models(self, factored):
+        levels = []
+        for inst in desk_suite():
+            p = _with_duplicated_row(to_standard_form(inst.model)[0])
+            levels.append(self._assert_rungs(p, cold_start_point(p), factored))
+            factored.clear()
+        assert max(levels) > 0
+
+
+def test_pair_list_built_once_per_model(monkeypatch):
+    """run_ipm builds a model's pair list once on the dense backend, and
+    never on the sparse one."""
+    builds = []
+    build = hybridlp.lp_core._normal_pairs
+    monkeypatch.setattr(
+        hybridlp.lp_core, "_normal_pairs", lambda A: builds.append(A.shape) or build(A)
+    )
+    for inst in desk_suite():
+        builds.clear()
+        _, stats = run_ipm(to_standard_form(inst.model)[0])
+        assert stats.iterations > 1
+        assert len(builds) == 1
+    monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
+    builds.clear()
+    for inst in desk_suite():
+        run_ipm(to_standard_form(inst.model)[0])
+    assert builds == []
 
 
 def _solve_all(models):

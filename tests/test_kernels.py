@@ -13,6 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse import _sparsetools
 
 from hybridlp import (
@@ -25,7 +28,13 @@ from hybridlp import (
     ruiz_equilibrate,
     to_standard_form,
 )
-from hybridlp.ipm import _REG_LADDER, NormalEquationsSolver, NumericalFailure, normal_matrix
+from hybridlp.ipm import (
+    _REG_LADDER,
+    NormalEquationsSolver,
+    NumericalFailure,
+    normal_lower,
+    normal_matrix,
+)
 from hybridlp.lp_core import csr_matvec
 from hybridlp.pdhg import estimate_opnorm, initial_state, pdhg_step
 
@@ -354,8 +363,29 @@ class TestNormalMatrixBitwise:
         assert np.array_equal(M.toarray(), reference_normal_matrix(p, d2).toarray())
 
     @over_models
-    def test_solver_assembles_at_its_iterate(self, p):
+    def test_solver_assembles_at_its_iterate(self, p, factored):
+        """The dense backend factors the lower triangle, zero above it."""
         rng = np.random.default_rng(p.m)
         x, z = rng.uniform(0.1, 10.0, p.n), rng.uniform(0.1, 10.0, p.n)
-        solver = NormalEquationsSolver(p, x, z)
-        assert np.array_equal(solver.M.toarray(), reference_normal_matrix(p, x / z).toarray())
+        NormalEquationsSolver(p, x, z)
+        assert np.array_equal(factored[0], np.tril(reference_normal_matrix(p, x / z).toarray()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lower_triangle_on_random_sparse_models(self, data):
+        """Random sparsity with an empty column, a one-entry column and a
+        column holding every row appended; m = 1 is in range."""
+        m = data.draw(st.integers(1, 7), label="m")
+        n = data.draw(st.integers(0, 8), label="n")
+        magnitude = st.floats(1e-3, 1e3)
+        mask = data.draw(arrays(bool, (m, n)), label="mask")
+        values = data.draw(arrays(float, (m, n), elements=magnitude), label="values")
+        signs = data.draw(arrays(bool, (m, n)), label="signs")
+        A = np.where(mask, np.where(signs, values, -values), 0.0)
+        single = np.zeros((m, 1))
+        single[data.draw(st.integers(0, m - 1), label="row"), 0] = 2.5
+        full = data.draw(arrays(float, (m, 1), elements=magnitude), label="full")
+        A = np.hstack([A, np.zeros((m, 1)), single, full])
+        d2 = data.draw(arrays(float, A.shape[1], elements=st.floats(1e-6, 1e6)), label="d2")
+        p = StandardLp(A, np.zeros(m), np.zeros(A.shape[1]))
+        assert np.array_equal(normal_lower(p, d2), np.tril(reference_normal_matrix(p, d2).toarray()))
