@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .ipm import IpmParams
 from .lp_core import GeneralLp, ViolationSummary, evaluate_general_point
@@ -230,6 +230,8 @@ def format_summary(table: SummaryTable) -> str:
 # ---------------------------------------------------------------------------
 
 _RECORD_FIELDS = [f.name for f in fields(ResultRecord)]
+# a ResultRecord field's annotation -> the parser of its CSV text
+_FROM_CSV = {"str": str, "int": int, "float": float}
 
 
 def write_records_csv(records: list[ResultRecord], stream) -> None:
@@ -240,27 +242,16 @@ def write_records_csv(records: list[ResultRecord], stream) -> None:
 
 
 def read_records_csv(stream) -> list[ResultRecord]:
-    reader = csv.DictReader(stream)
-    out = []
-    for row in reader:
-        out.append(
-            ResultRecord(
-                model=row["model"],
-                method=row["method"],
-                status=row["status"],
-                wall_seconds=float(row["wall_seconds"]),
-                pdhg_iterations=int(row["pdhg_iterations"]),
-                ipm_iterations=int(row["ipm_iterations"]),
-                escalations=int(row["escalations"]),
-                primal_inf=float(row["primal_inf"]),
-                dual_inf=float(row["dual_inf"]),
-                rel_gap=float(row["rel_gap"]),
-                max_violation=float(row["max_violation"]),
-                scaled_max_violation=float(row["scaled_max_violation"]),
-                message=row.get("message", ""),
-            )
-        )
-    return out
+    """Records from write_records_csv's layout.  Only a column whose field has
+    a default (message, absent from older files) may be missing."""
+    return [
+        ResultRecord(**{
+            f.name: _FROM_CSV[f.type](row[f.name])
+            for f in fields(ResultRecord)
+            if f.name in row or f.default is MISSING
+        })
+        for row in csv.DictReader(stream)
+    ]
 
 
 @dataclass

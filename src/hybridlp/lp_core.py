@@ -469,17 +469,17 @@ def _lift(
     return KktPoint(x_std, y_std, np.maximum(0.0, p.c - aty)), aty
 
 
-def residuals(p: StandardLp, pt: KktPoint) -> Residuals:
-    """Primal and dual residual vectors plus objectives and complementarity."""
+def residuals(p: StandardLp, pt: KktPoint, aty: np.ndarray | None = None) -> Residuals:
+    """Primal and dual residual vectors plus objectives and complementarity.
+
+    aty, when the caller already holds it, is A'y for pt.y.
+    """
     if pt.x.size != p.n or pt.y.size != p.m or pt.z.size != p.n:
         raise InvalidModelError(
             f"point dims ({pt.x.size}, {pt.y.size}, {pt.z.size}) do not match model ({p.n}, {p.m})"
         )
-    return _residuals(p, pt, p.at_y(pt.y))
-
-
-def _residuals(p: StandardLp, pt: KktPoint, aty: np.ndarray) -> Residuals:
-    """residuals, given A'y for pt.y."""
+    if aty is None:
+        aty = p.at_y(pt.y)
     r_p = p.b - p.A @ pt.x
     r_d = p.c - aty - pt.z
     return Residuals(
@@ -546,4 +546,4 @@ def evaluate_general_point(g: GeneralLp, x, y) -> ViolationSummary:
     """Violation of a general-model point, measured on that model's standard form."""
     p, fmap = to_standard_form(g)
     pt, aty = _lift(g, p, fmap, x, y)
-    return summary_from_residuals(_residuals(p, pt, aty))
+    return summary_from_residuals(residuals(p, pt, aty))

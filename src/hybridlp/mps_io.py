@@ -1,10 +1,30 @@
 """MPS reading and solution-file serialization.
 
-The reader targets free-format MPS (whitespace-delimited tokens); fixed
-column layouts parse through the same tokenizer.  Sections must appear in
-the canonical order NAME / OBJSENSE / ROWS / COLUMNS / RHS / RANGES /
-BOUNDS / ENDATA, each at most once, so a shuffled or truncated file errors
-instead of silently mis-parsing.
+The reader takes free-format MPS: whitespace-delimited tokens, so fixed
+column layouts read the same way.  A line starting with neither a space nor
+a tab is a section header; blank lines and lines whose first token starts
+with ``*`` are skipped.  Section, row and bound types are case-insensitive.
+
+- Sections come in the order NAME, OBJSENSE, ROWS, COLUMNS, RHS, RANGES,
+  BOUNDS, ENDATA, each at most once.  ROWS and ENDATA are required; COLUMNS
+  needs ROWS, and RHS, RANGES and BOUNDS need COLUMNS.  So a shuffled or
+  truncated file errors instead of silently mis-parsing.
+- OBJSENSE: MAX... or MIN... on its header line or on one data line.
+- ROWS: ``type name``, type N (exactly one: the objective), L, G or E.
+- COLUMNS: ``column (row number)+``.  Repeated entries are summed, and
+  ``'MARKER'`` lines are skipped: every variable is continuous.
+- RHS, RANGES: ``[vector] (row number)+``.  RHS on the N row is the negated
+  objective constant.  A row with rhs b and range r becomes an L row plus a
+  G mirror row ``<row>.range``, appended after all rows, which bound it to
+  [b - |r|, b] (L row), [b, b + |r|] (G row), or [b, b + r] if r >= 0 and
+  [b + r, b] if not (E row).
+- BOUNDS: ``type [vector] column [number]``; bounds default to [0, +inf).
+  LO/LI set the lower bound, UP/UI the upper, FX both, FR gives (-inf, inf),
+  MI lower -inf, PL upper +inf, BV [0, 1].  A negative UP/UI number also
+  sets the lower bound to -inf unless an earlier line set it.
+- Numbers are floats, Fortran exponents such as ``1.5D+2`` included.
+- Nothing after ENDATA is read.  Errors are MpsParseError with a line
+  number; whole-file errors (no ROWS section, no N row) name the ENDATA line.
 
 Solution files use a line-oriented key/value grammar documented in the
 README; parse(write(s)) == s holds exactly because reals are rendered with
@@ -22,7 +42,19 @@ from .lp_core import EQ, GE, LE, GeneralLp, ViolationSummary
 from .status import FILE_STATUSES, SolveStatus, file_status
 
 _SECTIONS = ["NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"]
+# the sections each section's header requires before it, checked in order
+_NEEDS = {"COLUMNS": ("ROWS",), "RHS": ("ROWS", "COLUMNS"),
+          "RANGES": ("ROWS", "COLUMNS"), "BOUNDS": ("ROWS", "COLUMNS")}
 _SENSE_OF = {"L": LE, "G": GE, "E": EQ}
+# bound type -> (new lower, new upper); None keeps the bound and _NUM stands
+# for the number on the line
+_NUM = object()
+_BOUNDS = {
+    "LO": (_NUM, None), "LI": (_NUM, None),
+    "UP": (None, _NUM), "UI": (None, _NUM),
+    "FX": (_NUM, _NUM), "FR": (-np.inf, np.inf),
+    "MI": (-np.inf, None), "PL": (None, np.inf), "BV": (0.0, 1.0),
+}
 
 
 class MpsParseError(ValueError):
@@ -43,93 +75,118 @@ def _to_float(tok: str, line_no: int) -> float:
 
 
 def parse_mps(text: str) -> GeneralLp:
-    """Parse MPS text into a GeneralLp (always a minimization).
-
-    Exactly one N row supplies the objective; missing bounds default to
-    [0, +inf); duplicate (row, column) entries are summed; RANGES rows are
-    expanded into an extra mirror row named ``<row>.range``.  OBJSENSE
-    MAXIMIZE is honored by negating the costs.
-    """
+    """Parse MPS text, in the grammar of the module docstring, into a
+    GeneralLp (always a minimization)."""
     obj_name = None
-    maximize = False
-    row_names: list[str] = []
+    maximize = None  # set by the OBJSENSE header's token or its one data line
     row_index: dict[str, int] = {}
     senses: list[str] = []
-    col_names: list[str] = []
     col_index: dict[str, int] = {}
     costs: list[float] = []
-    entry_rows: list[int] = []
-    entry_cols: list[int] = []
-    entry_vals: list[float] = []
-    rhs: dict[int, float] = {}
+    entry_rows, entry_cols, entry_vals = [], [], []  # constraint entries in file order
     obj_rhs = 0.0
-    ranges: dict[int, float] = {}
-    lower: dict[int, float] = {}
-    upper: dict[int, float] = {}
-
-    section = None
+    rhs = None  # with the arrays below, allocated at the first header past COLUMNS
     seen: list[str] = []
-    saw_endata = False
-    pending_objsense = False
     line_no = 0
 
-    def begin(name: str, line_no: int):
-        nonlocal section, pending_objsense
-        if name not in _SECTIONS:
-            raise MpsParseError(f"unknown section {name!r}", line_no)
-        if name in seen:
-            raise MpsParseError(f"duplicate section {name}", line_no)
-        if seen and _SECTIONS.index(name) < _SECTIONS.index(seen[-1]):
-            raise MpsParseError(f"section {name} out of order", line_no)
-        for required, dependents in (("ROWS", ("COLUMNS", "RHS", "RANGES", "BOUNDS")),
-                                     ("COLUMNS", ("RHS", "RANGES", "BOUNDS"))):
-            if name in dependents and required not in seen:
-                raise MpsParseError(f"section {name} before {required}", line_no)
-        seen.append(name)
-        section = name
-        pending_objsense = name == "OBJSENSE"
-
-    def col_of(name: str) -> int:
-        if name not in col_index:
-            col_index[name] = len(col_names)
-            col_names.append(name)
-            costs.append(0.0)
-        return col_index[name]
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if saw_endata:
-            break
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        is_header = raw[:1] not in (" ", "\t")
         toks = raw.split()
+        if not toks or toks[0][0] == "*":
+            continue
 
-        if is_header:
+        if raw[0] not in " \t":
             head = toks[0].upper()
-            if head == "NAME":
-                begin("NAME", line_no)
-                continue
-            if head == "ENDATA":
-                begin("ENDATA", line_no)
-                saw_endata = True
-                continue
-            begin(head, line_no)
+            if head not in _SECTIONS:
+                raise MpsParseError(f"unknown section {head!r}", line_no)
+            if head in seen:
+                raise MpsParseError(f"duplicate section {head}", line_no)
+            at = _SECTIONS.index(head)
+            if seen and at < _SECTIONS.index(seen[-1]):
+                raise MpsParseError(f"section {head} out of order", line_no)
+            for required in _NEEDS.get(head, ()):
+                if required not in seen:
+                    raise MpsParseError(f"section {head} before {required}", line_no)
+            seen.append(head)
             if head == "OBJSENSE" and len(toks) > 1:
                 maximize = toks[1].upper().startswith("MAX")
-                pending_objsense = False
+            elif head == "COLUMNS":
+                # the objective row shadows a constraint row of the same name
+                row_of = {**row_index, obj_name: -1}
+            if rhs is None and at > _SECTIONS.index("COLUMNS"):
+                m, n = len(row_index), len(col_index)
+                rhs, ranges, ranged = np.zeros(m), np.zeros(m), np.zeros(m, dtype=bool)
+                lower, upper = np.zeros(n), np.full(n, np.inf)
+                lower_set = np.zeros(n, dtype=bool)
+            if head == "ENDATA":
+                break
             continue
 
-        if section is None:
+        if not seen:
             raise MpsParseError("data before any section header", line_no)
+        section = seen[-1]
 
-        if section == "OBJSENSE":
-            if not pending_objsense:
-                raise MpsParseError("unexpected data in OBJSENSE", line_no)
-            maximize = toks[0].upper().startswith("MAX")
-            pending_objsense = False
+        if section == "COLUMNS":
+            if len(toks) >= 3 and toks[1] == "'MARKER'":
+                continue  # integrality markers: treated as continuous
+            if len(toks) < 3 or len(toks) % 2 == 0:
+                raise MpsParseError("COLUMNS line needs (row, value) pairs", line_no)
+            j = col_index.setdefault(toks[0], len(costs))
+            if j == len(costs):
+                costs.append(0.0)
+            for k in range(1, len(toks), 2):
+                val = _to_float(toks[k + 1], line_no)
+                i = row_of.get(toks[k])
+                if i is None:
+                    raise MpsParseError(f"unknown row {toks[k]!r}", line_no)
+                if i < 0:
+                    costs[j] += val
+                    continue
+                entry_rows.append(i)
+                entry_cols.append(j)
+                entry_vals.append(val)
 
-        elif section == "NAME":
-            raise MpsParseError("unexpected data after NAME", line_no)
+        elif section in ("RHS", "RANGES"):
+            if len(toks) == 1:
+                raise MpsParseError(f"{section} line needs (row, value) pairs", line_no)
+            # an odd token count starts with the RHS/RANGES vector's name
+            for k in range(len(toks) % 2, len(toks), 2):
+                val = _to_float(toks[k + 1], line_no)
+                i = row_of.get(toks[k])
+                if i is None:
+                    raise MpsParseError(f"unknown row {toks[k]!r}", line_no)
+                if section == "RHS":
+                    if i < 0:
+                        obj_rhs += val
+                    else:
+                        rhs[i] = val
+                elif i < 0:
+                    raise MpsParseError("RANGES entry on objective row", line_no)
+                else:
+                    ranges[i], ranged[i] = val, True
+
+        elif section == "BOUNDS":
+            btype = toks[0].upper()
+            new = _BOUNDS.get(btype, ())
+            valued = _NUM in new
+            # [type] [bound vector name] column [number]
+            if not 2 <= len(toks) - valued <= 3:
+                raise MpsParseError("malformed BOUNDS line", line_no)
+            cname = toks[-1 - valued]
+            j = col_index.get(cname)
+            if j is None:
+                raise MpsParseError(f"unknown column {cname!r}", line_no)
+            val = _to_float(toks[-1], line_no) if valued else None
+            if not new:
+                raise MpsParseError(f"unknown bound type {btype!r}", line_no)
+            lo, up = (val if b is _NUM else b for b in new)
+            # classic convention: a negative upper bound on a variable whose
+            # lower bound was never set frees the lower bound
+            if btype in ("UP", "UI") and val < 0.0 and not lower_set[j]:
+                lo = -np.inf
+            if lo is not None:
+                lower[j], lower_set[j] = lo, True
+            if up is not None:
+                upper[j] = up
 
         elif section == "ROWS":
             if len(toks) != 2:
@@ -142,151 +199,53 @@ def parse_mps(text: str) -> GeneralLp:
             elif rtype in _SENSE_OF:
                 if rname in row_index:
                     raise MpsParseError(f"duplicate row {rname}", line_no)
-                row_index[rname] = len(row_names)
-                row_names.append(rname)
+                row_index[rname] = len(row_index)
                 senses.append(_SENSE_OF[rtype])
             else:
                 raise MpsParseError(f"unknown row type {rtype!r}", line_no)
 
-        elif section == "COLUMNS":
-            if len(toks) >= 3 and toks[1] == "'MARKER'":
-                continue  # integrality markers: treated as continuous
-            cname = toks[0]
-            pairs = toks[1:]
-            if len(pairs) % 2 != 0 or not pairs:
-                raise MpsParseError("COLUMNS line needs (row, value) pairs", line_no)
-            j = col_of(cname)
-            for k in range(0, len(pairs), 2):
-                rname, val = pairs[k], _to_float(pairs[k + 1], line_no)
-                if rname == obj_name:
-                    costs[j] += val
-                elif rname in row_index:
-                    entry_rows.append(row_index[rname])
-                    entry_cols.append(j)
-                    entry_vals.append(val)
-                else:
-                    raise MpsParseError(f"unknown row {rname!r}", line_no)
+        elif section == "OBJSENSE":
+            if maximize is not None:
+                raise MpsParseError("unexpected data in OBJSENSE", line_no)
+            maximize = toks[0].upper().startswith("MAX")
 
-        elif section in ("RHS", "RANGES"):
-            store = rhs if section == "RHS" else ranges
-            pairs = toks[1:] if len(toks) % 2 == 1 else toks
-            if len(pairs) % 2 != 0 or not pairs:
-                raise MpsParseError(f"{section} line needs (row, value) pairs", line_no)
-            for k in range(0, len(pairs), 2):
-                rname, val = pairs[k], _to_float(pairs[k + 1], line_no)
-                if rname == obj_name:
-                    if section == "RHS":
-                        obj_rhs += val
-                    else:
-                        raise MpsParseError("RANGES entry on objective row", line_no)
-                elif rname in row_index:
-                    store[row_index[rname]] = val
-                else:
-                    raise MpsParseError(f"unknown row {rname!r}", line_no)
-
-        elif section == "BOUNDS":
-            btype = toks[0].upper()
-            valued = btype in ("LO", "UP", "FX", "UI", "LI")
-            want = 4 if valued else 3
-            if len(toks) == want:
-                cname = toks[2]
-                val_tok = toks[3] if valued else None
-            elif len(toks) == want - 1:
-                cname = toks[1]
-                val_tok = toks[2] if valued else None
-            else:
-                raise MpsParseError("malformed BOUNDS line", line_no)
-            if cname not in col_index:
-                raise MpsParseError(f"unknown column {cname!r}", line_no)
-            j = col_index[cname]
-            val = _to_float(val_tok, line_no) if valued else 0.0
-            if btype in ("LO", "LI"):
-                lower[j] = val
-            elif btype in ("UP", "UI"):
-                upper[j] = val
-                # classic convention: a negative upper bound on a variable whose
-                # lower bound was never set frees the lower bound
-                if val < 0.0 and j not in lower:
-                    lower[j] = -np.inf
-            elif btype == "FX":
-                lower[j] = val
-                upper[j] = val
-            elif btype == "FR":
-                lower[j] = -np.inf
-                upper[j] = np.inf
-            elif btype == "MI":
-                lower[j] = -np.inf
-            elif btype == "PL":
-                upper[j] = np.inf
-            elif btype == "BV":
-                lower[j] = 0.0
-                upper[j] = 1.0
-            else:
-                raise MpsParseError(f"unknown bound type {btype!r}", line_no)
-
-        else:  # pragma: no cover - sections are a closed set
-            raise MpsParseError(f"unhandled section {section}", line_no)
-
-    if not saw_endata:
+        else:
+            raise MpsParseError("unexpected data after NAME", line_no)
+    else:
         raise MpsParseError("missing ENDATA", line_no)
+
     if "ROWS" not in seen:
         raise MpsParseError("missing ROWS section", line_no)
     if obj_name is None:
         raise MpsParseError("no N (objective) row declared", line_no)
 
-    n = len(col_names)
-    m = len(row_names)
-    lo = np.zeros(n)
-    up = np.full(n, np.inf)
-    for j, v in lower.items():
-        lo[j] = v
-    for j, v in upper.items():
-        up[j] = v
-
-    rhs_vec = np.zeros(m)
-    for i, v in rhs.items():
-        rhs_vec[i] = v
-
     A = sp.csr_matrix((entry_vals, (entry_rows, entry_cols)), shape=(m, n))
-    sense_list = list(senses)
-    row_name_list = list(row_names)
+    row_names = list(row_index)
 
     # RANGES: a ranged row becomes a two-sided constraint, expressed as the
     # original row plus a mirror row with the complementary sense.
-    if ranges:
-        extra_senses = []
-        extra_rhs = []
-        extra_names = []
-        for i, r in sorted(ranges.items()):
-            s = sense_list[i]
-            b = rhs_vec[i]
-            if s == LE:
-                lo_b, hi_b = b - abs(r), b
-            elif s == GE:
-                lo_b, hi_b = b, b + abs(r)
-            else:
-                lo_b, hi_b = (b, b + r) if r >= 0 else (b + r, b)
-            sense_list[i] = LE
-            rhs_vec[i] = hi_b
-            extra_senses.append(GE)
-            extra_rhs.append(lo_b)
-            extra_names.append(f"{row_name_list[i]}.range")
-        A = sp.vstack([A, A[sorted(ranges)]], format="csr")
-        sense_list.extend(extra_senses)
-        rhs_vec = np.concatenate([rhs_vec, extra_rhs])
-        row_name_list.extend(extra_names)
+    rows = np.flatnonzero(ranged)
+    if rows.size:
+        sense = np.array(senses, dtype=object)
+        s, b, r = sense[rows], rhs[rows], ranges[rows]
+        # L, G, E with r >= 0, otherwise E with r < 0
+        cases = [s == LE, s == GE, r >= 0]
+        sense[rows] = LE
+        rhs[rows] = np.select(cases, [b, b + abs(r), b + r], b)
+        rhs = np.concatenate([rhs, np.select(cases, [b - abs(r), b, b], b + r)])
+        senses = sense.tolist() + [GE] * rows.size
+        A = sp.vstack([A, A[rows]], format="csr")
+        row_names += [f"{row_names[i]}.range" for i in rows]
 
-    c = np.asarray(costs)
     # an RHS entry on the objective row is a negated constant term
-    offset = -obj_rhs
+    c, offset = np.asarray(costs), -obj_rhs
     if maximize:
-        c = -c
-        offset = -offset
+        c, offset = -c, obj_rhs
 
     return GeneralLp(
-        c=c, A=A, senses=sense_list, rhs=rhs_vec,
-        lower=lo, upper=up, obj_offset=offset,
-        col_names=col_names, row_names=row_name_list,
+        c=c, A=A, senses=senses, rhs=rhs,
+        lower=lower, upper=upper, obj_offset=offset,
+        col_names=list(col_index), row_names=row_names,
     )
 
 

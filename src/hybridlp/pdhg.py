@@ -202,10 +202,11 @@ def pdhg_step(state: PdhgState, p: StandardLp) -> np.ndarray:
 
 
 def _score(p: StandardLp, x: np.ndarray, y: np.ndarray, eps_rel: float):
-    """The point, its violation summary and termination check."""
-    z = extract_reduced_costs(p, y)
-    pt = KktPoint(x, y, z)
-    res = residuals(p, pt)
+    """The point, its violation summary and termination check; A'y is formed
+    once, for both z = max(0, c - A'y) and the residuals."""
+    aty = p.at_y(y)
+    pt = KktPoint(x, y, np.maximum(0.0, p.c - aty))
+    res = residuals(p, pt, aty)
     return pt, summary_from_residuals(res), termination_from_residuals(p, res, eps_rel)
 
 

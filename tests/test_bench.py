@@ -131,6 +131,22 @@ class TestCsvRoundTrip:
         assert back[0].max_violation == pytest.approx(1e-6)
         assert back[1].status == "Stalled"
 
+    def test_every_field_round_trips_and_message_may_be_missing(self):
+        records = [_rec("m1", "a", wall=0.1, ipm_iters=3), _rec("m2", "b", status="Error")]
+        records[1].message = "boom"
+        buf = io.StringIO()
+        write_records_csv(records, buf)
+        assert read_records_csv(io.StringIO(buf.getvalue())) == records
+        # files written before the message column existed
+        lines = buf.getvalue().splitlines()
+        old = "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n"
+        back = read_records_csv(io.StringIO(old))
+        assert [r.message for r in back] == ["", ""]
+        assert back[0] == records[0]
+        no_status = "\n".join(line.replace(",status,", ",") for line in lines[:1])
+        with pytest.raises(KeyError, match="status"):
+            read_records_csv(io.StringIO(no_status + "\n" + lines[1] + "\n"))
+
 
 class TestSolveWithMethod:
     def test_solver_and_checker_agree(self):

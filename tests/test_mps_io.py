@@ -163,6 +163,15 @@ class TestParseErrors:
         with pytest.raises(MpsParseError, match="ENDATA"):
             parse_mps(text)
 
+    @pytest.mark.parametrize("text, match", [
+        ("NAME T\nENDATA\n\n", "line 2: missing ROWS section"),
+        ("NAME T\nROWS\n L R1\nENDATA\n* note\n", r"line 4: no N \(objective\) row"),
+    ])
+    def test_whole_file_errors_name_the_endata_line(self, text, match):
+        """Nothing after ENDATA is read, so it does not move the error's line."""
+        with pytest.raises(MpsParseError, match=match):
+            parse_mps(text)
+
     def test_bad_number_has_line(self):
         text = "NAME T\nROWS\n N OBJ\n E R1\nCOLUMNS\n    X1 R1 oops\nRHS\nENDATA\n"
         with pytest.raises(MpsParseError, match="line 6"):

@@ -226,6 +226,24 @@ class TestRunPdhg:
         assert stats.iterations == checks * every
         assert len(calls) == 1 + checks
 
+    def test_one_transpose_product_per_scored_point(self, monkeypatch):
+        """A'y is formed once per scored point, for both z and the residuals."""
+        inst = planted_equality_lp(10, 18, seed=9)
+        p, _ = to_standard_form(inst.model)
+        checks, every = 3, 16
+        params = PdhgParams(eps_rel=1e-12, max_kkt_passes=checks * every, check_every=every)
+        real = StandardLp.at_y
+        calls = []
+
+        def counted(self, y):
+            calls.append(1)
+            return real(self, y)
+
+        monkeypatch.setattr(StandardLp, "at_y", counted)
+        _, stats = run_pdhg(p, params)
+        assert stats.status.value == "IterationLimit"
+        assert len(calls) == 1 + checks
+
     def test_restarts_happen_and_never_hurt(self):
         """At least one restart on a planted instance, and the restart-score
         sequence is decreasing (each restart target beat the previous score)."""
