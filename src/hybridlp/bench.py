@@ -322,7 +322,7 @@ def bench_directory(
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 g = parse_mps(fh.read())
         except Exception as exc:  # unreadable model: one Error row per method
             records.extend(_error_record(name, method, str(exc)) for method in methods)

@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_model(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_mps(fh.read())
 
 
@@ -94,7 +94,7 @@ def _cmd_solve(args) -> int:
     try:
         g = _load_model(args.model)
         g.validate()
-    except (OSError, MpsParseError, InvalidModelError) as exc:
+    except (OSError, UnicodeDecodeError, MpsParseError, InvalidModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR_EXIT
     sol, record = solve_with_method(
@@ -128,13 +128,17 @@ def _cmd_bench(args) -> int:
     if unknown:
         print(f"error: unknown method tags {unknown}", file=sys.stderr)
         return 2
-    records = bench_directory(
-        args.directory,
-        methods,
-        time_limit_s=args.time_limit,
-        use_presolve=not args.no_presolve,
-        use_scaling=not args.no_scaling,
-    )
+    try:
+        records = bench_directory(
+            args.directory,
+            methods,
+            time_limit_s=args.time_limit,
+            use_presolve=not args.no_presolve,
+            use_scaling=not args.no_scaling,
+        )
+    except OSError as exc:  # an unreadable directory; unreadable models become Error rows
+        print(f"error: {exc}", file=sys.stderr)
+        return PARSE_ERROR_EXIT
     with open(args.out, "w", newline="") as fh:
         write_records_csv(records, fh)
     print(format_summary(summarize(records)))

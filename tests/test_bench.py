@@ -232,6 +232,23 @@ class TestCli:
         bad.write_text("ROWS\n N OBJ\n")  # no ENDATA
         assert main(["solve", str(bad)]) == 3
 
+    @pytest.mark.parametrize("verb", ["solve", "check"])
+    def test_undecodable_model_exit_code(self, tmp_path, capsys, verb):
+        """A Latin-1 byte in a row name is no UTF-8: an input error, not a crash."""
+        model = tmp_path / "latin1.mps"
+        model.write_bytes(b"NAME T\nROWS\n N OBJ\n L R\xe9\nCOLUMNS\n X1 OBJ 1\nENDATA\n")
+        sol = tmp_path / "sol.txt"
+        sol.write_text("hybridlp-solution 1\n")
+        argv = ["solve", str(model)] if verb == "solve" else ["check", str(model), str(sol)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bench_missing_directory_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-directory"
+        assert main(["bench", str(missing), "--out", str(tmp_path / "results.csv")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "results.csv").exists()
+
     @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
     def test_invalid_model_exit_code(self, tmp_path, capsys, method):
         crossed = tmp_path / "crossed.mps"

@@ -11,6 +11,7 @@ reference reported the line after it whenever any text followed ENDATA.
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -634,3 +635,231 @@ def test_fuzzed_files_match(chunk):
     rng = random.Random(chunk)
     for _ in range(500):
         assert_same(_mutate(rng.choice(_BASES), rng))
+
+
+# ---------------------------------------------------------------------------
+# Large files
+# ---------------------------------------------------------------------------
+
+_BOUND_TYPES = ["LO", "LI", "UP", "UI", "FX", "FR", "MI", "PL", "BV"]
+
+
+def _large_mps(seed: int) -> str:
+    """A valid model of several thousand lines that mixes every block feature:
+    3- and 5-token COLUMNS lines, comment, blank and MARKER lines inside
+    blocks, repeated entries, RHS lines with and without a vector name,
+    negative RANGES on L, G and E rows, every ordered pair of bound types on
+    one column, and Fortran D exponents."""
+    rng = random.Random(seed)
+    m, n = rng.randint(200, 300), rng.randint(1000, 1300)
+    rows = [f"R{i}" for i in range(m)]
+
+    def num() -> str:
+        v = rng.uniform(-9.0, 9.0)
+        kind = rng.random()
+        if kind < 0.1:
+            return f"{v:.9e}".replace("e", rng.choice("Dd"))
+        return str(rng.randint(-5, 5)) if kind < 0.2 else repr(v)
+
+    def data(*toks: str) -> str:
+        sep = rng.choice([" ", " ", " ", "  ", "\t", " \t "])
+        return rng.choice([" ", "  ", "\t"]) + sep.join(toks) + rng.choice(["", "", " "])
+
+    def noise(out: list, markers: bool = False):
+        """now and then a comment or blank line, or in COLUMNS a MARKER line"""
+        r = rng.random()
+        if r < 0.02:
+            out.append(rng.choice(["* comment", "   * indented comment", "*", ""]))
+        elif r < 0.03 and markers:
+            out.append(data(f"M{len(out)}", "'MARKER'", rng.choice(["'INTORG'", "'INTEND'"])))
+
+    out = [f"* seed {seed}", f"NAME BIG{seed}", "ROWS", data("N", "COST")]
+    for r in rows:
+        out.append(data(rng.choice("LGElge"), r))
+        noise(out)
+    out.append("COLUMNS")
+    cols = [f"X{j}" for j in range(n)]
+    for j, col in enumerate(cols):
+        # COST twice for some columns, a repeated (row, column) entry for others
+        pairs = [("COST", num())] * rng.choice([0, 1, 1, 2])
+        pairs += [(rng.choice(rows), num()) for _ in range(rng.randint(2, 7))]
+        if rng.random() < 0.2:
+            pairs.append((pairs[-1][0], num()))
+        rng.shuffle(pairs)
+        lines = []
+        while pairs:
+            k = 2 if len(pairs) > 1 and rng.random() < 0.5 else 1
+            lines.append((col, *(t for pair in pairs[:k] for t in pair)))
+            pairs = pairs[k:]
+        if j > 10 and rng.random() < 0.05:  # an entry of an earlier column
+            lines.append((rng.choice(cols[:j]), rng.choice(rows), num()))
+        for line in lines:
+            out.append(data(*line))
+            noise(out, markers=True)
+    out.append("RHS")
+    for _ in range(m + 3):
+        pairs = [t for _ in range(rng.choice([1, 2])) for t in (rng.choice(rows + ["COST"]), num())]
+        out.append(data(*(["RHS"] if rng.random() < 0.5 else []), *pairs))
+        noise(out)
+    out.append("RANGES")
+    for _ in range(m // 3):
+        pairs = [t for _ in range(rng.choice([1, 2])) for t in (rng.choice(rows), num())]
+        out.append(data(*(["RNG"] if rng.random() < 0.5 else []), *pairs))
+        noise(out)
+    out.append("BOUNDS")
+    ordered = [(a, b) for a in _BOUND_TYPES for b in _BOUND_TYPES]
+    for j, col in enumerate(cols):
+        types = ordered[j] if j < len(ordered) else rng.sample(_BOUND_TYPES, rng.randint(0, 3))
+        for btype in types:
+            value = []
+            if btype in ("UP", "UI") and (j < len(ordered) or rng.random() < 0.7):
+                value = [f"-{rng.randint(1, 4)}"]  # frees the lower bound if none is set
+            elif btype in ("LO", "LI", "UP", "UI", "FX"):
+                value = [num()]
+            vector = ["BND"] if rng.random() < 0.7 else []
+            out.append(data(rng.choice([btype, btype.lower()]), *vector, col, *value))
+            noise(out)
+    out.append("ENDATA")
+    return rng.choice(["\n", "\n", "\r\n"]).join(out) + "\n"
+
+
+_LARGE_SEEDS = [0, 1, 2]
+
+
+def _sections(lines: list) -> dict:
+    """Section name -> the data lines' tokens, comments and blanks left out."""
+    out, section = {}, None
+    for line in lines:
+        toks = line.split()
+        if line[:1] not in (" ", "\t") and toks and toks[0][0] != "*":
+            section = out.setdefault(toks[0].upper(), [])
+        elif toks and toks[0][0] != "*" and section is not None:
+            section.append(toks)
+    return out
+
+
+@pytest.mark.parametrize("seed", _LARGE_SEEDS)
+def test_large_files_bitwise(seed):
+    text = _large_mps(seed)
+    assert 5_000 <= len(text.splitlines()) <= 20_000
+    assert isinstance(_outcome(reference_parse_mps, text), GeneralLp)
+    assert not assert_same(text)
+
+
+def test_large_files_cover_every_block_feature():
+    lines = _large_mps(_LARGE_SEEDS[0]).splitlines()
+    blocks = _sections(lines)
+    columns = blocks["COLUMNS"]
+    assert {len(t) for t in columns if t[1] != "'MARKER'"} == {3, 5}
+    assert any(t[1] == "'MARKER'" for t in columns)
+    first, last = lines.index("COLUMNS"), lines.index("ENDATA")
+    assert "" in lines[first:last] and any(ln.lstrip()[:1] == "*" for ln in lines[first:last])
+    assert any(tok[0] != "*" and "D" in tok.upper() for t in columns for tok in t[2::2])
+    # repeated (row, column) entries and objective entries
+    pairs = [(t[0], t[k]) for t in columns for k in range(1, len(t), 2)]
+    assert len(set(pairs)) < len(pairs)
+    assert {len(t) % 2 for t in blocks["RHS"]} == {0, 1}
+    assert len({t[-2] for t in blocks["RHS"]}) < len(blocks["RHS"])
+    g = parse_mps("\n".join(lines))
+    ranged = [name[:-len(".range")] for name in g.row_names if name.endswith(".range")]
+    senses = {t[1]: t[0].upper() for t in blocks["ROWS"]}
+    assert {senses[r] for r in ranged} == {"L", "G", "E"}
+    assert any(float(t[-1]) < 0 for t in blocks["RANGES"])
+    # a negative UP after each of LO, MI, FX and UP on one column
+    bounds = [(t[0].upper(), t[-1 - (t[0].upper() in ("LO", "LI", "UP", "UI", "FX"))])
+              for t in blocks["BOUNDS"]]
+    for before in ("LO", "MI", "FX", "UP"):
+        assert any(a == (before, c) and b == ("UP", c) for a, b in zip(bounds, bounds[1:])
+                   for c in [a[1]])
+
+
+def _break_line(line: str, rng: random.Random) -> str:
+    """A COLUMNS, RHS, RANGES or BOUNDS data line made an error for sure."""
+    toks = line.split()
+    kind = rng.randrange(3)
+    if kind == 0:  # a bad number, or an unknown column on an unvalued bound
+        toks[-1] = "oops" if toks[-1][0] in "-0123456789" else "NOPE"
+    elif kind == 1:  # malformed, or tokens shifted onto a bad number or column
+        del toks[-1]
+    elif toks[0].upper() in _BOUND_TYPES:
+        toks[0] = "XX"
+    else:  # an unknown row, or a bad number
+        toks[1] = "NOPE"
+    return " " + " ".join(toks)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_large_files_report_the_first_of_two_bad_lines(seed):
+    rng = random.Random(seed)
+    lines = _large_mps(_LARGE_SEEDS[seed % len(_LARGE_SEEDS)]).splitlines()
+    data = [k for k in range(lines.index("COLUMNS") + 1, len(lines))
+            if lines[k][:1] in (" ", "\t") and lines[k].lstrip()[:1] != "*"
+            and "'MARKER'" not in lines[k]]
+    # two lines deep inside the blocks, broken in either order
+    first, second = sorted(rng.sample(data[len(data) // 10:], 2))
+    for k in (second, first) if seed % 2 else (first, second):
+        lines[k] = _break_line(lines[k], rng)
+    text = "\n".join(lines) + "\n"
+    assert not assert_same(text)
+    with pytest.raises(MpsParseError) as err:
+        parse_mps(text)
+    assert err.value.line_no == first + 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_large_fuzzed_files_match(seed):
+    rng = random.Random(100 + seed)
+    text = _large_mps(_LARGE_SEEDS[seed % len(_LARGE_SEEDS)])
+    for _ in range(3):
+        assert_same(_mutate(text, rng))
+
+
+# ---------------------------------------------------------------------------
+# Whitespace and line breaks of every kind
+# ---------------------------------------------------------------------------
+
+# what str.split() splits at besides a space, a tab and a line break
+_OTHER_WHITE = ["\x1f", "\xa0", "\u1680", "\u2003", "\u202f", "\u3000"]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _respace(text: str, rng: random.Random) -> str:
+    """Text's lines with tokens joined by whitespace of every kind, header
+    lines now and then led by whitespace that is no indent, and line breaks of
+    every kind; column names gain characters that are no whitespace (ASCII
+    controls, latin-1 and past it)."""
+    text = re.sub(r"\bX(?=\d)", "X\x07\xe9\u540d\x80", text)
+    out = []
+    for line in text.splitlines():
+        toks = line.split()
+        sep = "".join(rng.choice([" ", "\t", *_OTHER_WHITE]) for _ in range(rng.randint(1, 2)))
+        if line[:1] in (" ", "\t"):
+            lead = rng.choice([" ", "\t", " \u3000", "\t\xa0"])
+        else:
+            lead = rng.choice(["", "", *_OTHER_WHITE])
+        out.append(lead + sep.join(toks) + rng.choice(["", "\xa0", "\x1f"]))
+    return "".join(line + rng.choice(_BREAKS) for line in out)
+
+
+def test_large_file_with_every_whitespace_bitwise():
+    rng = random.Random(200)
+    text = _respace(_large_mps(_LARGE_SEEDS[0]), rng)
+    assert "\u540d" in text and "\x07" in text
+    assert isinstance(_outcome(reference_parse_mps, text), GeneralLp)
+    assert not assert_same(text)
+
+
+def test_fuzzed_files_with_every_whitespace_match():
+    rng = random.Random(300)
+    for _ in range(300):
+        text = _respace(rng.choice(_BASES), rng)
+        assert_same(_mutate(text, rng) if rng.random() < 0.7 else text)
+
+
+@pytest.mark.parametrize("brk", [b for b in _BREAKS if b.isascii() and b != "\n"])
+def test_ascii_files_with_each_line_break_match(brk):
+    rng = random.Random(400)
+    for base in _BASES:
+        text = "".join(line + rng.choice(["\n", brk]) for line in base.splitlines())
+        assert_same(text)
+        assert_same(_mutate(text, rng))
