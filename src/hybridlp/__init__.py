@@ -32,7 +32,7 @@ from .transform import (
     scale_point,
     unscale_point,
 )
-from .pdhg import PdhgParams, PdhgState, SolveStats, estimate_opnorm, extract_reduced_costs, pdhg_step, run_pdhg
+from .pdhg import PdhgParams, PdhgState, SolveStats, estimate_opnorm, pdhg_step, run_pdhg
 from .ipm import (
     IpmParams,
     IpmState,
@@ -64,8 +64,7 @@ __all__ = [
     "MpsParseError", "SolutionFile", "parse_mps", "parse_solution", "write_solution",
     "PresolveResult", "PresolveStack", "PresolveStatus", "ScalingInfo",
     "presolve", "postsolve", "ruiz_equilibrate", "scale_point", "unscale_point",
-    "PdhgParams", "PdhgState", "SolveStats", "estimate_opnorm",
-    "extract_reduced_costs", "pdhg_step", "run_pdhg",
+    "PdhgParams", "PdhgState", "SolveStats", "estimate_opnorm", "pdhg_step", "run_pdhg",
     "IpmParams", "IpmState", "IpmStats", "NumericalFailure",
     "cold_start_point", "kkt_solve", "predictor_corrector_iteration", "run_ipm",
     "WarmStartParams", "HybridStats", "mu_target", "centered_start",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 from .ipm import IpmParams
 from .lp_core import GeneralLp, ViolationSummary, evaluate_general_point
@@ -83,10 +83,9 @@ def solve_with_method(
     eps_rel: float | None = None,
     use_presolve: bool = True,
     use_scaling: bool = True,
-    ipm_params: IpmParams | None = None,
 ) -> tuple[SolutionFile, ResultRecord]:
     """Run one (model, method) combination through the full pipeline."""
-    pdhg_params = None
+    pdhg_params = ipm_params = None
     if method == "hybrid":
         stages = "hybrid"
         pdhg_params = PdhgParams(eps_rel=eps_rel if eps_rel is not None else 1e-4)
@@ -96,9 +95,8 @@ def solve_with_method(
         pdhg_params = PdhgParams(eps_rel=eps)
     elif method in ("ipm-cold", "ipm"):
         stages = "ipm"
-        ipm_params = ipm_params or IpmParams()
         if eps_rel is not None:
-            ipm_params = replace(ipm_params, eps_rel=eps_rel)
+            ipm_params = IpmParams(eps_rel=eps_rel)
     else:
         raise ValueError(f"unknown method {method!r}")
 

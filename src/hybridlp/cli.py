@@ -1,7 +1,8 @@
 """Command-line front end: solve, bench, check, scatter.
 
 Exit codes: 0 Optimal, 2 usage error, 3 parse/model error, 4 TimeLimit,
-5 Stalled, 6 IterationLimit, 7 Error.
+5 Stalled, 6 IterationLimit, 7 Error, 8 NumericalFailure, 9 Infeasible,
+10 Unbounded; `solve` exits with the code of the status it wrote.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ _EXIT_BY_STATUS = {
     "Stalled": 5,
     "IterationLimit": 6,
     "Error": 7,
+    "NumericalFailure": 8,
+    "Infeasible": 9,
+    "Unbounded": 10,
 }
 
 PARSE_ERROR_EXIT = 3
@@ -119,7 +123,7 @@ def _cmd_solve(args) -> int:
         + (f" max_violation={v.max_violation:.3e}" if v else ""),
         file=sys.stderr,
     )
-    return _EXIT_BY_STATUS.get(sol.status, 7)
+    return _EXIT_BY_STATUS[sol.status]
 
 
 def _cmd_bench(args) -> int:

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lp_core import EQ, GE, LE, GeneralLp, ViolationSummary
-from .status import FILE_STATUSES, SolveStatus, file_status
+from .status import SolveStatus
 
 _SECTIONS = ["NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"]
 # the sections each section's header requires before it, checked in order
@@ -380,7 +380,7 @@ class SolutionFile:
     message: str = ""
 
     def __post_init__(self):
-        if self.status not in FILE_STATUSES:
+        if self.status not in {s.value for s in SolveStatus}:
             raise ValueError(f"unknown solution status {self.status!r}")
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
@@ -513,7 +513,7 @@ def make_solution_file(
 ) -> SolutionFile:
     """Assemble a SolutionFile for a general-model point."""
     return SolutionFile(
-        status=file_status(status),
+        status=status.value,
         method=method,
         wall_seconds=wall_seconds,
         pdhg_iterations=pdhg_iterations,

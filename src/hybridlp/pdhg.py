@@ -126,11 +126,6 @@ def estimate_opnorm(A, seed: int = 0) -> float:
     return float(lam)
 
 
-def extract_reduced_costs(p: StandardLp, y: np.ndarray) -> np.ndarray:
-    """z = max(0, c - A'y); the clipped negative part shows up in r_d."""
-    return np.maximum(0.0, p.c - p.at_y(np.asarray(y, dtype=float)))
-
-
 def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState:
     """The zero point with unit primal weight."""
     opnorm = estimate_opnorm(p.A, seed=seed)

@@ -15,11 +15,3 @@ class SolveStatus(enum.Enum):
     UNBOUNDED = "Unbounded"
     ERROR = "Error"
 
-
-# statuses a solution file can carry; everything else folds into Error with
-# the original status preserved in the message field
-FILE_STATUSES = ("Optimal", "TimeLimit", "Stalled", "IterationLimit", "Error")
-
-
-def file_status(status: SolveStatus) -> str:
-    return status.value if status.value in FILE_STATUSES else "Error"

@@ -82,16 +82,14 @@ def center_toward_target(
     xp = np.maximum(np.asarray(x, dtype=float), a)
     zp = np.maximum(np.asarray(z, dtype=float), a)
 
+    # z counts as the smaller of a tied pair
     x_first = xp < zp
-    # branch where x is smaller: move x toward mu/z, then z toward mu/x'
-    x1 = np.clip(mu / zp, xp - d, xp + d)
-    z1 = np.clip(mu / x1, zp - d, zp + d)
-    # branch where z is smaller (or tied): move z first, then x
-    z2 = np.clip(mu / xp, zp - d, zp + d)
-    x2 = np.clip(mu / z2, xp - d, xp + d)
+    small, big = np.where(x_first, xp, zp), np.where(x_first, zp, xp)
+    s = np.clip(mu / big, small - d, small + d)
+    b = np.clip(mu / s, big - d, big + d)
 
-    x_new = np.maximum(np.where(x_first, x1, x2), a)
-    z_new = np.maximum(np.where(x_first, z1, z2), a)
+    x_new = np.maximum(np.where(x_first, s, b), a)
+    z_new = np.maximum(np.where(x_first, b, s), a)
     return x_new, z_new
 
 
@@ -201,34 +199,24 @@ class FinishedPoint:
 
 
 def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
-    """Unscale, postsolve, and measure the point on the original model."""
+    """Unscale, postsolve, and measure the point on the original model.
+
+    Without a solver stage (solved by presolve, or a presolve verdict) the
+    reduced point is zeros sized by the presolve stack, so the reported
+    point holds the values presolve recorded before it stopped.
+    """
     scaled_viol = None
+    stack = prep.presolve_result.stack
     if prep.solve_model is not None:
         scaled_viol = violation_summary(prep.solve_model, pt_solve)
         pt_std = unscale_point(prep.scaling, pt_solve) if prep.scaling else pt_solve
         x_r, y_r = _restrict_xy(prep.fmap, pt_std)
     else:
-        x_r = np.zeros(prep.reduced.n_vars if prep.reduced is not None else 0)
-        y_r = np.zeros(prep.reduced.n_rows if prep.reduced is not None else 0)
+        x_r, y_r = np.zeros(stack.n_reduced), np.zeros(stack.m_reduced)
     # postsolve reads x and y only and forms z on the original model
-    restored = postsolve(
-        prep.presolve_result.stack, KktPoint(x_r, y_r, np.zeros_like(x_r)), prep.original
-    )
+    restored = postsolve(stack, KktPoint(x_r, y_r, np.zeros_like(x_r)), prep.original)
     viol = evaluate_general_point(prep.original, restored.x, restored.y)
     return FinishedPoint(restored.x, restored.y, restored.z, viol, scaled_viol)
-
-
-def _zero_point_file(
-    g: GeneralLp, status: SolveStatus, method: str, wall: float, message: str
-) -> SolutionFile:
-    x = np.zeros(g.n_vars)
-    y = np.zeros(g.n_rows)
-    z = g.c - g.A.T @ y
-    viol = evaluate_general_point(g, x, y)
-    return make_solution_file(
-        g, status, x, y, np.asarray(z), method=method, wall_seconds=wall,
-        violation=viol, message=message,
-    )
 
 
 @dataclass
@@ -262,6 +250,9 @@ def solve(
     deadline, time_limit_s after the call starts, covers every stage; each
     solver stage gets what is left of it.  A failing stage ends the solve
     with a "<stage>: <status>" message and the best point found so far.
+    A presolve verdict is reported as Infeasible or Unbounded with a
+    "presolve: ..." message; it and a model solved by presolve skip the
+    solvers and leave through the same finish as every other outcome.
     """
     if method not in ("pdhg", "ipm", "hybrid"):
         raise ValueError(f"unknown method {method!r}")
@@ -275,23 +266,16 @@ def solve(
 
     prep = prepare_model(g, use_presolve=use_presolve, use_scaling=use_scaling)
     pres = prep.presolve_result
-    if pres.status is not PresolveStatus.REDUCED:
-        wall = time.monotonic() - t0
-        status = (
-            SolveStatus.INFEASIBLE
-            if pres.status is PresolveStatus.INFEASIBLE
-            else SolveStatus.UNBOUNDED
-        )
-        sol = _zero_point_file(g, status, method_tag, wall, f"presolve: {pres.message}")
-        stats = HybridStats(status, 0, 0, 0, wall, sol.violation, None)
-        return sol, stats
-
     pt = KktPoint(np.zeros(0), np.zeros(0), np.zeros(0))
     status = SolveStatus.OPTIMAL
     message = "solved by presolve"
+    if pres.status is not PresolveStatus.REDUCED:
+        # both enums spell Infeasible and Unbounded the same way
+        status = SolveStatus(pres.status.value)
+        message = f"presolve: {pres.message}"
     pdhg_stats = ipm_stats = None
     ipm_iterations = escalations = 0
-    if not prep.solved_by_presolve:
+    if prep.solve_model is not None:
         if method != "ipm":
             params = replace(pdhg_params, time_limit_s=time_left())
             pt, pdhg_stats = run_pdhg(prep.solve_model, params)

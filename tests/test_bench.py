@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridlp import parse_mps, parse_solution
+from hybridlp import parse_mps, parse_solution, write_solution
 from hybridlp.bench import (
     ResultRecord,
     check_solution,
@@ -21,9 +21,21 @@ from hybridlp.bench import (
     write_records_csv,
 )
 from hybridlp.cli import _EXIT_BY_STATUS, main
-from hybridlp.status import FILE_STATUSES, SolveStatus, file_status
+from hybridlp.mps_io import make_solution_file
+from hybridlp.status import SolveStatus
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# X1 is fixed at 2, which leaves R1 empty and requiring 0 = 1
+INFEASIBLE_AFTER_FIX_MPS = (
+    "NAME INFEASIBLE\nROWS\n N OBJ\n E R1\n L R2\nCOLUMNS\n X1 OBJ 1 R1 1\n"
+    " X2 OBJ 1 R2 1\nRHS\n RHS R1 3 R2 4\nBOUNDS\n FX BND X1 2\nENDATA\n"
+)
+# X2 has no row entries, a negative cost and no upper bound
+EMPTY_COLUMN_UNBOUNDED_MPS = (
+    "NAME UNBOUNDED\nROWS\n N OBJ\n L R1\nCOLUMNS\n X1 OBJ 1 R1 1\n X2 OBJ -1\n"
+    "RHS\n RHS R1 4\nENDATA\n"
+)
 
 
 def _rec(model, method, status="Optimal", wall=1.0, viol=1e-6,
@@ -222,10 +234,44 @@ class TestCli:
         assert parse_solution(out.read_text()).status == "Optimal"
 
     def test_every_status_has_a_file_status_and_exit_code(self):
-        for status in SolveStatus:
-            assert file_status(status) in FILE_STATUSES
-        for name in FILE_STATUSES:
-            assert name in _EXIT_BY_STATUS
+        """Every status has an exit code of its own."""
+        assert _EXIT_BY_STATUS == {
+            "Optimal": 0, "TimeLimit": 4, "Stalled": 5, "IterationLimit": 6, "Error": 7,
+            "NumericalFailure": 8, "Infeasible": 9, "Unbounded": 10,
+        }
+        assert set(_EXIT_BY_STATUS) == {status.value for status in SolveStatus}
+
+    @pytest.mark.parametrize("status", list(SolveStatus), ids=lambda s: s.value)
+    def test_status_round_trips_through_the_solution_file(self, status):
+        g = parse_mps((FIXTURES / "lp1.mps").read_text())
+        sol = make_solution_file(
+            g, status, np.zeros(g.n_vars), np.zeros(g.n_rows), g.c,
+            method="hybrid", wall_seconds=0.0,
+        )
+        back = parse_solution(write_solution(sol))
+        assert back.status == sol.status == status.value
+        assert SolveStatus(back.status) is status
+        assert back.status in _EXIT_BY_STATUS
+
+    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    @pytest.mark.parametrize(
+        "text, status, code",
+        [(INFEASIBLE_AFTER_FIX_MPS, "Infeasible", 9), (EMPTY_COLUMN_UNBOUNDED_MPS, "Unbounded", 10)],
+        ids=["infeasible", "unbounded"],
+    )
+    def test_presolve_verdict_exit_code_and_check(
+        self, tmp_path, capsys, text, status, code, method
+    ):
+        """A presolve verdict exits with its own status's code, and check
+        reads the written solution back."""
+        model, out = tmp_path / "verdict.mps", tmp_path / "sol.txt"
+        model.write_text(text)
+        assert main(["solve", str(model), "--method", method, "--out", str(out)]) == code
+        sol = parse_solution(out.read_text())
+        assert sol.status == status
+        assert sol.message.startswith("presolve: ")
+        assert main(["check", str(model), str(out)]) == 0
+        assert "max_violation" in capsys.readouterr().out
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.mps"
@@ -370,20 +416,6 @@ class TestCli:
 
 
 class TestSolveWithMethodTolerance:
-    def test_ipm_eps_rel_overrides_given_params(self):
-        """An explicit eps_rel sets the IPM tolerance whether or not ipm_params
-        is given; the other fields of ipm_params are kept."""
-        from hybridlp import IpmParams
-
-        g = parse_mps((FIXTURES / "lp2.mps").read_text())
-        _, plain = solve_with_method(g, "ipm-cold", eps_rel=1e-2)
-        _, given = solve_with_method(g, "ipm-cold", eps_rel=1e-2, ipm_params=IpmParams())
-        assert given.ipm_iterations == plain.ipm_iterations
-        _, capped = solve_with_method(
-            g, "ipm-cold", eps_rel=1e-2, ipm_params=IpmParams(max_iters=1)
-        )
-        assert capped.ipm_iterations == 1
-
     def test_hybrid_zero_eps_rel_rejected(self):
         """eps_rel=0 is an invalid tolerance, not a request for the default."""
         g = parse_mps((FIXTURES / "lp2.mps").read_text())

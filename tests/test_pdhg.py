@@ -10,7 +10,6 @@ from hybridlp import (
     StandardLp,
     check_relative_termination,
     estimate_opnorm,
-    extract_reduced_costs,
     evaluate_general_point,
     restrict_point,
     ruiz_equilibrate,
@@ -125,22 +124,12 @@ class TestPdhgStep:
 
 
 class TestExtractReducedCosts:
-    def test_lp1_at_optimal_dual(self):
-        p, _ = to_standard_form(lp1().model)
-        z = extract_reduced_costs(p, np.array([1.0]))
-        np.testing.assert_array_equal(z, [0.0, 1.0])
-
-    def test_zero_dual(self):
-        p, _ = to_standard_form(lp1().model)
-        z = extract_reduced_costs(p, np.zeros(1))
-        np.testing.assert_array_equal(z, np.maximum(p.c, 0.0))
-
     def test_negative_part_becomes_dual_infeasibility(self):
         from hybridlp import residuals
 
         p = StandardLp(np.array([[1.0]]), [1.0], [0.7])
         y = np.array([1.0])  # c - A'y = -0.3
-        z = extract_reduced_costs(p, y)
+        z = np.maximum(0.0, p.c - p.at_y(y))
         assert z[0] == 0.0
         r = residuals(p, KktPoint([0.0], y, z))
         assert r.r_d[0] == pytest.approx(-0.3)

@@ -64,25 +64,40 @@ FULLY_FIXED = GeneralLp(
 PRESOLVE_INFEASIBLE = GeneralLp(
     c=[1.0], A=[[0.0]], senses=[EQ], rhs=[5.0], lower=[0.0], upper=[np.inf],
 )
+PRESOLVE_UNBOUNDED = GeneralLp(  # column 1 is empty, with negative cost and no upper bound
+    c=[1.0, -1.0], A=[[1.0, 0.0]], senses=[LE], rhs=[4.0],
+    lower=[0.0, 0.0], upper=[np.inf, np.inf],
+)
+FIXED_THEN_INFEASIBLE = GeneralLp(  # fixing x0 = 2 leaves row 0 requiring 0 = 1
+    c=[1.0, 1.0], A=[[1.0, 0.0], [0.0, 1.0]], senses=[EQ, LE], rhs=[3.0, 4.0],
+    lower=[2.0, 0.0], upper=[2.0, np.inf],
+)
 
 
 @pytest.mark.parametrize(
-    "g, status, message",
+    "g, status, message, x",
     [
-        (FULLY_FIXED, "Optimal", "solved by presolve"),
-        (PRESOLVE_INFEASIBLE, "Error", "presolve: "),
+        (FULLY_FIXED, "Optimal", "solved by presolve", [1.0]),
+        (PRESOLVE_INFEASIBLE, "Infeasible", "presolve: ", [0.0]),
+        (PRESOLVE_UNBOUNDED, "Unbounded", "presolve: ", [0.0, 0.0]),
+        (FIXED_THEN_INFEASIBLE, "Infeasible", "presolve: ", [2.0, 0.0]),
     ],
-    ids=["solved-by-presolve", "presolve-infeasible"],
+    ids=["solved-by-presolve", "presolve-infeasible", "presolve-unbounded", "fixed-then-infeasible"],
 )
-def test_presolve_exits_are_shared_by_every_method(g, status, message):
-    sols = [solve_with_method(g, m)[0] for m in METHOD_TAGS]
-    first = sols[0]
+def test_presolve_exits_are_shared_by_every_method(g, status, message, x):
+    """Every method reports a presolve exit as itself, with the postsolved
+    point: the values presolve recorded before it stopped, zeros elsewhere."""
+    results = [solve_with_method(g, m) for m in METHOD_TAGS]
+    first = results[0][0]
     assert first.status == status
     assert first.message.startswith(message)
-    for method, sol in zip(METHOD_TAGS, sols):
+    np.testing.assert_array_equal(first.x, x)
+    np.testing.assert_array_equal(first.z, g.c - g.A.T @ first.y)
+    assert first.violation == evaluate_general_point(g, first.x, first.y)
+    for method, (sol, record) in zip(METHOD_TAGS, results):
         assert sol.method == method
-        assert sol.status == first.status
-        assert sol.message == first.message
+        assert sol.status == record.status == first.status
+        assert sol.message == record.message == first.message
         assert (sol.pdhg_iterations, sol.ipm_iterations, sol.escalations) == (0, 0, 0)
         np.testing.assert_array_equal(sol.x, first.x)
 

@@ -9,6 +9,7 @@ from hybridlp import (
     IpmParams,
     KktPoint,
     PdhgParams,
+    SolveStatus,
     WarmStartParams,
     centered_start,
     hybrid_solve,
@@ -189,14 +190,15 @@ class TestHybridSolve:
         np.testing.assert_allclose(sol.x, [1.0])
         assert sol.violation.max_violation == pytest.approx(0.0, abs=1e-12)
 
-    def test_infeasible_model_reports_error_status(self):
+    def test_infeasible_model_reports_infeasible_status(self):
         g = GeneralLp(
             c=[1.0], A=[[0.0]], senses=[EQ], rhs=[5.0],
             lower=[0.0], upper=[np.inf],
         )
         sol, stats = hybrid_solve(g)
-        assert sol.status == "Error"
-        assert "presolve" in sol.message
+        assert sol.status == "Infeasible"
+        assert stats.status is SolveStatus.INFEASIBLE
+        assert sol.message.startswith("presolve: ")
 
     def test_phase_tag_on_pdhg_failure(self):
         inst = lp2()
