@@ -432,3 +432,94 @@ class TestSolveWithMethodTolerance:
         g = parse_mps((FIXTURES / "lp2.mps").read_text())
         with pytest.raises(ValueError, match="eps_rel"):
             solve_with_method(g, "ipm-cold", eps_rel=-1.0)
+
+
+# method name -> the (stage, eps_rel) pairs its solvers receive, in order,
+# without and with an eps_rel override of 1e-5
+_STAGES_BY_METHOD = {
+    "pdhg": ([("pdhg", 1e-4)], [("pdhg", 1e-5)]),
+    "pdhg-1e4": ([("pdhg", 1e-4)], [("pdhg", 1e-5)]),
+    "pdhg-1e6": ([("pdhg", 1e-6)], [("pdhg", 1e-5)]),
+    "pdhg-1e8": ([("pdhg", 1e-8)], [("pdhg", 1e-5)]),
+    "ipm": ([("ipm", 1e-8)], [("ipm", 1e-5)]),
+    "ipm-cold": ([("ipm", 1e-8)], [("ipm", 1e-5)]),
+    "hybrid": ([("pdhg", 1e-4), ("ipm", 1e-8)], [("pdhg", 1e-5), ("ipm", 1e-8)]),
+}
+
+
+class TestMethodTable:
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record (stage, eps_rel) for each distinct solver call, in order."""
+        import hybridlp.warmstart
+
+        calls = []
+
+        def spying(stage, real):
+            def call(p, params, *args, **kwargs):
+                if (stage, params.eps_rel) not in calls:
+                    calls.append((stage, params.eps_rel))
+                return real(p, params, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(hybridlp.warmstart, "run_pdhg",
+                            spying("pdhg", hybridlp.warmstart.run_pdhg))
+        monkeypatch.setattr(hybridlp.warmstart, "run_ipm",
+                            spying("ipm", hybridlp.warmstart.run_ipm))
+        return calls
+
+    def test_every_name_is_tabled(self):
+        from hybridlp.bench import METHOD_TAGS
+
+        assert set(_STAGES_BY_METHOD) == {"pdhg", "ipm", *METHOD_TAGS}
+
+    @pytest.mark.parametrize("method", sorted(_STAGES_BY_METHOD))
+    @pytest.mark.parametrize("override", [False, True])
+    def test_stages_and_tolerances(self, monkeypatch, method, override):
+        calls = self._spy(monkeypatch)
+        g = parse_mps((FIXTURES / "lp1.mps").read_text())
+        sol, record = solve_with_method(g, method, eps_rel=1e-5 if override else None)
+        assert sol.status == "Optimal"
+        assert record.method == sol.method == method
+        assert calls == _STAGES_BY_METHOD[method][override]
+
+    def test_unknown_name_rejected_before_any_stage(self, monkeypatch):
+        import hybridlp.warmstart
+
+        calls = self._spy(monkeypatch)
+
+        def unreachable(g):
+            raise AssertionError("presolve ran for an unknown method")
+
+        monkeypatch.setattr(hybridlp.warmstart, "presolve", unreachable)
+        g = parse_mps((FIXTURES / "lp1.mps").read_text())
+        with pytest.raises(ValueError, match="simplex"):
+            solve_with_method(g, "simplex")
+        assert calls == []
+
+
+class TestWithoutScaling:
+    """use_scaling=False, the path where finish_point has no scaling to undo."""
+
+    # 100 times the last stage's tolerance: pdhg stops at 1e-4, ipm at 1e-8
+    X_ATOL = {"pdhg": 1e-2, "ipm": 1e-6, "hybrid": 1e-6}
+
+    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    def test_solve_with_method(self, method):
+        g = parse_mps((FIXTURES / "lp2.mps").read_text())
+        scaled, _ = solve_with_method(g, method)
+        plain, record = solve_with_method(g, method, use_scaling=False)
+        assert record.status == plain.status == "Optimal"
+        np.testing.assert_allclose(plain.x, scaled.x, rtol=0, atol=self.X_ATOL[method])
+        np.testing.assert_allclose(plain.x, [1.6, 1.2], rtol=0, atol=self.X_ATOL[method])
+
+    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    def test_cli(self, tmp_path, method):
+        model = str(FIXTURES / "lp2.mps")
+        sols = {}
+        for flags in ([], ["--no-scaling"]):
+            out = tmp_path / f"{method}{len(flags)}.sol"
+            assert main(["solve", model, "--method", method, "--out", str(out), *flags]) == 0
+            sols[len(flags)] = parse_solution(out.read_text())
+        assert sols[1].status == "Optimal"
+        np.testing.assert_allclose(sols[1].x, sols[0].x, rtol=0, atol=self.X_ATOL[method])

@@ -275,3 +275,91 @@ class TestSolutionFiles:
             once = write_solution(s)
             twice = write_solution(parse_solution(once))
             assert once == twice
+
+
+class TestSolutionFileBytes:
+    """The exact text write_solution produces, and what a missing header
+    line reads as."""
+
+    WITH_VIOLATION = SolutionFile(
+        status="Optimal", method="hybrid", wall_seconds=0.125,
+        pdhg_iterations=64, ipm_iterations=5, escalations=1,
+        var_names=["X1", "X 2"], row_names=["R1"],
+        x=[1.0, 1.0 / 3.0], y=[-2.5], z=[0.0, 1e-300],
+        violation=ViolationSummary(1e-9, 2.5e-10, -3e-12, 1e-9), message="",
+    )
+    WITH_VIOLATION_TEXT = (
+        "hybridlp-solution 1\n"
+        "status Optimal\n"
+        "method hybrid\n"
+        "message -\n"
+        "wall_seconds 0.125\n"
+        "pdhg_iterations 64\n"
+        "ipm_iterations 5\n"
+        "escalations 1\n"
+        "violation_primal_inf 1.0000000000000001e-09\n"
+        "violation_dual_inf 2.5000000000000002e-10\n"
+        "violation_rel_gap -3.0000000000000001e-12\n"
+        "violation_max 1.0000000000000001e-09\n"
+        "primal 2\n"
+        "X1 1\n"
+        "X 2 0.33333333333333331\n"
+        "dual 1\n"
+        "R1 -2.5\n"
+        "reduced_costs 2\n"
+        "X1 0\n"
+        "X 2 1e-300\n"
+        "end\n"
+    )
+    WITH_MESSAGE = SolutionFile(
+        status="IterationLimit", method="pdhg-1e6", wall_seconds=2.0,
+        pdhg_iterations=200000, ipm_iterations=0, escalations=0,
+        var_names=["x0"], row_names=["r0", "r 1"],
+        x=[-0.1], y=[3e20, -0.0], z=[7.0], message="pdhg: IterationLimit",
+    )
+    WITH_MESSAGE_TEXT = (
+        "hybridlp-solution 1\n"
+        "status IterationLimit\n"
+        "method pdhg-1e6\n"
+        "message pdhg: IterationLimit\n"
+        "wall_seconds 2\n"
+        "pdhg_iterations 200000\n"
+        "ipm_iterations 0\n"
+        "escalations 0\n"
+        "primal 1\n"
+        "x0 -0.10000000000000001\n"
+        "dual 2\n"
+        "r0 3e+20\n"
+        "r 1 -0\n"
+        "reduced_costs 1\n"
+        "x0 7\n"
+        "end\n"
+    )
+
+    @pytest.mark.parametrize("which", ["WITH_VIOLATION", "WITH_MESSAGE"])
+    def test_exact_bytes_and_reparse(self, which):
+        sol, text = getattr(self, which), getattr(self, which + "_TEXT")
+        assert write_solution(sol) == text
+        back = parse_solution(text)
+        assert write_solution(back) == text
+        assert back.message == sol.message
+        assert back.var_names == sol.var_names and back.row_names == sol.row_names
+        if sol.violation is None:
+            assert back.violation is None
+        else:
+            assert back.violation.comp_negative == (sol.violation.rel_gap < 0)
+
+    def test_missing_header_lines_read_as_defaults(self):
+        back = parse_solution(
+            "hybridlp-solution 1\nstatus Optimal\n"
+            "primal 1\nX1 1\ndual 0\nreduced_costs 1\nX1 0\nend\n"
+        )
+        assert back.status == "Optimal"
+        assert back.method == ""
+        assert back.wall_seconds == 0.0
+        assert (back.pdhg_iterations, back.ipm_iterations, back.escalations) == (0, 0, 0)
+        assert back.violation is None
+        assert back.message == ""
+        assert back.var_names == ["X1"] and back.row_names == []
+        np.testing.assert_array_equal(back.x, [1.0])
+        np.testing.assert_array_equal(back.z, [0.0])
