@@ -1,10 +1,8 @@
 """Benchmark harness: per-model records, geometric-mean summaries, scatter data.
 
-Method tags: pdhg-1e4, pdhg-1e6, pdhg-1e8 (first-order only at the given
-tolerance), ipm-cold (interior point from the default start), and hybrid
-(first-order warm start + interior-point refinement).  Relative runtimes are
-per model against the best method on that model; geometric means aggregate
-only over models the method solved.
+METHOD_TAGS are the warmstart.METHODS names a benchmark compares.  Relative
+runtimes are per model against the best method on that model; geometric
+means aggregate only over models the method solved.
 """
 
 from __future__ import annotations
@@ -14,14 +12,11 @@ import math
 import os
 from dataclasses import MISSING, dataclass, fields
 
-from .ipm import IpmParams
 from .lp_core import GeneralLp, ViolationSummary, evaluate_general_point
 from .mps_io import SolutionFile, parse_mps
-from .pdhg import PdhgParams
 from .warmstart import solve
 
 METHOD_TAGS = ("pdhg-1e4", "pdhg-1e6", "pdhg-1e8", "ipm-cold", "hybrid")
-_PDHG_EPS = {"pdhg-1e4": 1e-4, "pdhg-1e6": 1e-6, "pdhg-1e8": 1e-8}
 
 # floors applied before taking logs in geometric means
 _GEO_VIOLATION_FLOOR = 1e-16
@@ -84,25 +79,11 @@ def solve_with_method(
     use_presolve: bool = True,
     use_scaling: bool = True,
 ) -> tuple[SolutionFile, ResultRecord]:
-    """Run one (model, method) combination through the full pipeline."""
-    pdhg_params = ipm_params = None
-    if method == "hybrid":
-        stages = "hybrid"
-        pdhg_params = PdhgParams(eps_rel=eps_rel if eps_rel is not None else 1e-4)
-    elif method in _PDHG_EPS or method == "pdhg":
-        stages = "pdhg"
-        eps = eps_rel if eps_rel is not None else _PDHG_EPS.get(method, 1e-4)
-        pdhg_params = PdhgParams(eps_rel=eps)
-    elif method in ("ipm-cold", "ipm"):
-        stages = "ipm"
-        if eps_rel is not None:
-            ipm_params = IpmParams(eps_rel=eps_rel)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    """Run one (model, method) combination through the full pipeline;
+    method is any name in warmstart.METHODS."""
     sol, stats = solve(
-        g, stages, pdhg_params, ipm_params, time_limit_s=time_limit_s,
-        use_presolve=use_presolve, use_scaling=use_scaling, method_tag=method,
+        g, method, eps_rel=eps_rel, time_limit_s=time_limit_s,
+        use_presolve=use_presolve, use_scaling=use_scaling,
     )
     return sol, _record_from_solution(model_name, method, sol, stats.scaled_violation)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -395,31 +395,37 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+# The header lines in file order, each under its SolutionFile field's name:
+# (name, value -> text, text -> value, the value a missing line reads as).
+# status has no default: a file without it is refused by SolutionFile.
+_HEADER = (
+    ("status", str, str, None),
+    ("method", str, str, ""),
+    ("message", lambda m: m or "-", lambda t: "" if t == "-" else t, ""),
+    ("wall_seconds", _fmt, float, 0.0),
+    ("pdhg_iterations", int, int, 0),
+    ("ipm_iterations", int, int, 0),
+    ("escalations", int, int, 0),
+)
+# the violation lines, present together or not at all: key -> ViolationSummary field
+_VIOLATION = {"violation_primal_inf": "primal_inf", "violation_dual_inf": "dual_inf",
+              "violation_rel_gap": "rel_gap", "violation_max": "max_violation"}
+# the blocks after the header: (tag, field of the names on its lines, field of the values)
+_BLOCKS = (("primal", "var_names", "x"), ("dual", "row_names", "y"),
+           ("reduced_costs", "var_names", "z"))
+
+
 def write_solution(s: SolutionFile) -> str:
     """Render a SolutionFile in the documented key/value grammar."""
     out = ["hybridlp-solution 1"]
-    out.append(f"status {s.status}")
-    out.append(f"method {s.method}")
-    out.append(f"message {s.message or '-'}")
-    out.append(f"wall_seconds {_fmt(s.wall_seconds)}")
-    out.append(f"pdhg_iterations {int(s.pdhg_iterations)}")
-    out.append(f"ipm_iterations {int(s.ipm_iterations)}")
-    out.append(f"escalations {int(s.escalations)}")
-    v = s.violation
-    if v is not None:
-        out.append(f"violation_primal_inf {_fmt(v.primal_inf)}")
-        out.append(f"violation_dual_inf {_fmt(v.dual_inf)}")
-        out.append(f"violation_rel_gap {_fmt(v.rel_gap)}")
-        out.append(f"violation_max {_fmt(v.max_violation)}")
-    out.append(f"primal {len(s.var_names)}")
-    for name, val in zip(s.var_names, s.x):
-        out.append(f"{name} {_fmt(val)}")
-    out.append(f"dual {len(s.row_names)}")
-    for name, val in zip(s.row_names, s.y):
-        out.append(f"{name} {_fmt(val)}")
-    out.append(f"reduced_costs {len(s.var_names)}")
-    for name, val in zip(s.var_names, s.z):
-        out.append(f"{name} {_fmt(val)}")
+    out += [f"{key} {text(getattr(s, key))}" for key, text, _, _ in _HEADER]
+    if s.violation is not None:
+        v = s.violation
+        out += [f"{key} {_fmt(getattr(v, name))}" for key, name in _VIOLATION.items()]
+    for tag, names, values in _BLOCKS:
+        names = getattr(s, names)
+        out.append(f"{tag} {len(names)}")
+        out += [f"{name} {_fmt(v)}" for name, v in zip(names, getattr(s, values))]
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -437,63 +443,31 @@ def parse_solution(text: str) -> SolutionFile:
         key, _, val = line.partition(" ")
         header[key] = val
         line = next(it, None)
-    if line is None:
-        raise ValueError("missing primal section")
 
-    def read_block(tag: str, first_line: str):
-        head = first_line.split()
+    fields = {key: read(header[key]) if key in header else default
+              for key, _, read, default in _HEADER}
+    for tag, names, values in _BLOCKS:
+        head = (line or "").split()
         if len(head) != 2 or head[0] != tag:
-            raise ValueError(f"expected {tag} section, got {first_line!r}")
+            raise ValueError(f"expected {tag} section, got {line!r}")
         count = int(head[1])
-        names, vals = [], []
-        for _ in range(count):
-            entry = next(it, None)
-            if entry is None:
-                raise ValueError(f"truncated {tag} section")
-            name, _, val = entry.rpartition(" ")
-            names.append(name)
-            vals.append(float(val))
-        return names, np.asarray(vals)
-
-    var_names, x = read_block("primal", line)
-    dual_line = next(it, None)
-    if dual_line is None:
-        raise ValueError("missing dual section")
-    row_names, y = read_block("dual", dual_line)
-    rc_line = next(it, None)
-    if rc_line is None:
-        raise ValueError("missing reduced_costs section")
-    rc_names, z = read_block("reduced_costs", rc_line)
-    if rc_names != var_names:
-        raise ValueError("reduced_costs names do not match primal names")
-    if next(it, None) != "end":
+        entries = list(islice(it, count))
+        if len(entries) != count:
+            raise ValueError(f"truncated {tag} section")
+        pairs = [entry.rpartition(" ") for entry in entries]
+        read_names = [name for name, _, _ in pairs]
+        if fields.setdefault(names, read_names) != read_names:
+            raise ValueError(f"{tag} names do not match the {names} of an earlier block")
+        fields[values] = [float(val) for _, _, val in pairs]
+        line = next(it, None)
+    if line != "end":
         raise ValueError("missing end marker")
 
     violation = None
     if "violation_max" in header:
-        violation = ViolationSummary(
-            primal_inf=float(header["violation_primal_inf"]),
-            dual_inf=float(header["violation_dual_inf"]),
-            rel_gap=float(header["violation_rel_gap"]),
-            max_violation=float(header["violation_max"]),
-            comp_negative=float(header["violation_rel_gap"]) < 0,
-        )
-    message = header.get("message", "-")
-    return SolutionFile(
-        status=header["status"],
-        method=header.get("method", ""),
-        wall_seconds=float(header.get("wall_seconds", 0.0)),
-        pdhg_iterations=int(header.get("pdhg_iterations", 0)),
-        ipm_iterations=int(header.get("ipm_iterations", 0)),
-        escalations=int(header.get("escalations", 0)),
-        var_names=var_names,
-        row_names=row_names,
-        x=x,
-        y=y,
-        z=z,
-        violation=violation,
-        message="" if message == "-" else message,
-    )
+        v = {name: float(header[key]) for key, name in _VIOLATION.items()}
+        violation = ViolationSummary(**v, comp_negative=v["rel_gap"] < 0)
+    return SolutionFile(**fields, violation=violation)
 
 
 def make_solution_file(
@@ -513,17 +487,6 @@ def make_solution_file(
 ) -> SolutionFile:
     """Assemble a SolutionFile for a general-model point."""
     return SolutionFile(
-        status=status.value,
-        method=method,
-        wall_seconds=wall_seconds,
-        pdhg_iterations=pdhg_iterations,
-        ipm_iterations=ipm_iterations,
-        escalations=escalations,
-        var_names=g.variable_names(),
-        row_names=g.constraint_names(),
-        x=np.asarray(x, dtype=float),
-        y=np.asarray(y, dtype=float),
-        z=np.asarray(z, dtype=float),
-        violation=violation,
-        message=message,
+        status.value, method, wall_seconds, pdhg_iterations, ipm_iterations, escalations,
+        g.variable_names(), g.constraint_names(), x, y, z, violation, message,
     )

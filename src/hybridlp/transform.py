@@ -146,27 +146,22 @@ class PresolveStack:
     n_original: int
     m_original: int
     records: list = field(default_factory=list)
-    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _removed(self) -> tuple:
         """(columns, their values, rows, SingletonRow records) removed, in
-        record order; read from the records once per record count."""
-        if self._index is None or self._index[0] != len(self.records):
-            cols, values, rows, singles = [], [], [], []
-            for rec in self.records:
-                if isinstance(rec, EmptyRow):
-                    rows.append(rec.i)
-                    continue
-                cols.append(rec.j)
-                values.append(rec.value)
-                if isinstance(rec, SingletonRow):
-                    rows.append(rec.i)
-                    singles.append(rec)
-            self._index = (
-                len(self.records), np.array(cols, dtype=np.intp), np.array(values, dtype=float),
-                np.array(rows, dtype=np.intp), singles,
-            )
-        return self._index[1:]
+        record order."""
+        cols, values, rows, singles = [], [], [], []
+        for rec in self.records:
+            if isinstance(rec, EmptyRow):
+                rows.append(rec.i)
+                continue
+            cols.append(rec.j)
+            values.append(rec.value)
+            if isinstance(rec, SingletonRow):
+                rows.append(rec.i)
+                singles.append(rec)
+        return (np.array(cols, dtype=np.intp), np.array(values, dtype=float),
+                np.array(rows, dtype=np.intp), singles)
 
     @property
     def n_reduced(self) -> int:

@@ -232,21 +232,35 @@ class HybridStats:
     ipm_stats: IpmStats | None = None
 
 
+# method name -> (its stages: "pdhg" only, "ipm" from the cold start, or
+# "hybrid" = pdhg -> centered start -> warm-started ipm; the first stage's
+# eps_rel, None keeping the solver's default)
+METHODS = {
+    "pdhg": ("pdhg", None),
+    "pdhg-1e4": ("pdhg", 1e-4),
+    "pdhg-1e6": ("pdhg", 1e-6),
+    "pdhg-1e8": ("pdhg", 1e-8),
+    "ipm": ("ipm", None),
+    "ipm-cold": ("ipm", None),
+    "hybrid": ("hybrid", None),
+}
+
+
 def solve(
     g: GeneralLp,
     method: str,
     pdhg_params: PdhgParams | None = None,
-    ipm_params: IpmParams | None = None,
     *,
+    eps_rel: float | None = None,
     time_limit_s: float = 10_000.0,
     use_presolve: bool = True,
     use_scaling: bool = True,
-    method_tag: str | None = None,
 ) -> tuple[SolutionFile, HybridStats]:
     """Run one method through the shared pipeline, measured on the original model.
 
-    method is "pdhg" (first-order only), "ipm" (interior point from the cold
-    start) or "hybrid" (pdhg -> centered start -> warm-started ipm).  One
+    method is a METHODS name.  Its first stage stops at eps_rel if given,
+    else at the method's tolerance, else at pdhg_params' or the solver's
+    default; the hybrid's interior point stops at its default.  One
     deadline, time_limit_s after the call starts, covers every stage; each
     solver stage gets what is left of it.  A failing stage ends the solve
     with a "<stage>: <status>" message and the best point found so far.
@@ -254,11 +268,17 @@ def solve(
     "presolve: ..." message; it and a model solved by presolve skip the
     solvers and leave through the same finish as every other outcome.
     """
-    if method not in ("pdhg", "ipm", "hybrid"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    pdhg_params = pdhg_params or PdhgParams()
-    ipm_params = ipm_params or IpmParams()
-    method_tag = method_tag or method
+    stages, eps = METHODS[method]
+    if eps_rel is not None:
+        eps = eps_rel
+    first = {} if eps is None else {"eps_rel": eps}
+    if stages == "ipm":
+        ipm_params = IpmParams(**first)
+    else:
+        pdhg_params = replace(pdhg_params or PdhgParams(), **first)
+        ipm_params = IpmParams()
     t0 = time.monotonic()
 
     def time_left() -> float:
@@ -276,14 +296,14 @@ def solve(
     pdhg_stats = ipm_stats = None
     ipm_iterations = escalations = 0
     if prep.solve_model is not None:
-        if method != "ipm":
+        if stages != "ipm":
             params = replace(pdhg_params, time_limit_s=time_left())
             pt, pdhg_stats = run_pdhg(prep.solve_model, params)
             status, stage = pdhg_stats.status, "pdhg"
-        if method == "ipm":
+        if stages == "ipm":
             pt, ipm_stats = run_ipm(prep.solve_model, ipm_params, time_limit_s=time_left())
             ipm_iterations = ipm_stats.iterations
-        elif method == "hybrid" and status is SolveStatus.OPTIMAL:
+        elif stages == "hybrid" and status is SolveStatus.OPTIMAL:
             warm = centered_start(pt)
             result = warm_started_ipm(
                 prep.solve_model, warm, ipm_params, WarmStartParams(), time_left()
@@ -299,7 +319,7 @@ def solve(
     pdhg_iterations = pdhg_stats.iterations if pdhg_stats else 0
     sol = make_solution_file(
         g, status, finished.x, finished.y, finished.z,
-        method=method_tag, wall_seconds=wall,
+        method=method, wall_seconds=wall,
         pdhg_iterations=pdhg_iterations,
         ipm_iterations=ipm_iterations,
         escalations=escalations,
