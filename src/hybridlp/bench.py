@@ -1,20 +1,22 @@
 """Benchmark harness: per-model records, geometric-mean summaries, scatter data.
 
-METHOD_TAGS are the warmstart.METHODS names a benchmark compares.  Relative
-runtimes are per model against the best method on that model; geometric
-means aggregate only over models the method solved.
+Methods are warmstart.METHODS names, METHOD_TAGS those the paper compares,
+and settings pass through to warmstart.solve.  Relative runtimes are per
+model against the best method on that model; geometric means aggregate only
+over models the method solved.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 import os
 from dataclasses import MISSING, dataclass, fields
 
 from .lp_core import GeneralLp, ViolationSummary, evaluate_general_point
 from .mps_io import SolutionFile, parse_mps
-from .warmstart import solve
+from .warmstart import METHODS, solve
 
 METHOD_TAGS = ("pdhg-1e4", "pdhg-1e6", "pdhg-1e8", "ipm-cold", "hybrid")
 
@@ -70,21 +72,11 @@ def _record_from_solution(model: str, method: str, sol: SolutionFile,
 
 
 def solve_with_method(
-    g: GeneralLp,
-    method: str,
-    *,
-    model_name: str = "model",
-    time_limit_s: float = 10_000.0,
-    eps_rel: float | None = None,
-    use_presolve: bool = True,
-    use_scaling: bool = True,
+    g: GeneralLp, method: str, *, model_name: str = "model", **settings
 ) -> tuple[SolutionFile, ResultRecord]:
     """Run one (model, method) combination through the full pipeline;
-    method is any name in warmstart.METHODS."""
-    sol, stats = solve(
-        g, method, eps_rel=eps_rel, time_limit_s=time_limit_s,
-        use_presolve=use_presolve, use_scaling=use_scaling,
-    )
+    method is any name in warmstart.METHODS, settings are solve's keywords."""
+    sol, stats = solve(g, method, **settings)
     return sol, _record_from_solution(model_name, method, sol, stats.scaled_violation)
 
 
@@ -133,13 +125,14 @@ class SummaryTable:
 def summarize(records: list[ResultRecord]) -> SummaryTable:
     """Per-method solved counts, geometric means, and warm-start iteration ratios."""
     rel = relative_runtimes(records)
-    methods = sorted({r.method for r in records}, key=lambda m: (
-        METHOD_TAGS.index(m) if m in METHOD_TAGS else len(METHOD_TAGS), m
-    ))
+    rank = {name: k for k, name in enumerate(METHODS)}
+    methods = sorted({r.method for r in records}, key=lambda m: (rank.get(m, len(rank)), m))
+    # the cold interior point is every method whose only stage is "ipm"
+    cold = {name for name, (stages, _) in METHODS.items() if stages == "ipm"}
     cold_iters = {
         r.model: r.ipm_iterations
         for r in records
-        if r.method == "ipm-cold" and r.solved and r.ipm_iterations > 0
+        if r.method in cold and r.solved and r.ipm_iterations > 0
     }
 
     rows = []
@@ -154,7 +147,7 @@ def summarize(records: list[ResultRecord]) -> SummaryTable:
         )
         uses_ipm = any(r.ipm_iterations > 0 for r in mine)
         ratio = None
-        if method != "ipm-cold" and uses_ipm:
+        if method not in cold and uses_ipm:
             pairs = [
                 r.ipm_iterations / cold_iters[r.model]
                 for r in solved
@@ -283,15 +276,10 @@ def _error_record(model: str, method: str, message: str) -> ResultRecord:
     )
 
 
-def bench_directory(
-    directory: str,
-    methods: list[str],
-    *,
-    time_limit_s: float = 10_000.0,
-    use_presolve: bool = True,
-    use_scaling: bool = True,
-) -> list[ResultRecord]:
-    """One record per (model, method); unreadable models become Error rows."""
+def bench_directory(directory: str, methods: list[str], **settings) -> list[ResultRecord]:
+    """One record per (model, method); unreadable models become Error rows.
+    A setting solve does not take raises TypeError before any model is read."""
+    inspect.signature(solve).bind(None, None, **settings)
     paths = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)
@@ -308,10 +296,7 @@ def bench_directory(
             continue
         for method in methods:
             try:
-                _, record = solve_with_method(
-                    g, method, model_name=name, time_limit_s=time_limit_s,
-                    use_presolve=use_presolve, use_scaling=use_scaling,
-                )
+                _, record = solve_with_method(g, method, model_name=name, **settings)
             except Exception as exc:  # failed solve: record and continue
                 record = _error_record(name, method, str(exc))
             records.append(record)

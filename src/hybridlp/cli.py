@@ -10,20 +10,18 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import warmstart
 from .bench import (
-    METHOD_TAGS,
     bench_directory,
     check_solution,
     format_summary,
     read_records_csv,
     scatter_export,
-    solve_with_method,
     summarize,
     write_records_csv,
     write_scatter_csv,
 )
-from .lp_core import InvalidModelError
-from .mps_io import MpsParseError, parse_mps, parse_solution, write_solution
+from .mps_io import parse_mps, parse_solution, write_solution
 
 _EXIT_BY_STATUS = {
     "Optimal": 0,
@@ -37,6 +35,11 @@ _EXIT_BY_STATUS = {
 }
 
 PARSE_ERROR_EXIT = 3
+# unreadable or malformed input: MpsParseError, InvalidModelError and
+# UnicodeDecodeError are ValueErrors
+_BAD_INPUT = (OSError, ValueError)
+# the keywords of warmstart.solve the options below set, stored under those names
+_SETTINGS = ("eps_rel", "time_limit_s", "use_presolve", "use_scaling")
 
 
 def _positive_float(text: str) -> float:
@@ -53,37 +56,52 @@ def _time_limit(text: str) -> float:
     return value
 
 
+def _method_list(text: str) -> list[str]:
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    unknown = [m for m in methods if m not in warmstart.METHODS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown methods {unknown}")
+    return methods
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridlp",
         description="LP solving by restarted PDHG with warm-started interior-point refinement",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # solve's settings that both verbs take; one not given is absent from
+    # the namespace, so warmstart.solve's default holds
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--time-limit", dest="time_limit_s", metavar="SECONDS", type=_time_limit)
+    shared.add_argument("--no-presolve", dest="use_presolve", action="store_false")
+    shared.add_argument("--no-scaling", dest="use_scaling", action="store_false")
 
-    solve = sub.add_parser("solve", help="solve one MPS model")
+    solve = sub.add_parser("solve", parents=[shared], help="solve one MPS model")
+    solve.set_defaults(handler=_cmd_solve)
     solve.add_argument("model", help="path to an MPS file")
-    solve.add_argument("--method", choices=["pdhg", "ipm", "hybrid"], default="hybrid")
-    solve.add_argument("--eps-rel", type=_positive_float, default=None,
+    solve.add_argument("--method", choices=list(warmstart.METHODS), default="hybrid",
+                       metavar="NAME", help=f"one of {', '.join(warmstart.METHODS)}")
+    solve.add_argument("--eps-rel", type=_positive_float, default=argparse.SUPPRESS,
                        help="relative tolerance (pdhg stage for hybrid)")
-    solve.add_argument("--time-limit", type=_time_limit, default=10_000.0)
     solve.add_argument("--out", default=None, help="solution file path")
-    solve.add_argument("--no-presolve", action="store_true")
-    solve.add_argument("--no-scaling", action="store_true")
 
-    bench = sub.add_parser("bench", help="run a method grid over a directory of MPS files")
+    bench = sub.add_parser("bench", parents=[shared],
+                           help="run a method grid over a directory of MPS files")
+    bench.set_defaults(handler=_cmd_bench)
     bench.add_argument("directory")
-    bench.add_argument("--methods", default="pdhg-1e4,ipm-cold,hybrid",
-                       help=f"comma-separated tags from {', '.join(METHOD_TAGS)}")
+    bench.add_argument("--methods", type=_method_list, default="pdhg-1e4,ipm-cold,hybrid",
+                       metavar="NAME[,NAME...]",
+                       help=f"comma-separated names from {', '.join(warmstart.METHODS)}")
     bench.add_argument("--out", default="results.csv")
-    bench.add_argument("--time-limit", type=_time_limit, default=10_000.0)
-    bench.add_argument("--no-presolve", action="store_true")
-    bench.add_argument("--no-scaling", action="store_true")
 
     check = sub.add_parser("check", help="recompute a solution file's violations")
+    check.set_defaults(handler=_cmd_check)
     check.add_argument("model")
     check.add_argument("solution")
 
     scatter = sub.add_parser("scatter", help="clamped scatter data from a results CSV")
+    scatter.set_defaults(handler=_cmd_scatter)
     scatter.add_argument("results")
     scatter.add_argument("--out", default="scatter.csv")
     return parser
@@ -94,22 +112,18 @@ def _load_model(path: str):
         return parse_mps(fh.read())
 
 
+def _settings(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k in _SETTINGS}
+
+
 def _cmd_solve(args) -> int:
     try:
         g = _load_model(args.model)
         g.validate()
-    except (OSError, UnicodeDecodeError, MpsParseError, InvalidModelError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR_EXIT
-    sol, record = solve_with_method(
-        g,
-        args.method,
-        model_name=args.model,
-        time_limit_s=args.time_limit,
-        eps_rel=args.eps_rel,
-        use_presolve=not args.no_presolve,
-        use_scaling=not args.no_scaling,
-    )
+    sol, _ = warmstart.solve(g, args.method, **_settings(args))
     text = write_solution(sol)
     if args.out:
         with open(args.out, "w") as fh:
@@ -127,20 +141,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in METHOD_TAGS]
-    if unknown:
-        print(f"error: unknown method tags {unknown}", file=sys.stderr)
-        return 2
     try:
-        records = bench_directory(
-            args.directory,
-            methods,
-            time_limit_s=args.time_limit,
-            use_presolve=not args.no_presolve,
-            use_scaling=not args.no_scaling,
-        )
-    except OSError as exc:  # an unreadable directory; unreadable models become Error rows
+        records = bench_directory(args.directory, args.methods, **_settings(args))
+    except _BAD_INPUT as exc:  # an unreadable directory; unreadable models become Error rows
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR_EXIT
     with open(args.out, "w", newline="") as fh:
@@ -156,7 +159,7 @@ def _cmd_check(args) -> int:
         with open(args.solution) as fh:
             sol = parse_solution(fh.read())
         summary = check_solution(g, sol)
-    except (OSError, MpsParseError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR_EXIT
     print(f"primal_inf    {summary.primal_inf:.17g}")
@@ -171,7 +174,7 @@ def _cmd_scatter(args) -> int:
         with open(args.results, newline="") as fh:
             records = read_records_csv(fh)
         rows = scatter_export(records)
-    except (OSError, ValueError, KeyError) as exc:
+    except (*_BAD_INPUT, KeyError) as exc:  # KeyError: a missing CSV column
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR_EXIT
     with open(args.out, "w", newline="") as fh:
@@ -181,15 +184,8 @@ def _cmd_scatter(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "solve": _cmd_solve,
-        "bench": _cmd_bench,
-        "check": _cmd_check,
-        "scatter": _cmd_scatter,
-    }[args.command]
-    return handler(args)
+    args = _build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ with ``*`` are skipped.  Section, row and bound types are case-insensitive.
   truncated file errors instead of silently mis-parsing.
 - OBJSENSE: MAX... or MIN... on its header line or on one data line.
 - ROWS: ``type name``, type N (exactly one: the objective), L, G or E.
+  No two rows share a name, the N row included.
 - COLUMNS: ``column (row number)+``.  Repeated entries are summed, and
   ``'MARKER'`` lines are skipped: every variable is continuous.
 - RHS, RANGES: ``[vector] (row number)+``.  RHS on the N row is the negated
@@ -222,7 +223,6 @@ def parse_mps(text: str) -> GeneralLp:
         if head == "OBJSENSE" and len(head_toks) > 1:
             maximize = head_toks[1].upper().startswith("MAX")
         elif head == "COLUMNS":
-            # the objective row shadows a constraint row of the same name
             row_of = {**row_index, obj_name: -1}
         if rhs is None and at > _SECTIONS.index("COLUMNS"):
             m, n = len(row_index), len(col_index)
@@ -295,18 +295,18 @@ def parse_mps(text: str) -> GeneralLp:
             # 0 for N, then L, G, E as 1, 2, 3; -1 for an unknown type
             code = np.fromiter(map(_ROW_CODE.get, types, repeat(-1)), np.intp, k)
             is_n, con = np.flatnonzero(code == 0), np.flatnonzero(code > 0)
-            cnames = list(compress(names, code > 0))
-            # each name's first constraint row: later ones are duplicates
-            first = dict(zip(reversed(cnames), range(len(cnames) - 1, -1, -1)))
-            dup = np.fromiter(map(first.__getitem__, cnames), np.intp, len(cnames)) != np.arange(len(cnames))
+            # every row, the N row too, takes a name no earlier row has
+            first = dict(zip(reversed(names), range(k - 1, -1, -1)))
+            dup = np.fromiter(map(first.__getitem__, names), np.intp, k) != np.arange(k)
             _raise_first(
                 nos,
                 (is_n[1:], lambda _: "multiple N rows"),
-                (con[dup], lambda j: f"duplicate row {names[j]}"),
                 (np.flatnonzero(code < 0), lambda j: f"unknown row type {types[j]!r}"),
+                (np.flatnonzero(dup), lambda j: f"duplicate row {names[j]}"),
                 ([k] if k < counts.size else [], lambda _: "ROWS line needs a type and a name"),
             )
             obj_name = names[is_n[0]] if is_n.size else None
+            cnames = list(compress(names, code > 0))
             row_index = dict(zip(cnames, range(len(cnames))))
             senses = _SENSES[code[con] - 1].tolist()
 
@@ -464,7 +464,10 @@ def parse_solution(text: str) -> SolutionFile:
         raise ValueError("missing end marker")
 
     violation = None
-    if "violation_max" in header:
+    found = [key for key in _VIOLATION if key in header]
+    if found:
+        if len(found) < len(_VIOLATION):
+            raise ValueError(f"violation lines come all or none; found only {', '.join(found)}")
         v = {name: float(header[key]) for key, name in _VIOLATION.items()}
         violation = ViolationSummary(**v, comp_negative=v["rel_gap"] < 0)
     return SolutionFile(**fields, violation=violation)

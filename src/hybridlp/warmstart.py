@@ -162,10 +162,6 @@ class PreparedModel:
     solve_model: StandardLp | None
     scaling: ScalingInfo | None
 
-    @property
-    def solved_by_presolve(self) -> bool:
-        return self.presolve_result.solved
-
 
 def prepare_model(
     g: GeneralLp, *, use_presolve: bool = True, use_scaling: bool = True

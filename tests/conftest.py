@@ -83,7 +83,7 @@ class DeskResults:
 
 def solve_instance(inst: DeskInstance) -> SolvedInstance:
     prep = prepare_model(inst.model)
-    assert not prep.solved_by_presolve, f"{inst.name} vanished in presolve"
+    assert not prep.presolve_result.solved, f"{inst.name} vanished in presolve"
     p = prep.solve_model
 
     pdhg_runs = {}

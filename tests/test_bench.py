@@ -10,6 +10,7 @@ import pytest
 from hybridlp import parse_mps, parse_solution, write_solution
 from hybridlp.bench import (
     ResultRecord,
+    bench_directory,
     check_solution,
     format_summary,
     geometric_mean,
@@ -23,6 +24,7 @@ from hybridlp.bench import (
 from hybridlp.cli import _EXIT_BY_STATUS, main
 from hybridlp.mps_io import make_solution_file
 from hybridlp.status import SolveStatus
+from hybridlp.warmstart import METHODS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -523,3 +525,104 @@ class TestWithoutScaling:
             sols[len(flags)] = parse_solution(out.read_text())
         assert sols[1].status == "Optimal"
         np.testing.assert_allclose(sols[1].x, sols[0].x, rtol=0, atol=self.X_ATOL[method])
+
+
+class TestOneMethodList:
+    """Both verbs take every warmstart.METHODS name; the summary reads the table."""
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_solve_takes_every_name(self, tmp_path, method):
+        out = tmp_path / "sol.txt"
+        assert main(["solve", str(FIXTURES / "lp1.mps"), "--method", method, "--out", str(out)]) == 0
+        assert f"\nmethod {method}\n" in out.read_text()
+
+    def test_bench_takes_table_names(self, tmp_path):
+        results = tmp_path / "results.csv"
+        assert main(["bench", str(FIXTURES), "--methods", "pdhg,ipm", "--out", str(results)]) == 0
+        with open(results) as fh:
+            records = read_records_csv(fh)
+        assert len(records) == 10
+        assert {r.method for r in records} == {"pdhg", "ipm"}
+        assert {r.status for r in records} == {"Optimal"}
+
+    def test_bench_unknown_name_usage_error(self, tmp_path):
+        results = tmp_path / "results.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(FIXTURES), "--methods", "simplex", "--out", str(results)])
+        assert exc.value.code == 2
+        assert not results.exists()
+
+    def test_cold_baseline_named_ipm_or_ipm_cold(self):
+        def records(cold):
+            out = []
+            for model, cold_iters, warm_iters in (("m1", 20, 5), ("m2", 16, 8), ("m3", 30, 3)):
+                out.append(_rec(model, cold, ipm_iters=cold_iters, pdhg_iters=0))
+                out.append(_rec(model, "hybrid", ipm_iters=warm_iters))
+            return out
+
+        by_ipm = summarize(records("ipm")).by_method()
+        by_cold = summarize(records("ipm-cold")).by_method()
+        assert by_ipm["hybrid"].geo_ipm_iteration_ratio == pytest.approx((1 / 4 * 1 / 2 * 1 / 10) ** (1 / 3))
+        assert by_ipm["hybrid"].geo_ipm_iteration_ratio == by_cold["hybrid"].geo_ipm_iteration_ratio
+        assert by_ipm["ipm"].geo_ipm_iteration_ratio is None
+        assert by_cold["ipm-cold"].geo_ipm_iteration_ratio is None
+
+    def test_summary_columns_in_table_order(self):
+        names = ["hybrid", "ipm", "pdhg-1e8", "pdhg"]
+        table = summarize([_rec("m1", name) for name in names])
+        assert [m.method for m in table.methods] == [m for m in METHODS if m in names]
+
+
+class TestSettingsPassedThrough:
+    """bench passes warmstart.solve's keywords through and checks them first."""
+
+    def test_misspelt_setting_raises_before_any_model(self, tmp_path, monkeypatch):
+        import hybridlp.bench
+
+        def unreachable(text):
+            raise AssertionError("a model was read")
+
+        monkeypatch.setattr(hybridlp.bench, "parse_mps", unreachable)
+        (tmp_path / "lp1.mps").write_text((FIXTURES / "lp1.mps").read_text())
+        with pytest.raises(TypeError, match="time_limit"):
+            bench_directory(str(tmp_path), ["hybrid"], time_limit=1)
+
+    def test_settings_reach_solve(self, tmp_path):
+        (tmp_path / "lp2.mps").write_text((FIXTURES / "lp2.mps").read_text())
+        (record,) = bench_directory(str(tmp_path), ["pdhg"], time_limit_s=0.0)
+        assert record.status == "TimeLimit"
+        (record,) = bench_directory(str(tmp_path), ["pdhg"], eps_rel=1e-9, use_scaling=False)
+        assert record.status == "Optimal" and record.max_violation < 1e-6
+
+    @pytest.mark.parametrize("flags, settings", [
+        ([], {}),
+        (["--eps-rel", "1e-5", "--time-limit", "7", "--no-presolve", "--no-scaling"],
+         {"eps_rel": 1e-5, "time_limit_s": 7.0, "use_presolve": False, "use_scaling": False}),
+    ])
+    def test_cli_solve_passes_only_given_settings(self, tmp_path, monkeypatch, flags, settings):
+        """An option not given is left out, so warmstart.solve's default holds."""
+        import hybridlp.warmstart
+
+        real_solve, calls = hybridlp.warmstart.solve, []
+
+        def spy(g, method, **kw):
+            calls.append((method, kw))
+            return real_solve(g, method, **kw)
+
+        monkeypatch.setattr(hybridlp.warmstart, "solve", spy)
+        out = tmp_path / "sol.txt"
+        main(["solve", str(FIXTURES / "lp1.mps"), "--method", "ipm", "--out", str(out), *flags])
+        assert calls == [("ipm", settings)]
+
+
+class TestBadInput:
+    def test_check_exits_3_on_a_partial_violation_block(self, tmp_path, capsys):
+        model, out = FIXTURES / "lp1.mps", tmp_path / "sol.txt"
+        assert main(["solve", str(model), "--out", str(out)]) == 0
+        out.write_text("".join(
+            line for line in out.read_text().splitlines(keepends=True)
+            if not line.startswith("violation_") or line.startswith("violation_max ")
+        ))
+        capsys.readouterr()
+        assert main(["check", str(model), str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")

@@ -363,3 +363,53 @@ class TestSolutionFileBytes:
         assert back.var_names == ["X1"] and back.row_names == []
         np.testing.assert_array_equal(back.x, [1.0])
         np.testing.assert_array_equal(back.z, [0.0])
+
+
+_VIOLATION_LINES = ("violation_primal_inf", "violation_dual_inf",
+                    "violation_rel_gap", "violation_max")
+
+
+class TestViolationLinesTogether:
+    """The four violation lines are read all together or not at all."""
+
+    @staticmethod
+    def _keeping(kept) -> str:
+        text = write_solution(_sample_solution())
+        return "".join(
+            line for line in text.splitlines(keepends=True)
+            if line.split()[0] not in _VIOLATION_LINES or line.split()[0] in kept
+        )
+
+    @pytest.mark.parametrize("kept", [
+        ("violation_max",),
+        ("violation_primal_inf",),
+        ("violation_primal_inf", "violation_dual_inf", "violation_rel_gap"),
+        ("violation_dual_inf", "violation_max"),
+    ])
+    def test_some_but_not_all_raise_value_error_naming_them(self, kept):
+        with pytest.raises(ValueError) as err:
+            parse_solution(self._keeping(kept))
+        assert not isinstance(err.value, KeyError)
+        for key in kept:
+            assert key in str(err.value)
+        for key in set(_VIOLATION_LINES) - set(kept):
+            assert key not in str(err.value)
+
+    def test_none_or_all_parse(self):
+        assert parse_solution(self._keeping(())).violation is None
+        back = parse_solution(self._keeping(_VIOLATION_LINES))
+        assert back.violation == _sample_solution().violation
+
+
+class TestRowNamesShared:
+    """A constraint row may not take the N row's name."""
+
+    @pytest.mark.parametrize("rows, line", [
+        (" N OBJ\n L OBJ\n", 4),
+        (" G OBJ\n N OBJ\n", 4),
+        (" N OBJ\n E R1\n E OBJ\n", 5),
+    ])
+    def test_duplicate_row_at_the_later_line(self, rows, line):
+        text = f"NAME T\nROWS\n{rows}COLUMNS\n X1 OBJ 1\nRHS\n RHS OBJ 2\nENDATA\n"
+        with pytest.raises(MpsParseError, match=f"line {line}: duplicate row OBJ"):
+            parse_mps(text)

@@ -7,6 +7,11 @@ loop.  Both must return the same model bit for bit and raise the same
 errors, with one deliberate difference: "missing ROWS section" and "no N
 (objective) row declared" are reported at the ENDATA line, where the
 reference reported the line after it whenever any text followed ENDATA.
+
+One grammar change was made in both readers: a constraint row may not take
+the N row's name.  Such a pair raises "duplicate row" at the later of the
+two ROWS lines; before, the constraint row silently lost its COLUMNS and
+RHS entries to the objective.
 """
 
 import ast
@@ -133,9 +138,11 @@ def reference_parse_mps(text: str) -> GeneralLp:
             if rtype == "N":
                 if obj_name is not None:
                     raise MpsParseError("multiple N rows", line_no)
+                if rname in row_index:
+                    raise MpsParseError(f"duplicate row {rname}", line_no)
                 obj_name = rname
             elif rtype in _SENSE_OF:
-                if rname in row_index:
+                if rname in row_index or rname == obj_name:
                     raise MpsParseError(f"duplicate row {rname}", line_no)
                 row_index[rname] = len(row_names)
                 row_names.append(rname)
@@ -454,7 +461,7 @@ OBJSENSE
     MAXIMIZE
 rows
  n OBJ
- l OBJ
+ l L0
  e R1
 \tg R2
 COLUMNS
@@ -511,7 +518,7 @@ def test_inline_models_cover_the_grammar():
     mixed = parse_mps(MIXED)
     assert mixed.col_names == ["X1", "X2", "X3"]
     np.testing.assert_array_equal(mixed.c, [-15.0, 0.0, -3.5])
-    # the N row shadows the constraint row OBJ, which keeps no entries
+    # the constraint row L0 has no entries
     assert mixed.A[0].nnz == 0 and mixed.A[1, 0] == pytest.approx(100.2)
 
 
@@ -553,6 +560,9 @@ ERROR_TEXTS = [
     "ROWS\n N OBJ\n L R1\nCOLUMNS\n X1 R1 1\nBOUNDS\n UP X1\nENDATA\n",
     "ROWS\n N OBJ\n L R1\nCOLUMNS\n X1 R1 1\nBOUNDS\n FR BND X1 1 2\nENDATA\n",
     "ROWS\n N OBJ\n L R1\nCOLUMNS\n X1 R1 1\n",
+    # a constraint row with the N row's name, after it and before it
+    "ROWS\n N OBJ\n L OBJ\nCOLUMNS\n X1 OBJ 1\nRHS\n RHS OBJ 2\nENDATA\n",
+    "ROWS\n G OBJ\n N OBJ\nENDATA\n",
 ]
 
 # whole-file errors with text after ENDATA: (text, the ENDATA line)
