@@ -38,8 +38,6 @@ PARSE_ERROR_EXIT = 3
 # unreadable or malformed input: MpsParseError, InvalidModelError and
 # UnicodeDecodeError are ValueErrors
 _BAD_INPUT = (OSError, ValueError)
-# the keywords of warmstart.solve the options below set, stored under those names
-_SETTINGS = ("eps_rel", "time_limit_s", "use_presolve", "use_scaling")
 
 
 def _positive_float(text: str) -> float:
@@ -70,20 +68,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="LP solving by restarted PDHG with warm-started interior-point refinement",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # solve's settings that both verbs take; one not given is absent from
-    # the namespace, so warmstart.solve's default holds
+    # warmstart.solve's keywords, stored under their names: those both verbs
+    # take, and those only solve takes; one not given is absent from the
+    # namespace, so solve's default holds
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--time-limit", dest="time_limit_s", metavar="SECONDS", type=_time_limit)
     shared.add_argument("--no-presolve", dest="use_presolve", action="store_false")
     shared.add_argument("--no-scaling", dest="use_scaling", action="store_false")
+    solve_only = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    solve_only.add_argument("--eps-rel", type=_positive_float,
+                            help="relative tolerance (pdhg stage for hybrid)")
+    parser.set_defaults(settings={a.dest for p in (shared, solve_only) for a in p._actions})
 
-    solve = sub.add_parser("solve", parents=[shared], help="solve one MPS model")
+    solve = sub.add_parser("solve", parents=[shared, solve_only], help="solve one MPS model")
     solve.set_defaults(handler=_cmd_solve)
     solve.add_argument("model", help="path to an MPS file")
     solve.add_argument("--method", choices=list(warmstart.METHODS), default="hybrid",
                        metavar="NAME", help=f"one of {', '.join(warmstart.METHODS)}")
-    solve.add_argument("--eps-rel", type=_positive_float, default=argparse.SUPPRESS,
-                       help="relative tolerance (pdhg stage for hybrid)")
     solve.add_argument("--out", default=None, help="solution file path")
 
     bench = sub.add_parser("bench", parents=[shared],
@@ -113,7 +114,7 @@ def _load_model(path: str):
 
 
 def _settings(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k in _SETTINGS}
+    return {k: v for k, v in vars(args).items() if k in args.settings}
 
 
 def _cmd_solve(args) -> int:

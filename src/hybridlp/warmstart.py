@@ -246,6 +246,7 @@ def solve(
     g: GeneralLp,
     method: str,
     pdhg_params: PdhgParams | None = None,
+    /,
     *,
     eps_rel: float | None = None,
     time_limit_s: float = 10_000.0,

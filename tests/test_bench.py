@@ -23,6 +23,7 @@ from hybridlp.bench import (
 )
 from hybridlp.cli import _EXIT_BY_STATUS, main
 from hybridlp.mps_io import make_solution_file
+from hybridlp.pdhg import PdhgParams
 from hybridlp.status import SolveStatus
 from hybridlp.warmstart import METHODS
 
@@ -576,7 +577,9 @@ class TestOneMethodList:
 class TestSettingsPassedThrough:
     """bench passes warmstart.solve's keywords through and checks them first."""
 
-    def test_misspelt_setting_raises_before_any_model(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("setting", [{"time_limit": 1}, {"pdhg_params": PdhgParams()}])
+    def test_misspelt_setting_raises_before_any_model(self, tmp_path, monkeypatch, setting):
+        """Only solve's keywords are settings; its positional pdhg_params is not."""
         import hybridlp.bench
 
         def unreachable(text):
@@ -584,8 +587,13 @@ class TestSettingsPassedThrough:
 
         monkeypatch.setattr(hybridlp.bench, "parse_mps", unreachable)
         (tmp_path / "lp1.mps").write_text((FIXTURES / "lp1.mps").read_text())
-        with pytest.raises(TypeError, match="time_limit"):
-            bench_directory(str(tmp_path), ["hybrid"], time_limit=1)
+        with pytest.raises(TypeError, match=next(iter(setting))):
+            bench_directory(str(tmp_path), ["hybrid"], **setting)
+
+    def test_solve_with_method_takes_no_pdhg_params(self):
+        g = parse_mps((FIXTURES / "lp1.mps").read_text())
+        with pytest.raises(TypeError, match="pdhg_params"):
+            solve_with_method(g, "pdhg", pdhg_params=PdhgParams())
 
     def test_settings_reach_solve(self, tmp_path):
         (tmp_path / "lp2.mps").write_text((FIXTURES / "lp2.mps").read_text())
