@@ -1,9 +1,8 @@
 """Benchmark harness: per-model records, geometric-mean summaries, scatter data.
 
-Methods are warmstart.METHODS names, METHOD_TAGS those the paper compares,
-and settings pass through to warmstart.solve.  Relative runtimes are per
-model against the best method on that model; geometric means aggregate only
-over models the method solved.
+Methods are warmstart.METHODS names, and settings pass through to
+warmstart.solve.  Relative runtimes are per model against the best method
+on that model; geometric means aggregate only over models the method solved.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import MISSING, dataclass, fields
 from .lp_core import GeneralLp, ViolationSummary, evaluate_general_point
 from .mps_io import SolutionFile, parse_mps
 from .warmstart import METHODS, solve
-
-METHOD_TAGS = ("pdhg-1e4", "pdhg-1e6", "pdhg-1e8", "ipm-cold", "hybrid")
 
 # floors applied before taking logs in geometric means
 _GEO_VIOLATION_FLOOR = 1e-16

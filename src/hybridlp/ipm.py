@@ -25,6 +25,7 @@ from .lp_core import (
     Residuals,
     StandardLp,
     TerminationCheck,
+    csr_matvec,
     residuals,
     summary_from_residuals,
     termination_from_residuals,
@@ -192,7 +193,7 @@ class NormalEquationsSolver:
 
     def _residual_ok(self, dx, aty, dz, rhs_p, rhs_d, rhs_c) -> bool:
         p = self.p
-        r1 = p.A @ dx - rhs_p
+        r1 = csr_matvec(p.A, dx, np.empty(p.m)) - rhs_p
         r2 = aty + dz - rhs_d
         r3 = self.z * dx + self.x * dz - rhs_c
         def rel(r, rhs):
@@ -205,7 +206,7 @@ class NormalEquationsSolver:
         p = self.p
         while True:
             w = rhs_d - rhs_c / self.x
-            rhs = rhs_p + p.A @ (self.d2 * w)
+            rhs = rhs_p + csr_matvec(p.A, self.d2 * w, np.empty(p.m))
             dy = self._solve_normal(rhs)
             aty = p.at_y(dy)
             dx = self.d2 * (aty - w)

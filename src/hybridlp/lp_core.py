@@ -42,11 +42,26 @@ def csr_matvec(M: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def csr_rmatvec(M: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M' v for a CSR matrix M, written into the float64 array out.
+
+    M's CSR arrays are M' in CSC form, so scipy's CSC kernel forms the
+    product without building M.T, bitwise equal to ``M.T @ v``.  For a
+    canonical M it also equals a CSR product with M' (each entry sums its
+    terms from 0 in increasing row order).
+    """
+    out.fill(0.0)
+    _sparsetools.csc_matvec(M.shape[1], M.shape[0], M.indptr, M.indices, M.data, v, out)
+    return out
+
+
 def _canonical_csr(A) -> sp.csr_matrix:
     """A as float64 CSR with sorted indices, duplicates summed and no stored
-    zeros.  A matrix already in that form is returned sharing its arrays;
-    any other is canonicalized in a copy, so the caller's is never changed."""
-    A = sp.csr_matrix(A, dtype=float)
+    zeros.  A float64 csr_matrix already in that form is returned as it is;
+    any other is converted, and canonicalized in a copy, so the caller's is
+    never changed."""
+    if not (isinstance(A, sp.csr_matrix) and A.dtype == np.float64):
+        A = sp.csr_matrix(A, dtype=float)
     if A.has_canonical_format and A.data.all():
         return A
     A = A.copy()
@@ -201,8 +216,8 @@ class StandardLp:
         return self._pairs
 
     def at_y(self, y: np.ndarray) -> np.ndarray:
-        """A'y through the cached transpose."""
-        return csr_matvec(self.A_T, y, np.empty(self.n))
+        """A'y by csr_rmatvec: for the canonical A, bitwise a product with A_T."""
+        return csr_rmatvec(self.A, y, np.empty(self.n))
 
 
 @dataclass
@@ -313,18 +328,9 @@ class StandardFormMap:
         return self.slack_of_row[self.slack_of_row >= 0]
 
 
-def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
-    """Convert a GeneralLp to pure standard form.
-
-    Finite lower bounds are shifted to zero (b adjusted, constant recorded),
-    variables with no lower bound are split into a difference of two
-    nonnegative columns, finite upper bounds become explicit rows with slack
-    columns, and inequality rows gain slack (<=) or surplus (>=) columns.
-    """
-    g.validate()
+def _standard_map(g: GeneralLp) -> StandardFormMap:
+    """The layout of g's standard form: its StandardFormMap, without A, b or c."""
     m, n = g.n_rows, g.n_vars
-    A_csc = g.A.tocsc()
-    col_nnz = np.diff(A_csc.indptr)
     lo, up = g.lower, g.upper
 
     # structural columns: one per variable, a (pos, neg) pair when lo = -inf
@@ -334,60 +340,26 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
     neg_col = np.where(split, pos_col + 1, -1)
     n_struct = int(widths.sum())
     shifts = np.where(split, 0.0, lo)
-
-    # each structural column repeats its variable's CSC entries, negated for neg
-    src = np.repeat(np.arange(n), widths)
-    counts = col_nnz[src]
-    starts = np.cumsum(counts) - counts
-    entry = np.arange(counts.sum()) + np.repeat(A_csc.indptr[src] - starts, counts)
-    sign = np.ones(n_struct)
-    sign[neg_col[split]] = -1.0
-    struct_vals = A_csc.data[entry] * np.repeat(sign, counts)
-
-    # shifting x_j >= lo_j to zero moves b by A[:, j] lo_j; subtract.at and
-    # cumsum apply the terms one column at a time, in column order
     shifted = ~split & (lo != 0.0)
-    entry_col = np.repeat(np.arange(n), col_nnz)
-    on = shifted[entry_col]
-    b_work = g.rhs.copy()
-    np.subtract.at(b_work, A_csc.indices[on], A_csc.data[on] * lo[entry_col[on]])
     obj_terms = np.concatenate([[g.obj_offset], g.c[shifted] * lo[shifted]])
     obj_shift = np.cumsum(obj_terms)[-1]
 
-    # inequality rows get a slack / surplus column each
+    # inequality rows get a slack / surplus column each, and finite upper
+    # bounds become rows x_j (+ slack) = upper - shift
     senses = np.asarray(g.senses, dtype=str)
     ineq = np.nonzero(senses != EQ)[0]
-    ineq_coef = np.where(senses[ineq] == LE, 1.0, -1.0)
-    ineq_slack = n_struct + np.arange(ineq.size)
-
-    # finite upper bounds become rows x_j (+ slack) = upper - shift
     bound_var = np.nonzero(np.isfinite(up))[0]
-    bound_row = m + np.arange(bound_var.size)
-    bound_slack = n_struct + ineq.size + np.arange(bound_var.size)
-    bound_cols = np.column_stack([pos_col[bound_var], neg_col[bound_var], bound_slack])
-    present = bound_cols >= 0
-    bound_vals = np.broadcast_to([1.0, -1.0, 1.0], bound_cols.shape)[present]
-
     m_std, n_std = m + bound_var.size, n_struct + ineq.size + bound_var.size
-    rows = np.concatenate([A_csc.indices[entry], ineq, np.repeat(bound_row, present.sum(axis=1))])
-    cols = np.concatenate([np.repeat(np.arange(n_struct), counts), ineq_slack, bound_cols[present]])
-    vals = np.concatenate([struct_vals, ineq_coef, bound_vals])
-    A_std = sp.csr_matrix((vals, (rows, cols)), shape=(m_std, n_std))
-    b_std = np.concatenate([b_work, up[bound_var] - shifts[bound_var]])
-    c_std = np.zeros(n_std)
-    c_std[pos_col] = g.c
-    c_std[neg_col[split]] = -g.c[split]
-
     slack_of_row = np.full(m_std, -1, dtype=int)
-    slack_of_row[ineq] = ineq_slack
-    slack_of_row[bound_row] = bound_slack
+    slack_of_row[ineq] = n_struct + np.arange(ineq.size)
+    slack_of_row[m:] = n_struct + ineq.size + np.arange(bound_var.size)
     slack_coef = np.zeros(m_std)
-    slack_coef[ineq] = ineq_coef
-    slack_coef[bound_row] = 1.0
+    slack_coef[ineq] = np.where(senses[ineq] == LE, 1.0, -1.0)
+    slack_coef[m:] = 1.0
     bound_var_of_row = np.full(m_std, -1, dtype=int)
-    bound_var_of_row[bound_row] = bound_var
+    bound_var_of_row[m:] = bound_var
 
-    fmap = StandardFormMap(
+    return StandardFormMap(
         n_general=n,
         m_general=m,
         n_std=n_std,
@@ -400,6 +372,80 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
         slack_coef=slack_coef,
         bound_var=bound_var_of_row,
     )
+
+
+def _standard_b_c(g: GeneralLp, fmap: StandardFormMap) -> tuple[np.ndarray, np.ndarray]:
+    """b and c of g's standard form.
+
+    Shifting x_j >= lo_j to zero moves b by A[:, j] lo_j.  np.subtract.at
+    applies a row's terms one at a time in A's CSR order, which is column
+    order within the row, as the terms of the columns would arrive one
+    column after another.  Bound rows get upper - shift.
+    """
+    A, m = g.A, fmap.m_general
+    cols = A.indices
+    on = fmap.shifts[cols] != 0.0
+    rows = np.repeat(np.arange(m), np.diff(A.indptr))
+    b = g.rhs.copy()
+    np.subtract.at(b, rows[on], A.data[on] * fmap.shifts[cols[on]])
+    bound_var = fmap.bound_var[m:]
+    b = np.concatenate([b, g.upper[bound_var] - fmap.shifts[bound_var]])
+    if not np.all(np.isfinite(b)):
+        raise InvalidModelError("b and c must be finite")
+    split = fmap.neg_col >= 0
+    c = np.zeros(fmap.n_std)
+    c[fmap.pos_col] = g.c
+    c[fmap.neg_col[split]] = -g.c[split]
+    return b, c
+
+
+def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
+    """Convert a GeneralLp to pure standard form.
+
+    Finite lower bounds are shifted to zero (b adjusted, constant recorded),
+    variables with no lower bound are split into a difference of two
+    nonnegative columns, finite upper bounds become explicit rows with slack
+    columns, and inequality rows gain slack (<=) or surplus (>=) columns.
+    A_std's CSR arrays are written directly, already canonical: row i holds
+    each entry of A's row i in its variable's column (and negated in the
+    next column for a split variable), then the row's slack; a bound row
+    holds 1 and -1 in its variable's columns, then 1 in its slack's.
+    """
+    g.validate()
+    fmap = _standard_map(g)
+    b_std, c_std = _standard_b_c(g, fmap)
+    A, m = g.A, fmap.m_general
+    split = fmap.neg_col >= 0
+
+    # general rows: one item per entry and structural column of its variable
+    reps = 1 + split[A.indices]
+    entry = np.repeat(np.arange(A.nnz), reps)
+    second = np.zeros(entry.size, dtype=bool)
+    second[np.cumsum(reps)[reps == 2] - 1] = True
+    item_ptr = np.concatenate([[0], np.cumsum(reps)])[A.indptr]
+    has_slack = fmap.slack_of_row[:m] >= 0
+    slacks_before = np.concatenate([[0], np.cumsum(has_slack)])
+    row_ptr = item_ptr + slacks_before
+
+    # bound rows: their variable's one or two columns, then their slack
+    bound_var = fmap.bound_var[m:]
+    bound_cols = np.column_stack(
+        [fmap.pos_col[bound_var], fmap.neg_col[bound_var], fmap.slack_of_row[m:]]
+    )
+    present = bound_cols >= 0
+
+    indptr = np.concatenate([row_ptr, row_ptr[-1] + np.cumsum(present.sum(axis=1))])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
+    at = np.arange(entry.size) + np.repeat(slacks_before[:-1], np.diff(item_ptr))
+    indices[at] = fmap.pos_col[A.indices[entry]] + second
+    data[at] = A.data[entry] * np.where(second, -1.0, 1.0)
+    ends = row_ptr[1:][has_slack] - 1
+    indices[ends] = fmap.slack_of_row[:m][has_slack]
+    data[ends] = fmap.slack_coef[:m][has_slack]
+    indices[row_ptr[-1]:] = bound_cols[present]
+    data[row_ptr[-1]:] = np.broadcast_to([1.0, -1.0, 1.0], bound_cols.shape)[present]
+    A_std = sp.csr_matrix((data, indices, indptr), shape=(fmap.m_std, fmap.n_std))
     return StandardLp(A_std, b_std, c_std), fmap
 
 
@@ -421,7 +467,7 @@ def restrict_point(g: GeneralLp, fmap: StandardFormMap, pt: KktPoint):
     folded away (they reappear, if needed, through lift_point).
     """
     x, y = _restrict_xy(fmap, pt)
-    return x, y, np.asarray(g.c - g.A.T @ y)
+    return x, y, g.c - csr_rmatvec(g.A, y, np.empty(g.n_vars))
 
 
 def lift_point(
@@ -435,13 +481,6 @@ def lift_point(
     z = max(0, c - A'y).  An exactly optimal general point lifts to an
     exactly optimal standard point.
     """
-    return _lift(g, p, fmap, x, y)[0]
-
-
-def _lift(
-    g: GeneralLp, p: StandardLp, fmap: StandardFormMap, x: np.ndarray, y: np.ndarray
-) -> tuple[KktPoint, np.ndarray]:
-    """lift_point, and the A'y of the lifted y that its z came from."""
     x = _as_float_array(x, fmap.n_general)
     y = _as_float_array(y, fmap.m_general)
 
@@ -454,7 +493,7 @@ def _lift(
 
     # slack values from row activities, clamped to stay feasible in sign; the
     # zero goes second in both clamps so that a -0.0 input comes out +0.0
-    r = p.b - p.A @ x_std
+    r = p.b - csr_matvec(p.A, x_std, np.empty(p.m))
     rows = np.nonzero(fmap.slack_of_row >= 0)[0]
     x_std[fmap.slack_of_row[rows]] = np.maximum(r[rows] / fmap.slack_coef[rows], 0.0)
 
@@ -462,11 +501,10 @@ def _lift(
     y_std[: fmap.m_general] = y
     bound_rows = np.nonzero(fmap.bound_var >= 0)[0]
     if bound_rows.size:
-        z_gen = g.c - g.A.T @ y
+        z_gen = g.c - csr_rmatvec(g.A, y, np.empty(g.n_vars))
         y_std[bound_rows] = np.minimum(z_gen[fmap.bound_var[bound_rows]], 0.0)
 
-    aty = p.at_y(y_std)
-    return KktPoint(x_std, y_std, np.maximum(0.0, p.c - aty)), aty
+    return KktPoint(x_std, y_std, np.maximum(0.0, p.c - p.at_y(y_std)))
 
 
 def residuals(p: StandardLp, pt: KktPoint, aty: np.ndarray | None = None) -> Residuals:
@@ -480,11 +518,9 @@ def residuals(p: StandardLp, pt: KktPoint, aty: np.ndarray | None = None) -> Res
         )
     if aty is None:
         aty = p.at_y(pt.y)
-    r_p = p.b - p.A @ pt.x
-    r_d = p.c - aty - pt.z
     return Residuals(
-        r_p=np.asarray(r_p),
-        r_d=np.asarray(r_d),
+        r_p=p.b - csr_matvec(p.A, pt.x, np.empty(p.m)),
+        r_d=p.c - aty - pt.z,
         primal_obj=float(p.c @ pt.x),
         dual_obj=float(p.b @ pt.y),
         comp=float(pt.x @ pt.z),
@@ -543,7 +579,61 @@ def summary_from_residuals(res: Residuals) -> ViolationSummary:
 
 
 def evaluate_general_point(g: GeneralLp, x, y) -> ViolationSummary:
-    """Violation of a general-model point, measured on that model's standard form."""
-    p, fmap = to_standard_form(g)
-    pt, aty = _lift(g, p, fmap, x, y)
-    return summary_from_residuals(residuals(p, pt, aty))
+    """Violation of a general-model point, measured on that model's standard form.
+
+    The result is violation_summary(p, lift_point(g, p, fmap, x, y)) with
+    p, fmap = to_standard_form(g), bit for bit, computed from g.A's CSR
+    arrays without building p.  Each product of p sums its terms from 0 in
+    index order, so:
+    - row i of A_std x_std is (g.A u)_i, with u = x+ - x- per variable (one
+      of the two is 0, and adding a zero term to such a sum changes
+      nothing), then the row's slack term; a bound row is u_j + its slack;
+    - entry j of A_std' y_std is (g.A' y)_j, then the dual of j's bound
+      row; a split variable's second column is 0 - that, and a slack
+      column is 0 + its coefficient times its row's dual.
+    The objectives and x'z are dot products over vectors laid out as p's.
+    """
+    g.validate()
+    fmap = _standard_map(g)
+    b, c = _standard_b_c(g, fmap)
+    m = fmap.m_general
+    x = _as_float_array(x, fmap.n_general)
+    y = _as_float_array(y, m)
+    split = fmap.neg_col >= 0
+    bound_var = fmap.bound_var[m:]
+    rows = np.nonzero(fmap.slack_of_row >= 0)[0]
+    slack_cols, coef = fmap.slack_of_row[rows], fmap.slack_coef[rows]
+
+    # lift_point's x_std, its slacks clamped from the activities without them
+    shifted = x - fmap.shifts
+    x_pos = np.maximum(shifted, 0.0)
+    x_neg = np.maximum(-shifted[split], 0.0)
+    x_std = np.zeros(fmap.n_std)
+    x_std[fmap.pos_col] = x_pos
+    x_std[fmap.neg_col[split]] = x_neg
+    u = x_pos
+    u[split] -= x_neg
+    ax = np.concatenate([csr_matvec(g.A, u, np.empty(m)), u[bound_var]])
+    slack = np.maximum((b[rows] - ax[rows]) / coef, 0.0)
+    x_std[slack_cols] = slack
+    ax[rows] += coef * slack
+
+    # lift_point's y_std, and A_std' y_std
+    aty = csr_rmatvec(g.A, y, np.empty(fmap.n_general))
+    y_std = np.zeros(fmap.m_std)
+    y_std[:m] = y
+    y_std[m:] = np.minimum((g.c - aty)[bound_var], 0.0)
+    aty[bound_var] += y_std[m:]
+    aty_std = np.zeros(fmap.n_std)
+    aty_std[fmap.pos_col] = aty
+    aty_std[fmap.neg_col[split]] = 0.0 - aty[split]
+    aty_std[slack_cols] = 0.0 + coef * y_std[rows]
+
+    z = np.maximum(0.0, c - aty_std)
+    return summary_from_residuals(Residuals(
+        r_p=b - ax,
+        r_d=c - aty_std - z,
+        primal_obj=float(c @ x_std),
+        dual_obj=float(b @ y_std),
+        comp=float(x_std @ z),
+    ))

@@ -10,8 +10,9 @@ programming using primal-dual hybrid gradient", arXiv:2106.04756).
 
 An iteration costs two sparse products and a few vector operations, so at
 desk scale the interpreter's per-call overhead, not the flops, sets its
-time.  Every iteration therefore runs one kernel, _reflect, on copies of A'
-and A whose values are pre-scaled by tau / omega and -2 sigma omega, with
+time.  One kernel, _iterate, therefore runs every iteration: one Python call
+per block of iterations between checks, each in place on copies of A' and
+A whose values are pre-scaled by tau / omega and -2 sigma omega, with
 scipy's CSR kernel adding each product into a vector that holds the rest.
 """
 
@@ -21,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .lp_core import (
@@ -30,6 +30,7 @@ from .lp_core import (
     StandardLp,
     TerminationCheck,
     csr_matvec,
+    csr_rmatvec,
     residuals,
     summary_from_residuals,
     termination_from_residuals,
@@ -92,21 +93,20 @@ def estimate_opnorm(A, seed: int = 0) -> float:
     """Spectral-norm estimate by power iteration on A'A.
 
     Returns lam with lam <= ||A||_2 <= 1.05 lam on the matrices this solver
-    meets; callers derive safe step sizes from 1/(1.05 lam).
+    meets; callers derive safe step sizes from 1/(1.05 lam).  A sparse A is
+    read through its CSR arrays, without a copy when it is float64 CSR.
     """
     m, n = A.shape
     if m == 0 or n == 0 or A.nnz == 0:
         raise InvalidModelError("cannot estimate the norm of an empty matrix")
-    A = sp.csr_matrix(A, dtype=float)
+    A = A.tocsr().astype(float, copy=False)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     av, w = np.empty(m), np.empty(n)
 
-    def norm_at_a(v):  # ||A'A v||, leaving A'A v in w; A's CSR arrays are A' in CSC
-        w.fill(0.0)
-        _sparsetools.csc_matvec(n, m, A.indptr, A.indices, A.data, csr_matvec(A, v, av), w)
-        return np.linalg.norm(w)
+    def norm_at_a(v):  # ||A'A v||, leaving A'A v in w
+        return np.linalg.norm(csr_rmatvec(A, csr_matvec(A, v, av), w))
 
     lam = 0.0
     for _ in range(_OPNORM_MAX_ITERS):
@@ -142,10 +142,11 @@ def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState
 
 def _operator(p: StandardLp, tau: float, sigma: float, omega: float):
     """The leading arguments of _csr_matvec_add for A' scaled by tau / omega
-    and A by -2 sigma omega (sharing indptr and indices with p.A_T and p.A),
-    and q = (-(tau / omega) c, 2 sigma omega b)."""
+    and A by -2 sigma omega (sharing indptr and indices with p.A_csc, whose
+    arrays are A' in CSR form, and with p.A), and q = (-(tau / omega) c,
+    2 sigma omega b)."""
     s, g = tau / omega, 2.0 * sigma * omega
-    At, A = p.A_T, p.A
+    At, A = p.A_csc, p.A
     return (
         (p.n, p.m, At.indptr, At.indices, s * At.data),
         (p.m, p.n, A.indptr, A.indices, -g * A.data),
@@ -153,28 +154,44 @@ def _operator(p: StandardLp, tau: float, sigma: float, omega: float):
     )
 
 
-def _reflect(op, zs, ws, tx, ty=None):
-    """The reflected point w = 2 T(z) - z for the operator op, with zs and ws
-    the (whole, x half, y half) views of z and w, T(z)'s x half written to
-    tx and, if ty is given, its y half to ty:
+def _iterate(op, zs, ws, anchor, tx, k, count, ty=None):
+    """Run count reflected Halpern iterations on z in place, with anchor z0
+    and k iterations since it; return k + count.  zs and ws are the (whole,
+    x half, y half) views of z and of the scratch vector w.  Iteration j
+    since the anchor reflects z, w = 2 T(z) - z for the operator op, with
+    T(z)'s x half written to tx:
 
         tx = max(0, (z_x + q_x) + (tau / omega) A'z_y)
         w  = (2 tx - z_x, (z_y + q_y) - 2 sigma omega A (2 tx - z_x))
-        ty = (z_y + w_y) / 2
 
-    where each product is summed into the vector before it.
+    where each product is summed into the vector before it, and then moves
+    z <- z0 + j/(j+1) (w - z0), overwriting w.  If ty is given, the last
+    iteration writes T(z)'s y half (z_y + w_y) / 2 to it before z moves, so
+    (tx, ty) is then T of the last point reflected.  The operator's arrays,
+    the ufuncs and a zero vector are bound once per call, not once per
+    iteration, and 2 tx is tx + tx (exact either way): scalar operands cost
+    a conversion per ufunc call.
     """
-    at, a, q = op
+    (n, m, at_ptr, at_idx, at_val), (_, _, a_ptr, a_idx, a_val), q = op
     (z, zx, zy), (w, wx, wy) = zs, ws
-    np.add(z, q, out=w)
-    _csr_matvec_add(*at, zy, wx)
-    np.maximum(0.0, wx, out=tx)
-    np.multiply(2.0, tx, out=wx)
-    np.subtract(wx, zx, out=wx)
-    _csr_matvec_add(*a, wx, wy)
-    if ty is not None:
-        np.add(zy, wy, out=ty)
-        np.multiply(0.5, ty, out=ty)
+    matvec_add, maximum = _csr_matvec_add, np.maximum
+    add, sub, mul = np.add, np.subtract, np.multiply
+    zero = np.zeros(n)
+    last = k + count if ty is not None else 0
+    for j in range(k + 1, k + count + 1):
+        add(z, q, w)
+        matvec_add(n, m, at_ptr, at_idx, at_val, zy, wx)
+        maximum(zero, wx, out=tx)
+        add(tx, tx, wx)
+        sub(wx, zx, wx)
+        matvec_add(m, n, a_ptr, a_idx, a_val, wx, wy)
+        if j == last:
+            add(zy, wy, ty)
+            mul(0.5, ty, ty)
+        sub(w, anchor, w)
+        mul(j / (j + 1.0), w, w)
+        add(anchor, w, z)
+    return k + count
 
 
 def pdhg_step(state: PdhgState, p: StandardLp) -> np.ndarray:
@@ -183,14 +200,16 @@ def pdhg_step(state: PdhgState, p: StandardLp) -> np.ndarray:
         x+ = max(0, x - (tau / omega) (c - A'y))
         y+ = y + (sigma omega) (b - A (2 x+ - x))
 
-    evaluated as run_pdhg evaluates it at a check.  T is returned as a fresh
-    array of length n + m whose halves become state.x and state.y.
+    evaluated as run_pdhg evaluates it at a check, by one _iterate on a copy
+    of the point anchored at itself (its Halpern move is discarded).  T is
+    returned as a fresh array of length n + m whose halves become state.x
+    and state.y.
     """
     n = p.n
     z = np.concatenate((state.x, state.y))
     w, t = np.empty_like(z), np.empty_like(z)
     op = _operator(p, state.tau, state.sigma, state.omega)
-    _reflect(op, (z, z[:n], z[n:]), (w, w[:n], w[n:]), t[:n], t[n:])
+    _iterate(op, (z, z[:n], z[n:]), (w, w[:n], w[n:]), z, t[:n], 0, 1, t[n:])
     state.x, state.y = t[:n], t[n:]
     state.iterations += 1
     return t
@@ -205,34 +224,26 @@ def _score(p: StandardLp, x: np.ndarray, y: np.ndarray, eps_rel: float):
     return pt, summary_from_residuals(res), termination_from_residuals(p, res, eps_rel)
 
 
-def _halpern_update(z, anchor, w, j):
-    """z <- z0 + j/(j+1) (w - z0) for the reflected point w = 2 T(z) - z,
-    with z0 the anchor and j the iterations since it, this one included;
-    w is overwritten."""
-    np.subtract(w, anchor, out=w)
-    np.multiply(j / (j + 1.0), w, out=w)
-    np.add(anchor, w, out=z)
-
-
 def run_pdhg(
     p: StandardLp, params: PdhgParams | None = None, seed: int = 0
 ) -> tuple[KktPoint, SolveStats]:
     """Iterate to the requested relative tolerance by restarted Halpern PDHG.
 
     Each iteration sets z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0), with z0 the
-    anchor (the point of the last restart) and k the iterations since it,
-    by one _reflect and one _halpern_update.  Every check_every-th
-    iteration's _reflect also forms T(z) as a fresh array; T(z), never z, is
-    scored and returned if it passes, and its max violation drives the
-    _RESTART_* rules.  A restart sets z = z0 = T(z), k = 0, and moves the
-    primal weight omega, which starts at ||c|| / ||b||, halfway in log scale
-    towards ||dy|| / ||dx||, the anchor's movement, both clipped to
-    _WEIGHT_CLIP; the scaled operator is rebuilt then.  On failure statuses
-    the best point scored so far is returned.  The time limit is tested
-    once per block of check_every iterations, before the block starts, so
-    a run may overrun it by one block.  Non-finite iterates are detected at
-    the checks, and at the end of a run that the iteration limit stops
-    between them.
+    anchor (the point of the last restart) and k the iterations since it.
+    The iterations run in blocks of check_every, one _iterate call each;
+    the last iteration of a block, a check, also forms T(z) as a fresh
+    array.  T(z), never z, is scored and returned if it passes, and its max
+    violation drives the _RESTART_* rules.  A restart sets z = z0 = T(z),
+    k = 0, and moves the primal weight omega, which starts at ||c|| / ||b||,
+    halfway in log scale towards ||dy|| / ||dx||, the anchor's movement,
+    both clipped to _WEIGHT_CLIP; the scaled operator is rebuilt then.  On
+    failure statuses the best point scored so far is returned.  The time
+    limit is tested before each block starts, so a run may overrun it by
+    one block; an iteration limit that is not a multiple of check_every
+    ends the run in a shorter last block with no check.  Non-finite
+    iterates are detected at the checks, and at the end of a run that the
+    iteration limit stops between them.
     """
     if params is None:
         params = PdhgParams()
@@ -256,18 +267,17 @@ def run_pdhg(
     status = SolveStatus.ITERATION_LIMIT
 
     while iterations < limit:
-        if iterations % every == 0 and time.monotonic() - t0 > params.time_limit_s:
+        if time.monotonic() - t0 > params.time_limit_s:
             status = SolveStatus.TIME_LIMIT
             break
-        iterations += 1
-        since_restart += 1
-        if iterations % every:
-            _reflect(op, zs, ws, tx)
-            _halpern_update(z, anchor, w, since_restart)
-            continue
+        count = min(every, limit - iterations)
+        iterations += count
+        if count < every:  # the iteration limit ends the run between checks
+            _iterate(op, zs, ws, anchor, tx, since_restart, count)
+            break
 
         t = np.empty(n + p.m)  # fresh: best_pt may wrap it
-        _reflect(op, zs, ws, t[:n], t[n:])
+        since_restart = _iterate(op, zs, ws, anchor, t[:n], since_restart, count, t[n:])
         if not np.isfinite(t).all():
             status = SolveStatus.NUMERICAL_FAILURE
             break
@@ -285,7 +295,7 @@ def run_pdhg(
             or since_restart >= _RESTART_ARTIFICIAL * iterations
         )
         r_prev = r
-        if restart:
+        if restart:  # z has made the block's last move already; T replaces it
             np.subtract(t, anchor, out=w)
             dx, dy = np.linalg.norm(ws[1]), np.linalg.norm(ws[2])
             if dx > 0.0 and dy > 0.0:
@@ -297,8 +307,6 @@ def run_pdhg(
             z[:] = t
             since_restart, r0 = 0, np.inf
             restarts += 1
-        else:
-            _halpern_update(z, anchor, w, since_restart)
 
     if status is SolveStatus.ITERATION_LIMIT and not np.isfinite(z).all():
         status = SolveStatus.NUMERICAL_FAILURE

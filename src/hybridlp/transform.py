@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_core import EQ, LE, GeneralLp, InvalidModelError, KktPoint, StandardLp
+from .lp_core import EQ, LE, GeneralLp, InvalidModelError, KktPoint, StandardLp, csr_rmatvec
 
 _FEAS_TOL = 1e-9
 _RUIZ_TOL = 1e-2
@@ -423,5 +423,5 @@ def postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoi
         partial = rec.col_vals @ y[rec.col_rows] if rec.col_rows.size else 0.0
         y[rec.i] = (rec.cost - partial) / rec.coeff
 
-    z = original.c - original.A.T @ y
-    return KktPoint(x, y, np.asarray(z))
+    z = original.c - csr_rmatvec(original.A, y, np.empty(original.n_vars))
+    return KktPoint(x, y, z)

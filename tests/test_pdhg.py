@@ -312,13 +312,15 @@ def test_tail_cases_within_iteration_ceiling(m, n, seed, eps, ceiling):
     assert stats.iterations <= ceiling
 
 
-def reference_loop(p, eps):
+def reference_loop(p, eps, limit=None):
     """Restarted Halpern PDHG in one-line array expressions: T and the
     reflected point w = 2 T(z) - z from reference_reflection, the README's
     update z <- z0 + (k+1)/(k+2) (w - z0) and its restart rules at every
-    64th iteration; returns (status, iterations, restarts, the T scored
-    last)."""
+    64th iteration, for at most limit iterations (by default PdhgParams');
+    returns (status, iterations, restarts, the T scored last)."""
     params = PdhgParams(eps_rel=eps)
+    if limit is not None:
+        params.max_kkt_passes = limit
     n, every = p.n, params.check_every
     tau = sigma = initial_state(p, params).tau
     omega = 1.0
@@ -379,6 +381,22 @@ def test_returned_point_is_reference_t(inst):
     status, iterations, _, (x, y) = reference_loop(p, 1e-4)
     assert status == "Optimal"
     assert (stats.status.value, stats.iterations) == (status, iterations)
+    assert np.array_equal(pt.x, x)
+    assert np.array_equal(pt.y, y)
+
+
+@pytest.mark.parametrize("limit", [100, 1])
+def test_iteration_limit_between_checks(limit):
+    """An iteration limit that is not a multiple of check_every ends the run
+    after exactly that many iterations, in a block cut short, and the run
+    returns the T that the plain loop scored last (the zero start when no
+    check came)."""
+    p = _pipeline_scaled(planted_equality_lp(15, 27, seed=1))
+    pt, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, max_kkt_passes=limit))
+    status, iterations, restarts, scored = reference_loop(p, 1e-12, limit)
+    assert (status, iterations) == ("IterationLimit", limit)
+    assert (stats.status.value, stats.iterations, stats.restarts) == (status, iterations, restarts)
+    x, y = scored if scored is not None else (np.zeros(p.n), np.zeros(p.m))
     assert np.array_equal(pt.x, x)
     assert np.array_equal(pt.y, y)
 

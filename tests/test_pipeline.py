@@ -11,12 +11,14 @@ import hybridlp.warmstart
 from hybridlp import (
     EQ, GE, LE, GeneralLp, KktPoint, PdhgParams, evaluate_general_point, hybrid_solve, parse_mps,
 )
-from hybridlp.bench import METHOD_TAGS, solve_with_method
+from hybridlp.bench import solve_with_method
 from hybridlp.warmstart import finish_point, prepare_model
 
 from _desk import desk_suite
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# the five methods the paper compares
+PAPER_METHODS = ("pdhg-1e4", "pdhg-1e6", "pdhg-1e8", "ipm-cold", "hybrid")
 
 
 @pytest.mark.parametrize("method", ["pdhg-1e4", "ipm-cold", "hybrid"])
@@ -87,14 +89,14 @@ FIXED_THEN_INFEASIBLE = GeneralLp(  # fixing x0 = 2 leaves row 0 requiring 0 = 1
 def test_presolve_exits_are_shared_by_every_method(g, status, message, x):
     """Every method reports a presolve exit as itself, with the postsolved
     point: the values presolve recorded before it stopped, zeros elsewhere."""
-    results = [solve_with_method(g, m) for m in METHOD_TAGS]
+    results = [solve_with_method(g, m) for m in PAPER_METHODS]
     first = results[0][0]
     assert first.status == status
     assert first.message.startswith(message)
     np.testing.assert_array_equal(first.x, x)
     np.testing.assert_array_equal(first.z, g.c - g.A.T @ first.y)
     assert first.violation == evaluate_general_point(g, first.x, first.y)
-    for method, (sol, record) in zip(METHOD_TAGS, results):
+    for method, (sol, record) in zip(PAPER_METHODS, results):
         assert sol.method == method
         assert sol.status == record.status == first.status
         assert sol.message == record.message == first.message
@@ -180,3 +182,25 @@ def test_duplicate_entries_are_solved_and_measured_as_summed(method, use_presolv
     assert sol.status == "Optimal"
     assert 2.0 * sol.x[0] + sol.x[1] == pytest.approx(5.0, abs=1e-7)
     assert sol.violation.max_violation <= 1e-7
+
+
+@pytest.mark.parametrize("method", ["pdhg-1e4", "hybrid"])
+def test_sparse_matrices_built_per_solve(monkeypatch, method):
+    """A guard on object churn: each scipy compressed sparse matrix costs
+    tens of microseconds to build, a visible share of a desk-scale solve.
+    A solve builds three: the standard form, its scaled copy and that
+    copy's CSC form; measuring on the original model builds none."""
+    from scipy.sparse._compressed import _cs_matrix
+
+    real = _cs_matrix.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real(self, *args, **kwargs)
+
+    g = next(inst.model for inst in desk_suite() if inst.name == "boxed")
+    monkeypatch.setattr(_cs_matrix, "__init__", counted)
+    sol, _ = solve_with_method(g, method)
+    assert sol.status == "Optimal"
+    assert len(built) <= 3, built
