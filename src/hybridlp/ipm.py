@@ -107,12 +107,12 @@ def normal_backend(m: int) -> str:
 
 
 def normal_matrix(p: StandardLp, d2: np.ndarray) -> sp.csc_matrix:
-    """A D^2 A' in CSC form, for the sparse backend: a copy of the cached
-    CSC A with each column scaled by d2, times A' (a CSC view of the CSR A).
+    """A D^2 A' in CSC form, for the sparse backend: A in CSC form with each
+    column scaled by d2, times A' (a CSC view of the CSR A).
 
     Each entry (i, k) is the sum over increasing j of a_kj (a_ij d2_j).
     """
-    AD = p.A_csc.copy()
+    AD = p.A.tocsc()
     AD.data *= np.repeat(d2, np.diff(AD.indptr))
     return AD @ p.A.T
 
@@ -126,7 +126,8 @@ def normal_lower(p: StandardLp, d2: np.ndarray) -> np.ndarray:
     sparse product sums them, so the triangle is bitwise normal_matrix's.
     """
     ei, flat, akj = p.normal_pairs
-    v = (p.A_csc.data * np.repeat(d2, np.diff(p.A_csc.indptr)))[ei]
+    A = p.A
+    v = (A.data * d2[A.indices])[ei]
     v *= akj
     m = p.m
     return np.bincount(flat, weights=v, minlength=m * m).reshape((m, m), order="F")
@@ -139,7 +140,7 @@ class NormalEquationsSolver:
     _DENSE_CAP_BYTES (256 MB, m <= 5792), LAPACK Cholesky factors M + delta I
     in place in one Fortran-ordered array holding only the lower triangle it
     reads: normal_lower assembles it by one bincount over the pair list that
-    the model builds once and caches beside A_csc (every pair of entries of
+    the model builds once from its CSR A and keeps (every pair of entries of
     one column of A, 20 bytes each), bitwise the sparse product's triangle.
     The factors of A D^2 A' fill in almost completely even when M itself is a
     few percent full, so dense is the faster choice on every model that

@@ -145,26 +145,31 @@ class GeneralLp:
         return [f"r{i}" for i in range(self.n_rows)]
 
 
-def _normal_pairs(A: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """StandardLp.normal_pairs of the canonical CSC matrix A.
+def _normal_pairs(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """StandardLp.normal_pairs of the canonical CSR matrix A.
 
-    The entry at position e, the a-th of its column, pairs with the a + 1
-    entries of that column at or above it; taking the entries in CSC order
-    lists the pairs column by column, so no sort is needed.
+    scipy's CSR-to-CSC kernel, run on the entries' positions in place of
+    their values, lists them and their rows column by column without a CSC
+    matrix.  The entry that is the a-th of its column pairs with the a + 1
+    entries of that column at or above it; taking the entries in column
+    order lists the pairs column by column, so no sort is needed.
     """
-    m = A.shape[0]
-    start = np.repeat(A.indptr[:-1], np.diff(A.indptr))
+    m, n = A.shape
+    ptr = np.empty(n + 1, A.indptr.dtype)
+    rows, pos = np.empty_like(A.indices), np.empty_like(A.indices)
+    _sparsetools.csr_tocsc(
+        m, n, A.indptr, A.indices, np.arange(A.nnz, dtype=pos.dtype), ptr, rows, pos
+    )
+    start = np.repeat(ptr[:-1], np.diff(ptr))
     per = np.arange(A.nnz) - start + 1
-    first = np.cumsum(per) - per
-    ei = np.repeat(np.arange(A.nnz, dtype=np.int32), per)
-    ek = np.arange(int(per.sum())) - np.repeat(first - start, per)
-    rows = A.indices.astype(np.intp)  # bincount's index type, so it reads flat without a copy
-    return ei, rows[ei] + m * rows[ek], A.data[ek]
+    ek = np.arange(int(per.sum())) - np.repeat(np.cumsum(per) - per - start, per)
+    rows = rows.astype(np.intp)  # bincount's index type, so it reads flat without a copy
+    return np.repeat(pos, per), np.repeat(rows, per) + m * rows[ek], A.data[pos][ek]
 
 
 @dataclass
 class StandardLp:
-    """min c'x s.t. Ax = b, x >= 0, with a canonical A read row- and column-wise."""
+    """min c'x s.t. Ax = b, x >= 0, with a canonical CSR A, its one stored form."""
 
     A: sp.csr_matrix
     b: np.ndarray
@@ -179,8 +184,6 @@ class StandardLp:
             raise InvalidModelError("b and c must be finite")
         if not np.all(np.isfinite(self.A.data)):
             raise InvalidModelError("matrix entries must be finite")
-        self._csc = None
-        self._at = None
         self._pairs = None
 
     @property
@@ -192,31 +195,17 @@ class StandardLp:
         return self.A.shape[1]
 
     @property
-    def A_csc(self) -> sp.csc_matrix:
-        """Column-oriented copy of A; transpose products are as common as Ax."""
-        if self._csc is None:
-            self._csc = self.A.tocsc()
-        return self._csc
-
-    @property
-    def A_T(self) -> sp.csr_matrix:
-        """A' in CSR form, sharing the arrays of A_csc."""
-        if self._at is None:
-            self._at = self.A_csc.T
-        return self._at
-
-    @property
     def normal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every pair of entries (a_ij, a_kj) of one column j with i >= k, as
-        (position of a_ij in A_csc.data, flat index i + k m of an m x m
+        (position of a_ij in A.data, flat index i + k m of an m x m
         Fortran-ordered array, a_kj), in increasing j: the lower triangle of
         A D^2 A' in the order the sparse product sums it."""
         if self._pairs is None:
-            self._pairs = _normal_pairs(self.A_csc)
+            self._pairs = _normal_pairs(self.A)
         return self._pairs
 
     def at_y(self, y: np.ndarray) -> np.ndarray:
-        """A'y by csr_rmatvec: for the canonical A, bitwise a product with A_T."""
+        """A'y by csr_rmatvec, bitwise ``A.T @ y``."""
         return csr_rmatvec(self.A, y, np.empty(self.n))
 
 

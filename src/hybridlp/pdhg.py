@@ -11,9 +11,9 @@ programming using primal-dual hybrid gradient", arXiv:2106.04756).
 An iteration costs two sparse products and a few vector operations, so at
 desk scale the interpreter's per-call overhead, not the flops, sets its
 time.  One kernel, _iterate, therefore runs every iteration: one Python call
-per block of iterations between checks, each in place on copies of A' and
-A whose values are pre-scaled by tau / omega and -2 sigma omega, with
-scipy's CSR kernel adding each product into a vector that holds the rest.
+per block of iterations between checks, each in place on A's CSR arrays with
+two copies of its values, pre-scaled by tau / omega and -2 sigma omega;
+scipy's CSC and CSR kernels add A'v and A v into vectors holding the rest.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ from .lp_core import (
 from .status import SolveStatus
 
 # out += M v for a CSR matrix M: _csr_matvec_add(rows, cols, indptr, indices,
-# data, v, out).  scipy's kernel sums each row from the value already in out.
+# data, v, out), and out += M'v: _csc_matvec_add(cols, rows, ...) on the same
+# arrays.  scipy's kernels sum each entry of out from the value already there.
 _csr_matvec_add = _sparsetools.csr_matvec
+_csc_matvec_add = _sparsetools.csc_matvec
 
 _WEIGHT_CLIP = (1e-4, 1e4)  # bounds on the primal weight
 # Restart when the score r <= SUFFICIENT r0 (r0: the score at the first check
@@ -141,17 +143,12 @@ def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState
 
 
 def _operator(p: StandardLp, tau: float, sigma: float, omega: float):
-    """The leading arguments of _csr_matvec_add for A' scaled by tau / omega
-    and A by -2 sigma omega (sharing indptr and indices with p.A_csc, whose
-    arrays are A' in CSR form, and with p.A), and q = (-(tau / omega) c,
+    """What _iterate runs on: A's shape, indptr and indices, its values
+    scaled by tau / omega and by -2 sigma omega, and q = (-(tau / omega) c,
     2 sigma omega b)."""
     s, g = tau / omega, 2.0 * sigma * omega
-    At, A = p.A_csc, p.A
-    return (
-        (p.n, p.m, At.indptr, At.indices, s * At.data),
-        (p.m, p.n, A.indptr, A.indices, -g * A.data),
-        np.concatenate((-s * p.c, g * p.b)),
-    )
+    A, q = p.A, np.concatenate((-s * p.c, g * p.b))
+    return p.n, p.m, A.indptr, A.indices, s * A.data, -g * A.data, q
 
 
 def _iterate(op, zs, ws, anchor, tx, k, count, ty=None):
@@ -172,19 +169,19 @@ def _iterate(op, zs, ws, anchor, tx, k, count, ty=None):
     iteration, and 2 tx is tx + tx (exact either way): scalar operands cost
     a conversion per ufunc call.
     """
-    (n, m, at_ptr, at_idx, at_val), (_, _, a_ptr, a_idx, a_val), q = op
+    n, m, ptr, idx, at_val, a_val, q = op
     (z, zx, zy), (w, wx, wy) = zs, ws
-    matvec_add, maximum = _csr_matvec_add, np.maximum
+    rmatvec_add, matvec_add, maximum = _csc_matvec_add, _csr_matvec_add, np.maximum
     add, sub, mul = np.add, np.subtract, np.multiply
     zero = np.zeros(n)
     last = k + count if ty is not None else 0
     for j in range(k + 1, k + count + 1):
         add(z, q, w)
-        matvec_add(n, m, at_ptr, at_idx, at_val, zy, wx)
+        rmatvec_add(n, m, ptr, idx, at_val, zy, wx)
         maximum(zero, wx, out=tx)
         add(tx, tx, wx)
         sub(wx, zx, wx)
-        matvec_add(m, n, a_ptr, a_idx, a_val, wx, wy)
+        matvec_add(m, n, ptr, idx, a_val, wx, wy)
         if j == last:
             add(zy, wy, ty)
             mul(0.5, ty, ty)

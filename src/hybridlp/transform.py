@@ -207,6 +207,11 @@ def _entries(M: sp.csr_matrix | sp.csc_matrix, major: np.ndarray):
     return np.arange(total) + (starts - ends + counts)[owner], owner
 
 
+def _name(names: list | None, default: str, k: int) -> str:
+    """names[k], or GeneralLp's default name (default + k) without names."""
+    return f"{default}{k}" if names is None else names[k]
+
+
 def presolve(g: GeneralLp) -> PresolveResult:
     """Reduce a model to fixpoint with four reduction rules.
 
@@ -238,8 +243,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
     rhs = g.rhs.copy()
     senses = g.senses
     is_eq = np.fromiter((s == EQ for s in senses), bool, m)
-    col_names = g.variable_names()
-    row_names = g.constraint_names()
+    col_names, row_names = g.col_names, g.row_names  # None on a model without names
     offset = g.obj_offset
     row_live = np.ones(m, dtype=bool)
     col_live = np.ones(n, dtype=bool)
@@ -291,7 +295,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
             i = int(empty[k])
             return PresolveResult(
                 PresolveStatus.INFEASIBLE, None, stack,
-                f"empty row {row_names[i]} requires 0 {senses[i]} {rhs[i]}",
+                f"empty row {_name(row_names, 'r', i)} requires 0 {senses[i]} {rhs[i]}",
             )
         return None
 
@@ -309,7 +313,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
             sign, bound = ("positive", "lower") if pos[k] else ("negative", "upper")
             return PresolveResult(
                 PresolveStatus.UNBOUNDED, None, stack,
-                f"column {col_names[j]} has {sign} cost and no {bound} bound",
+                f"column {_name(col_names, 'x', j)} has {sign} cost and no {bound} bound",
             )
         if empty.size:
             remove_columns(empty, values)
@@ -356,8 +360,8 @@ def presolve(g: GeneralLp) -> PresolveResult:
             i, j, value = int(singles[k]), int(cols[k]), values[k]
             return PresolveResult(
                 PresolveStatus.INFEASIBLE, None, stack,
-                f"row {row_names[i]} fixes {col_names[j]} = {value} outside "
-                f"[{lower[j]}, {upper[j]}]",
+                f"row {_name(row_names, 'r', i)} fixes {_name(col_names, 'x', j)} = {value} "
+                f"outside [{lower[j]}, {upper[j]}]",
             )
         return None
 
@@ -380,10 +384,10 @@ def presolve(g: GeneralLp) -> PresolveResult:
     if rows.size < m:
         A = A[rows]
         senses = [senses[i] for i in rows.tolist()]
-        row_names = [row_names[i] for i in rows.tolist()]
+        row_names = row_names and [row_names[i] for i in rows.tolist()]  # None stays None
     if cols.size < n:
         A = A[:, cols]
-        col_names = [col_names[j] for j in cols.tolist()]
+        col_names = col_names and [col_names[j] for j in cols.tolist()]
     reduced = GeneralLp(
         c=c[cols], A=A, senses=senses, rhs=rhs[rows], lower=lower[cols],
         upper=upper[cols], obj_offset=offset, col_names=col_names, row_names=row_names,

@@ -1,11 +1,11 @@
 """Bitwise pins of the solver kernels against their plain scipy formulations.
 
-The hot path calls scipy's CSR kernel into preallocated buffers, caches A',
-and scales A in place; PDHG also lets the kernel add its products into
-vectors that already hold the rest of a step.  Each reference below is the
-straightforward formulation of a kernel's arithmetic; every comparison is exact
-(np.array_equal), because the solver's iteration counts and returned points
-depend on every rounding.
+The hot path calls scipy's CSR kernel into preallocated buffers, forms A'v by
+its CSC kernel on A's own arrays, and scales A in place; PDHG also lets the
+kernels add their products into vectors that already hold the rest of a
+step.  Each reference below is the straightforward formulation of a kernel's
+arithmetic; every comparison is exact (np.array_equal), because the solver's
+iteration counts and returned points depend on every rounding.
 """
 
 from pathlib import Path
@@ -138,7 +138,7 @@ def reference_reflection(p, x, y, tau, sigma, omega):
     through A' scaled by tau/omega and A by -2 sigma omega, each product
     added into the rest of its half-step."""
     s, g = tau / omega, 2.0 * sigma * omega
-    x_new = np.maximum(0.0, added_product(x + (-s * p.c), s, p.A_T, y))
+    x_new = np.maximum(0.0, added_product(x + (-s * p.c), s, p.A.T.tocsr(), y))
     return x_new, added_product(y + g * p.b, -g, p.A, 2.0 * x_new - x)
 
 
@@ -182,20 +182,29 @@ class TestCsrMatvec:
             "hybridlp.pdhg's fused iteration depends on it"
         )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raw_csc_kernel_on_csr_arrays_adds_into_out(self, seed):
+        """The fused PDHG iteration forms A'v by scipy's CSC kernel on the
+        canonical CSR A's own arrays (A' in CSC form): it must add into out
+        and sum each entry over A's rows in increasing order, as a CSR
+        product with the transpose does."""
+        rng = np.random.default_rng(seed)
+        M = sp.random(30, 50, density=0.1, random_state=seed, format="csr")
+        assert M.has_canonical_format
+        v, init = rng.standard_normal(30), rng.standard_normal(50)
+        out = init.copy()
+        _sparsetools.csc_matvec(50, 30, M.indptr, M.indices, M.data, v, out)
+        assert np.array_equal(out, reference_row_sums(init, M.T.tocsr(), v)), (
+            "scipy.sparse._sparsetools.csc_matvec no longer adds into its output in "
+            "increasing row order; hybridlp.pdhg._iterate depends on it"
+        )
+
 
 class TestAtY:
     @over_models
     def test_equals_transpose_product(self, p):
         y = np.random.default_rng(0).standard_normal(p.m)
         assert np.array_equal(p.at_y(y), p.A.T @ y)
-
-    def test_transpose_cached_and_shares_csc_arrays(self):
-        p = MODELS[-1][1]
-        At = p.A_T
-        assert At is p.A_T
-        assert At.format == "csr"
-        assert np.shares_memory(At.data, p.A_csc.data)
-        assert np.shares_memory(At.indices, p.A_csc.indices)
 
 
 class TestOpnorm:

@@ -427,18 +427,20 @@ def test_time_limit_ends_the_run_at_a_block(monkeypatch):
 @pytest.mark.parametrize("passes, every", [(40, 64), (48, 16)])
 def test_two_sparse_products_per_iteration(monkeypatch, passes, every):
     """Every iteration, between checks or at one, makes exactly two sparse
-    products, both through hybridlp.pdhg._csr_matvec_add; the start score
-    and the norm estimate make theirs elsewhere."""
+    products, through hybridlp.pdhg._csc_matvec_add and _csr_matvec_add; the
+    start score and the norm estimate make theirs elsewhere."""
     import hybridlp.pdhg
 
-    real = hybridlp.pdhg._csr_matvec_add
     calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(real):
+        def kernel(*args):
+            calls.append(1)
+            return real(*args)
+        return kernel
 
-    monkeypatch.setattr(hybridlp.pdhg, "_csr_matvec_add", counted)
+    for name in ("_csc_matvec_add", "_csr_matvec_add"):
+        monkeypatch.setattr(hybridlp.pdhg, name, counted(getattr(hybridlp.pdhg, name)))
     p = _pipeline_scaled(planted_equality_lp(15, 27, seed=1))
     _, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, max_kkt_passes=passes, check_every=every))
     assert stats.status.value == "IterationLimit"
