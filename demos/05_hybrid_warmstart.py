@@ -14,10 +14,10 @@ from hybridlp import (
     PdhgParams,
     WarmStartParams,
     centered_start,
-    hybrid_solve,
     run_ipm,
     run_pdhg,
     ruiz_equilibrate,
+    solve,
     to_standard_form,
 )
 from hybridlp.warmstart import warm_started_ipm
@@ -39,8 +39,8 @@ g = GeneralLp(
 
 # --- the one-call version ----------------------------------------------------
 
-sol, stats = hybrid_solve(g)
-print("hybrid_solve:", sol.status)
+sol, stats = solve(g, "hybrid")
+print('solve(g, "hybrid"):', sol.status)
 print(f"  first-order iterations: {stats.pdhg_iterations}")
 print(f"  interior-point iterations: {stats.ipm_iterations}")
 print(f"  max violation on the original model: {stats.violation.max_violation:.2e}")

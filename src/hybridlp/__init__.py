@@ -47,8 +47,8 @@ from .warmstart import (
     HybridStats,
     WarmStartParams,
     centered_start,
-    hybrid_solve,
     mu_target,
+    solve,
     warm_started_ipm,
 )
 from .status import SolveStatus
@@ -68,6 +68,6 @@ __all__ = [
     "IpmParams", "IpmState", "IpmStats", "NumericalFailure",
     "cold_start_point", "kkt_solve", "predictor_corrector_iteration", "run_ipm",
     "WarmStartParams", "HybridStats", "mu_target", "centered_start",
-    "warm_started_ipm", "hybrid_solve",
+    "warm_started_ipm", "solve",
     "SolveStatus",
 ]

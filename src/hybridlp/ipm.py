@@ -26,6 +26,7 @@ from .lp_core import (
     StandardLp,
     TerminationCheck,
     csr_matvec,
+    csr_rmatvec,
     residuals,
     summary_from_residuals,
     termination_from_residuals,
@@ -236,9 +237,15 @@ def cold_start_point(p: StandardLp) -> IpmState:
     """Least-norm-flavored default start: x = z = max(1, scale) * ones, y = 0.
 
     The scale comes from the least-norm solution of Ax = b, so scaled and
-    unscaled versions of the same model get different cold starts.
+    unscaled versions of the same model get different cold starts.  lsqr
+    reads A through its CSR arrays, so no transpose of A is built.
     """
-    x_ln = spla.lsqr(p.A, p.b, atol=1e-10, btol=1e-10)[0]
+    A = spla.LinearOperator(
+        p.A.shape, dtype=float,
+        matvec=lambda v: csr_matvec(p.A, v, np.empty(p.m)),
+        rmatvec=lambda v: csr_rmatvec(p.A, v, np.empty(p.n)),
+    )
+    x_ln = spla.lsqr(A, p.b, atol=1e-10, btol=1e-10)[0]
     scale = float(np.max(np.abs(x_ln))) if x_ln.size else 0.0
     alpha = max(1.0, scale)
     n = p.n

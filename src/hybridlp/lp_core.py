@@ -114,7 +114,9 @@ class GeneralLp:
         return self.A.shape[0]
 
     def validate(self) -> None:
-        """Raise InvalidModelError on non-finite data or crossed bounds."""
+        """Raise InvalidModelError on non-finite data, on bounds that cannot
+        hold (NaN, a lower bound of +inf, an upper bound of -inf) or on
+        crossed bounds."""
         if not np.all(np.isfinite(self.c)):
             raise InvalidModelError("objective coefficients must be finite")
         if not np.all(np.isfinite(self.rhs)):
@@ -124,6 +126,13 @@ class GeneralLp:
         bad = [s for s in self.senses if s not in SENSES]
         if bad:
             raise InvalidModelError(f"unknown row sense {bad[0]!r}")
+        # the standard form reads each of these as "no bound"
+        impossible = np.nonzero(~(self.lower < np.inf) | ~(self.upper > -np.inf))[0]
+        if impossible.size:
+            j = int(impossible[0])
+            raise InvalidModelError(
+                f"variable {j} has bounds [{self.lower[j]}, {self.upper[j]}] that cannot hold"
+            )
         crossed = np.nonzero(self.lower > self.upper)[0]
         if crossed.size:
             j = int(crossed[0])
@@ -459,6 +468,58 @@ def restrict_point(g: GeneralLp, fmap: StandardFormMap, pt: KktPoint):
     return x, y, g.c - csr_rmatvec(g.A, y, np.empty(g.n_vars))
 
 
+def _lift(
+    g: GeneralLp, fmap: StandardFormMap, b: np.ndarray, x, y
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x_std, y_std, A_std x_std, A_std' y_std) of lift_point, where b is
+    the standard form's right-hand side, formed from g.A's CSR arrays
+    without building A_std.
+
+    Each product of A_std sums its terms from 0 in index order, so:
+    - row i of A_std x_std is (g.A u)_i, with u = x+ - x- per variable (one
+      of the two is 0, and adding a zero term to such a sum changes
+      nothing), then the row's slack term; a bound row is u_j + its slack;
+    - entry j of A_std' y_std is (g.A' y)_j, then the dual of j's bound
+      row; a split variable's second column is 0 - that, and a slack
+      column is 0 + its coefficient times its row's dual.
+    Both are therefore bitwise the sparse products of the built A_std.
+    """
+    m = fmap.m_general
+    x = _as_float_array(x, fmap.n_general)
+    y = _as_float_array(y, m)
+    split = fmap.neg_col >= 0
+    bound_var = fmap.bound_var[m:]
+    rows = np.nonzero(fmap.slack_of_row >= 0)[0]
+    slack_cols, coef = fmap.slack_of_row[rows], fmap.slack_coef[rows]
+
+    # x_std, its slacks clamped from the activities without them; the zero
+    # goes second in the clamps so that a -0.0 input comes out +0.0
+    shifted = x - fmap.shifts
+    x_pos = np.maximum(shifted, 0.0)
+    x_neg = np.maximum(-shifted[split], 0.0)
+    x_std = np.zeros(fmap.n_std)
+    x_std[fmap.pos_col] = x_pos
+    x_std[fmap.neg_col[split]] = x_neg
+    u = x_pos
+    u[split] -= x_neg
+    ax = np.concatenate([csr_matvec(g.A, u, np.empty(m)), u[bound_var]])
+    slack = np.maximum((b[rows] - ax[rows]) / coef, 0.0)
+    x_std[slack_cols] = slack
+    ax[rows] += coef * slack
+
+    # y_std, its bound-row duals min(0, reduced cost), and A_std' y_std
+    aty = csr_rmatvec(g.A, y, np.empty(fmap.n_general))
+    y_std = np.zeros(fmap.m_std)
+    y_std[:m] = y
+    y_std[m:] = np.minimum((g.c - aty)[bound_var], 0.0)
+    aty[bound_var] += y_std[m:]
+    aty_std = np.zeros(fmap.n_std)
+    aty_std[fmap.pos_col] = aty
+    aty_std[fmap.neg_col[split]] = 0.0 - aty[split]
+    aty_std[slack_cols] = 0.0 + coef * y_std[rows]
+    return x_std, y_std, ax, aty_std
+
+
 def lift_point(
     g: GeneralLp, p: StandardLp, fmap: StandardFormMap, x: np.ndarray, y: np.ndarray
 ) -> KktPoint:
@@ -470,30 +531,8 @@ def lift_point(
     z = max(0, c - A'y).  An exactly optimal general point lifts to an
     exactly optimal standard point.
     """
-    x = _as_float_array(x, fmap.n_general)
-    y = _as_float_array(y, fmap.m_general)
-
-    x_std = np.zeros(fmap.n_std)
-    shifted = x - fmap.shifts
-    split = fmap.neg_col >= 0
-    x_std[fmap.pos_col] = np.maximum(shifted, 0.0)
-    if split.any():
-        x_std[fmap.neg_col[split]] = np.maximum(-shifted[split], 0.0)
-
-    # slack values from row activities, clamped to stay feasible in sign; the
-    # zero goes second in both clamps so that a -0.0 input comes out +0.0
-    r = p.b - csr_matvec(p.A, x_std, np.empty(p.m))
-    rows = np.nonzero(fmap.slack_of_row >= 0)[0]
-    x_std[fmap.slack_of_row[rows]] = np.maximum(r[rows] / fmap.slack_coef[rows], 0.0)
-
-    y_std = np.zeros(fmap.m_std)
-    y_std[: fmap.m_general] = y
-    bound_rows = np.nonzero(fmap.bound_var >= 0)[0]
-    if bound_rows.size:
-        z_gen = g.c - csr_rmatvec(g.A, y, np.empty(g.n_vars))
-        y_std[bound_rows] = np.minimum(z_gen[fmap.bound_var[bound_rows]], 0.0)
-
-    return KktPoint(x_std, y_std, np.maximum(0.0, p.c - p.at_y(y_std)))
+    x_std, y_std, _, aty_std = _lift(g, fmap, p.b, x, y)
+    return KktPoint(x_std, y_std, np.maximum(0.0, p.c - aty_std))
 
 
 def residuals(p: StandardLp, pt: KktPoint, aty: np.ndarray | None = None) -> Residuals:
@@ -572,52 +611,13 @@ def evaluate_general_point(g: GeneralLp, x, y) -> ViolationSummary:
 
     The result is violation_summary(p, lift_point(g, p, fmap, x, y)) with
     p, fmap = to_standard_form(g), bit for bit, computed from g.A's CSR
-    arrays without building p.  Each product of p sums its terms from 0 in
-    index order, so:
-    - row i of A_std x_std is (g.A u)_i, with u = x+ - x- per variable (one
-      of the two is 0, and adding a zero term to such a sum changes
-      nothing), then the row's slack term; a bound row is u_j + its slack;
-    - entry j of A_std' y_std is (g.A' y)_j, then the dual of j's bound
-      row; a split variable's second column is 0 - that, and a slack
-      column is 0 + its coefficient times its row's dual.
-    The objectives and x'z are dot products over vectors laid out as p's.
+    arrays without building p (see _lift).  The objectives and x'z are dot
+    products over vectors laid out as p's.
     """
     g.validate()
     fmap = _standard_map(g)
     b, c = _standard_b_c(g, fmap)
-    m = fmap.m_general
-    x = _as_float_array(x, fmap.n_general)
-    y = _as_float_array(y, m)
-    split = fmap.neg_col >= 0
-    bound_var = fmap.bound_var[m:]
-    rows = np.nonzero(fmap.slack_of_row >= 0)[0]
-    slack_cols, coef = fmap.slack_of_row[rows], fmap.slack_coef[rows]
-
-    # lift_point's x_std, its slacks clamped from the activities without them
-    shifted = x - fmap.shifts
-    x_pos = np.maximum(shifted, 0.0)
-    x_neg = np.maximum(-shifted[split], 0.0)
-    x_std = np.zeros(fmap.n_std)
-    x_std[fmap.pos_col] = x_pos
-    x_std[fmap.neg_col[split]] = x_neg
-    u = x_pos
-    u[split] -= x_neg
-    ax = np.concatenate([csr_matvec(g.A, u, np.empty(m)), u[bound_var]])
-    slack = np.maximum((b[rows] - ax[rows]) / coef, 0.0)
-    x_std[slack_cols] = slack
-    ax[rows] += coef * slack
-
-    # lift_point's y_std, and A_std' y_std
-    aty = csr_rmatvec(g.A, y, np.empty(fmap.n_general))
-    y_std = np.zeros(fmap.m_std)
-    y_std[:m] = y
-    y_std[m:] = np.minimum((g.c - aty)[bound_var], 0.0)
-    aty[bound_var] += y_std[m:]
-    aty_std = np.zeros(fmap.n_std)
-    aty_std[fmap.pos_col] = aty
-    aty_std[fmap.neg_col[split]] = 0.0 - aty[split]
-    aty_std[slack_cols] = 0.0 + coef * y_std[rows]
-
+    x_std, y_std, ax, aty_std = _lift(g, fmap, b, x, y)
     z = np.maximum(0.0, c - aty_std)
     return summary_from_residuals(Residuals(
         r_p=b - ax,

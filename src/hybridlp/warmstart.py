@@ -12,7 +12,7 @@ stalls.  Violations are measured on the user's original model.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,7 +245,6 @@ METHODS = {
 def solve(
     g: GeneralLp,
     method: str,
-    pdhg_params: PdhgParams | None = None,
     /,
     *,
     eps_rel: float | None = None,
@@ -255,15 +254,16 @@ def solve(
 ) -> tuple[SolutionFile, HybridStats]:
     """Run one method through the shared pipeline, measured on the original model.
 
-    method is a METHODS name.  Its first stage stops at eps_rel if given,
-    else at the method's tolerance, else at pdhg_params' or the solver's
-    default; the hybrid's interior point stops at its default.  One
-    deadline, time_limit_s after the call starts, covers every stage; each
-    solver stage gets what is left of it.  A failing stage ends the solve
-    with a "<stage>: <status>" message and the best point found so far.
-    A presolve verdict is reported as Infeasible or Unbounded with a
-    "presolve: ..." message; it and a model solved by presolve skip the
-    solvers and leave through the same finish as every other outcome.
+    The library's one way to run a solve.  method is a METHODS name.  Its
+    first stage stops at eps_rel if given, else at the method's tolerance,
+    else at the solver's default; the hybrid's interior point stops at its
+    default.  One deadline, time_limit_s after the call starts, covers every
+    stage, presolve included; each solver stage gets what is left of it.
+    A failing stage ends the solve with a "<stage>: <status>" message and
+    the best point found so far.  A presolve verdict is reported as
+    Infeasible or Unbounded with a "presolve: ..." message; it and a model
+    solved by presolve skip the solvers and leave through the same finish
+    as every other outcome.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -271,11 +271,7 @@ def solve(
     if eps_rel is not None:
         eps = eps_rel
     first = {} if eps is None else {"eps_rel": eps}
-    if stages == "ipm":
-        ipm_params = IpmParams(**first)
-    else:
-        pdhg_params = replace(pdhg_params or PdhgParams(), **first)
-        ipm_params = IpmParams()
+    ipm_params = IpmParams(**first) if stages == "ipm" else IpmParams()
     t0 = time.monotonic()
 
     def time_left() -> float:
@@ -294,7 +290,7 @@ def solve(
     ipm_iterations = escalations = 0
     if prep.solve_model is not None:
         if stages != "ipm":
-            params = replace(pdhg_params, time_limit_s=time_left())
+            params = PdhgParams(**first, time_limit_s=time_left())
             pt, pdhg_stats = run_pdhg(prep.solve_model, params)
             status, stage = pdhg_stats.status, "pdhg"
         if stages == "ipm":
@@ -329,18 +325,3 @@ def solve(
         pdhg_stats, ipm_stats,
     )
     return sol, stats
-
-
-def hybrid_solve(
-    g: GeneralLp, pdhg_params: PdhgParams | None = None
-) -> tuple[SolutionFile, HybridStats]:
-    """First-order solve, centered warm start, interior-point refinement.
-
-    The first-order stage runs at its own (loose) tolerance on the scaled
-    model; the refined solution is unscaled, postsolved, and its violation
-    evaluated on the original model.  Phase failures propagate with a phase
-    tag in the message, always carrying the best point found so far.
-    pdhg_params.time_limit_s bounds the whole solve, presolve included.
-    """
-    pdhg_params = pdhg_params or PdhgParams()
-    return solve(g, "hybrid", pdhg_params, time_limit_s=pdhg_params.time_limit_s)

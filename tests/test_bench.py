@@ -308,6 +308,16 @@ class TestCli:
         assert main(["solve", str(crossed), "--method", method]) == 3
         assert capsys.readouterr().err.startswith("error: variable 0 has lower bound")
 
+    @pytest.mark.parametrize("bound", ["UP BND X1 nan", "LO BND X1 inf"])
+    def test_bounds_that_cannot_hold_exit_code(self, tmp_path, capsys, bound):
+        model = tmp_path / "bounds.mps"
+        model.write_text(
+            "NAME BOUNDS\nROWS\n N OBJ\n L R1\nCOLUMNS\n X1 OBJ -1 R1 1\n"
+            f"RHS\n RHS R1 4\nBOUNDS\n {bound}\nENDATA\n"
+        )
+        assert main(["solve", str(model)]) == 3
+        assert capsys.readouterr().err.startswith("error: variable 0 has bounds")
+
     @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
     def test_unbounded_model_exits_with_a_status(self, tmp_path, method):
         """min -x1 s.t. x1 - x2 <= 1 is unbounded; every method ends with a

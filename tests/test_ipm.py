@@ -12,12 +12,12 @@ from hybridlp import (
     StandardLp,
     cold_start_point,
     evaluate_general_point,
-    hybrid_solve,
     kkt_solve,
     predictor_corrector_iteration,
     restrict_point,
     ruiz_equilibrate,
     run_ipm,
+    solve,
     to_standard_form,
     unscale_point,
 )
@@ -347,9 +347,9 @@ class TestSparseFallback:
 
     def test_hybrid_stats_carry_the_backend(self, monkeypatch):
         g = lp2().model
-        sol, stats = hybrid_solve(g)
+        sol, stats = solve(g, "hybrid")
         monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
-        sparse_sol, sparse_stats = hybrid_solve(g)
+        sparse_sol, sparse_stats = solve(g, "hybrid")
         assert stats.ipm_stats.backend == "dense"
         assert sparse_stats.ipm_stats.backend == "sparse"
         assert (sparse_sol.status, sparse_stats.ipm_iterations) == (

@@ -113,6 +113,20 @@ class TestToStandardForm:
         with pytest.raises(InvalidModelError, match="variable 1"):
             to_standard_form(g)
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(np.nan, 2.0), (0.0, np.nan), (np.inf, np.inf), (-np.inf, -np.inf)],
+        ids=["nan-lower", "nan-upper", "inf-lower", "minus-inf-upper"],
+    )
+    def test_rejects_bounds_that_cannot_hold_with_index(self, lower, upper):
+        """The standard form would read each of these bounds as no bound."""
+        g = GeneralLp(
+            c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[EQ], rhs=[1.0],
+            lower=[0.0, lower], upper=[np.inf, upper],
+        )
+        with pytest.raises(InvalidModelError, match="variable 1"):
+            to_standard_form(g)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_optimal_value_equivalence_random(self, seed):
         """Feasible-set equivalence oracle: independent solves of the general

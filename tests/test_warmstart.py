@@ -1,8 +1,11 @@
 """Centered-start construction, the stall-escalation driver, and hybrid solves."""
 
+import functools
+
 import numpy as np
 import pytest
 
+import hybridlp.warmstart
 from hybridlp import (
     EQ,
     GeneralLp,
@@ -12,9 +15,9 @@ from hybridlp import (
     SolveStatus,
     WarmStartParams,
     centered_start,
-    hybrid_solve,
     mu_target,
     run_ipm,
+    solve,
     to_standard_form,
 )
 from hybridlp.warmstart import center_toward_target, warm_started_ipm
@@ -155,7 +158,7 @@ class TestWarmStartedIpm:
 class TestHybridSolve:
     def test_lp1_warm_beats_cold(self):
         inst = lp1()
-        sol, stats = hybrid_solve(inst.model)
+        sol, stats = solve(inst.model, "hybrid")
         assert sol.status == "Optimal"
         p, _ = to_standard_form(inst.model)
         _, cold = run_ipm(p)
@@ -165,7 +168,7 @@ class TestHybridSolve:
         """The refined point is orders of magnitude more accurate than the
         first-order point it started from."""
         inst = lp2()
-        sol, stats = hybrid_solve(inst.model)
+        sol, stats = solve(inst.model, "hybrid")
         assert sol.status == "Optimal"
         assert stats.violation.max_violation <= 1e-7
 
@@ -182,7 +185,7 @@ class TestHybridSolve:
             c=[4.0], A=[[1.0]], senses=[EQ], rhs=[1.0],
             lower=[1.0], upper=[1.0],
         )
-        sol, stats = hybrid_solve(g)
+        sol, stats = solve(g, "hybrid")
         assert sol.status == "Optimal"
         assert stats.pdhg_iterations == 0
         assert stats.ipm_iterations == 0
@@ -195,19 +198,22 @@ class TestHybridSolve:
             c=[1.0], A=[[0.0]], senses=[EQ], rhs=[5.0],
             lower=[0.0], upper=[np.inf],
         )
-        sol, stats = hybrid_solve(g)
+        sol, stats = solve(g, "hybrid")
         assert sol.status == "Infeasible"
         assert stats.status is SolveStatus.INFEASIBLE
         assert sol.message.startswith("presolve: ")
 
-    def test_phase_tag_on_pdhg_failure(self):
+    def test_phase_tag_on_pdhg_failure(self, monkeypatch):
+        monkeypatch.setattr(
+            hybridlp.warmstart, "PdhgParams", functools.partial(PdhgParams, max_kkt_passes=64)
+        )
         inst = lp2()
-        sol, stats = hybrid_solve(inst.model, PdhgParams(eps_rel=1e-12, max_kkt_passes=64))
+        sol, stats = solve(inst.model, "hybrid", eps_rel=1e-12)
         assert sol.status == "IterationLimit"
         assert sol.message.startswith("pdhg:")
         assert sol.violation is not None
 
     def test_scaled_and_original_violations_both_reported(self):
-        sol, stats = hybrid_solve(lp2().model)
+        sol, stats = solve(lp2().model, "hybrid")
         assert stats.scaled_violation is not None
         assert stats.violation is not None
