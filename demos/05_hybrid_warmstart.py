@@ -1,7 +1,9 @@
 # The hybrid pipeline: a loose first-order solve produces a near-optimal but
 # low-accuracy point; a centered version of that point warm-starts the
-# interior-point solver, which reaches high accuracy in a fraction of its
-# cold-start iterations.  Also shows the stall-escalation safety valve.
+# interior-point solver.  Its first move is one verified basis solve, which
+# here lands on the vertex exactly (0 iterations); a refused attempt leaves
+# the interior point to reach high accuracy in a fraction of its cold-start
+# iterations.  Also shows the stall-escalation safety valve.
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +44,7 @@ g = GeneralLp(
 sol, stats = solve(g, "hybrid")
 print('solve(g, "hybrid"):', sol.status)
 print(f"  first-order iterations: {stats.pdhg_iterations}")
+print(f"  basis polish: {stats.ipm_stats.polish}")
 print(f"  interior-point iterations: {stats.ipm_iterations}")
 print(f"  max violation on the original model: {stats.violation.max_violation:.2e}")
 
@@ -62,7 +65,7 @@ print(f"  complementarity products span [{prods.min():.1e}, {prods.max():.1e}]")
 res = warm_started_ipm(scaled, warm, IpmParams(), WarmStartParams())
 print(f"\ncold interior point: {cold_stats.iterations} iterations")
 print(f"warm interior point: {res.total_iterations} iterations "
-      f"({res.escalations} escalations)")
+      f"({res.escalations} escalations, basis polish {res.stats.polish})")
 
 # --- the stall-escalation valve ----------------------------------------------
 
@@ -81,4 +84,5 @@ res = warm_started_ipm(
     IpmParams(), WarmStartParams(),
 )
 print(f"\nboundary start: {res.stats.status.value} after "
-      f"{res.escalations} escalation(s), {res.total_iterations} iterations")
+      f"{res.escalations} escalation(s), {res.total_iterations} iterations "
+      f"(basis polish {res.stats.polish})")

@@ -124,7 +124,7 @@ def _cmd_solve(args) -> int:
     except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR_EXIT
-    sol, _ = warmstart.solve(g, args.method, **_settings(args))
+    sol, stats = warmstart.solve(g, args.method, **_settings(args))
     text = write_solution(sol)
     if args.out:
         with open(args.out, "w") as fh:
@@ -132,9 +132,11 @@ def _cmd_solve(args) -> int:
     else:
         sys.stdout.write(text)
     v = sol.violation
+    polish = stats.ipm_stats.polish if stats.ipm_stats else ""
     print(
         f"status={sol.status} wall={sol.wall_seconds:.3f}s "
         f"pdhg_iters={sol.pdhg_iterations} ipm_iters={sol.ipm_iterations}"
+        + (f' polish="{polish}"' if polish else "")
         + (f" max_violation={v.max_violation:.3e}" if v else ""),
         file=sys.stderr,
     )

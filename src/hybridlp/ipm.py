@@ -6,7 +6,8 @@ the model's cached pair list and factored by dense Cholesky, or the sparse
 product factored by splu above a memory cap), an infeasible-start Newton
 right-hand side, a fraction-to-boundary step rule, and Mehrotra-style
 adaptive centering.  Accepts a cold start or an externally supplied strictly
-positive start.
+positive start; from a supplied start it first tries one verified basis
+solve (basis_polish), which ends the solve at a vertex when it is accepted.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ class IpmStats:
     history: list = field(default_factory=list)
     backend: str = ""
     max_reg_level: int = 0
+    # basis_polish's verdict: "accepted", a refusal reason, or "" when no
+    # attempt was made (a cold start)
+    polish: str = ""
 
 
 def normal_backend(m: int) -> str:
@@ -134,6 +138,25 @@ def normal_lower(p: StandardLp, d2: np.ndarray) -> np.ndarray:
     return np.bincount(flat, weights=v, minlength=m * m).reshape((m, m), order="F")
 
 
+def factor_normal(p: StandardLp, d2: np.ndarray, delta: float = 0.0, M=None):
+    """A function solving (A D^2 A' + delta I) v = r.
+
+    Dense while normal_backend(p.m) says so: normal_lower, then cho_factor,
+    which raises LinAlgError unless the matrix is positive definite.  Sparse
+    above the cap: splu of M (normal_matrix(p, d2) unless given), which
+    raises RuntimeError on an exactly singular matrix.
+    """
+    if normal_backend(p.m) == "sparse":
+        if M is None:
+            M = normal_matrix(p, d2)
+        return spla.splu(M + delta * sp.identity(M.shape[0], format="csc") if delta else M).solve
+    a = normal_lower(p, d2)
+    if delta:
+        a[np.diag_indices_from(a)] += delta
+    factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+    return lambda r: cho_solve(factor, r, check_finite=False)
+
+
 class NormalEquationsSolver:
     """Factor A D^2 A' once per iterate and solve Newton systems against it.
 
@@ -142,7 +165,7 @@ class NormalEquationsSolver:
     in place in one Fortran-ordered array holding only the lower triangle it
     reads: normal_lower assembles it by one bincount over the pair list that
     the model builds once from its CSR A and keeps (every pair of entries of
-    one column of A, 20 bytes each), bitwise the sparse product's triangle.
+    one column of A, 24 bytes each), bitwise the sparse product's triangle.
     The factors of A D^2 A' fill in almost completely even when M itself is a
     few percent full, so dense is the faster choice on every model that
     fits.  Above the cap, SuperLU (splu) factors the sparse M + delta I from
@@ -172,26 +195,13 @@ class NormalEquationsSolver:
         while self.level < len(_REG_LADDER):
             self._solve_normal = None  # free the old factor before the next
             try:
-                self._solve_normal = self._factorize(_REG_LADDER[self.level])
+                self._solve_normal = factor_normal(
+                    self.p, self.d2, _REG_LADDER[self.level], self.M
+                )
                 return
             except (LinAlgError, RuntimeError):
                 self.level += 1
         raise NumericalFailure("normal-equations factorization failed at max regularization")
-
-    def _factorize(self, delta: float):
-        """A function solving (A D^2 A' + delta I) v = r.
-
-        cho_factor raises LinAlgError unless the matrix is positive definite;
-        splu raises RuntimeError on an exactly singular matrix.
-        """
-        if self.backend == "sparse":
-            M = self.M
-            return spla.splu(M + delta * sp.identity(M.shape[0], format="csc") if delta else M).solve
-        a = normal_lower(self.p, self.d2)
-        if delta:
-            a[np.diag_indices_from(a)] += delta
-        factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
-        return lambda r: cho_solve(factor, r, check_finite=False)
 
     def _residual_ok(self, dx, aty, dz, rhs_p, rhs_d, rhs_c) -> bool:
         p = self.p
@@ -250,6 +260,58 @@ def cold_start_point(p: StandardLp) -> IpmState:
     alpha = max(1.0, scale)
     n = p.n
     return IpmState(x=np.full(n, alpha), y=np.zeros(p.m), z=np.full(n, alpha))
+
+
+def basis_polish(
+    p: StandardLp, state: KktPoint, eps_rel: float
+) -> tuple[KktPoint | None, TerminationCheck | None, str]:
+    """One attempt at the vertex of the basis that state's x and z name.
+
+    The basis B is the m columns with the largest x - z; the attempt goes on
+    only if x > z on all m.  BB' is A W A' with a 0/1 weight w marking B,
+    factored by factor_normal with no regularization.  Then
+    x_B = B'(BB')^-1 b and y = (BB')^-1 B c_B, each with one refinement
+    step, x_N = 0 and z = c - A'y.  The point is accepted only if
+    x >= -1e-9 (1 + ||x||_inf) and z >= -1e-9 (1 + ||c||_inf), and the point
+    with x and z clipped at 0 passes the relative test at eps_rel.
+
+    Returns (point, its termination check, "accepted"), or (None, None,
+    reason) with reason "no basis", "singular", "infeasible" or
+    "not optimal".  state is not changed.
+    """
+    m, n = p.m, p.n
+    if n < m:
+        return None, None, "no basis"
+    gap = state.x - state.z
+    basis = np.argpartition(gap, n - m)[n - m:]
+    if not np.all(gap[basis] > 0):
+        return None, None, "no basis"
+    w = np.zeros(n)
+    w[basis] = 1.0
+    try:
+        solve_bbt = factor_normal(p, w)
+    except (LinAlgError, RuntimeError):
+        return None, None, "singular"
+
+    A = p.A
+    x = np.zeros(n)
+    x[basis] = p.at_y(solve_bbt(p.b))[basis]
+    x[basis] += p.at_y(solve_bbt(p.b - csr_matvec(A, x, np.empty(m))))[basis]
+    y = solve_bbt(csr_matvec(A, w * p.c, np.empty(m)))
+    aty = p.at_y(y)
+    y += solve_bbt(csr_matvec(A, w * (p.c - aty), np.empty(m)))
+    aty = p.at_y(y)
+    z = p.c - aty
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        return None, None, "singular"
+    if (x.min() < -1e-9 * (1.0 + np.abs(x).max())
+            or z.min() < -1e-9 * (1.0 + np.abs(p.c).max())):
+        return None, None, "infeasible"
+    point = KktPoint(np.maximum(x, 0.0), y, np.maximum(z, 0.0))
+    check = termination_from_residuals(p, residuals(p, point, aty), eps_rel)
+    if not check.ok:
+        return None, None, "not optimal"
+    return point, check, "accepted"
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -314,6 +376,10 @@ def run_ipm(
     Stops with Stalled as soon as min(alpha_p, alpha_d) drops below
     _MIN_STEP on any iteration; the caller (the warm-start driver) owns the
     retry policy.  Iteration counts are accepted predictor-corrector steps.
+    From a supplied start that does not pass the first check, one
+    basis_polish attempt comes before the first step: an accepted vertex
+    ends the solve Optimal after 0 iterations, and a refusal leaves the
+    start as it was.
     """
     if params is None:
         params = IpmParams()
@@ -331,6 +397,7 @@ def run_ipm(
     stall_iteration = None
     termination = None
     max_reg_level = 0
+    polish = ""
     # One residual evaluation per iterate serves its history entry, the next
     # check and the next Newton right-hand side.
     res = residuals(p, state)
@@ -346,6 +413,12 @@ def run_ipm(
         if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
             status = SolveStatus.TIME_LIMIT
             break
+        if it == 0 and start is not None:
+            vertex, check, polish = basis_polish(p, state, params.eps_rel)
+            if vertex is not None:
+                state = IpmState(vertex.x, vertex.y, vertex.z)
+                termination, status = check, SolveStatus.OPTIMAL
+                break
         try:
             state, report = predictor_corrector_iteration(p, state, res)
         except NumericalFailure:
@@ -378,5 +451,6 @@ def run_ipm(
         history=history,
         backend=normal_backend(p.m),
         max_reg_level=max_reg_level,
+        polish=polish,
     )
     return KktPoint(state.x, state.y, state.z), stats

@@ -172,7 +172,9 @@ def _normal_pairs(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     start = np.repeat(ptr[:-1], np.diff(ptr))
     per = np.arange(A.nnz) - start + 1
     ek = np.arange(int(per.sum())) - np.repeat(np.cumsum(per) - per - start, per)
-    rows = rows.astype(np.intp)  # bincount's index type, so it reads flat without a copy
+    # intp, numpy's index type: bincount reads flat, and fancy indexing ei,
+    # without a conversion copy
+    rows, pos = rows.astype(np.intp), pos.astype(np.intp)
     return np.repeat(pos, per), np.repeat(rows, per) + m * rows[ek], A.data[pos][ek]
 
 

@@ -5,7 +5,8 @@ then nudges each coordinate pair toward a common complementarity target with
 per-coordinate moves clamped to a trust region.  The pipeline runs presolve
 -> standard form -> scale -> pdhg -> centered start -> interior point, or
 just one of the two solvers, under one deadline; the warm-started interior
-point escalates the floor and retries from the current iterate whenever it
+point first tries the basis its start names (ipm.basis_polish), and
+escalates the floor and retries from the current iterate whenever it
 stalls.  Violations are measured on the user's original model.
 """
 
@@ -229,7 +230,8 @@ class HybridStats:
 
 
 # method name -> (its stages: "pdhg" only, "ipm" from the cold start, or
-# "hybrid" = pdhg -> centered start -> warm-started ipm; the first stage's
+# "hybrid" = pdhg -> centered start -> warm-started ipm, which begins with a
+# basis polish; the first stage's
 # eps_rel, None keeping the solver's default)
 METHODS = {
     "pdhg": ("pdhg", None),

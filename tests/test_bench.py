@@ -211,6 +211,19 @@ class TestCli:
         assert sol.status == "Optimal"
         np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-6)
 
+    @pytest.mark.parametrize("method, polish", [("hybrid", ' polish="accepted" '), ("ipm-cold", "")])
+    def test_solve_summary_names_the_polish(self, tmp_path, capsys, method, polish):
+        """The hybrid's summary line names the polish verdict; a method with
+        no warm interior point prints no polish field."""
+        code = main(["solve", str(FIXTURES / "lp2.mps"), "--method", method,
+                     "--out", str(tmp_path / "sol.txt")])
+        assert code == 0
+        line = capsys.readouterr().err
+        if polish:
+            assert "ipm_iters=0" + polish in line
+        else:
+            assert "polish=" not in line
+
     def test_bogus_method_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "whatever.mps", "--method", "bogus"])
@@ -588,7 +601,8 @@ class TestSettingsPassedThrough:
 
     @pytest.mark.parametrize("setting", [{"time_limit": 1}, {"pdhg_params": PdhgParams()}])
     def test_misspelt_setting_raises_before_any_model(self, tmp_path, monkeypatch, setting):
-        """Only solve's keywords are settings; its positional pdhg_params is not."""
+        """Only solve's keywords are settings; pdhg_params, which solve does
+        not take, fails as any unknown keyword does."""
         import hybridlp.bench
 
         def unreachable(text):

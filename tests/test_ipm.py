@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridlp.ipm
 import hybridlp.lp_core
@@ -9,7 +11,9 @@ from hybridlp import (
     IpmParams,
     IpmState,
     KktPoint,
+    PdhgParams,
     StandardLp,
+    centered_start,
     cold_start_point,
     evaluate_general_point,
     kkt_solve,
@@ -17,11 +21,18 @@ from hybridlp import (
     restrict_point,
     ruiz_equilibrate,
     run_ipm,
+    run_pdhg,
     solve,
     to_standard_form,
     unscale_point,
 )
-from hybridlp.ipm import _REG_LADDER, NormalEquationsSolver, NumericalFailure, normal_matrix
+from hybridlp.ipm import (
+    _REG_LADDER,
+    NormalEquationsSolver,
+    NumericalFailure,
+    basis_polish,
+    normal_matrix,
+)
 
 from _desk import desk_suite, lp1, lp2, planted_equality_lp
 
@@ -392,3 +403,89 @@ def test_three_transpose_products_per_iterate(monkeypatch):
 def test_params_reject_nonpositive_eps_rel(eps):
     with pytest.raises(ValueError, match="eps_rel"):
         IpmParams(eps_rel=eps)
+
+
+def _warm_start(p: StandardLp) -> IpmState:
+    """The hybrid's start on p: the centered PDHG point at 1e-4."""
+    pt = centered_start(run_pdhg(p, PdhgParams(eps_rel=1e-4))[0])
+    return IpmState(pt.x, pt.y, pt.z)
+
+
+def _scaled(inst) -> StandardLp:
+    return ruiz_equilibrate(to_standard_form(inst.model)[0])[0]
+
+
+class TestBasisPolish:
+    def test_boundary_start_fails_the_gate(self):
+        """Acceptance criterion 8's boundary start has x - z = 0 everywhere:
+        no column is basic, so run_ipm steps from it and stalls."""
+        p, _ = to_standard_form(lp2().model)
+        start = IpmState(
+            x=np.array([1.0, 1.0, 1e-9, 1.0]),
+            y=np.zeros(2),
+            z=np.array([1.0, 1.0, 1e-9, 1.0]),
+        )
+        assert basis_polish(p, start, 1e-8) == (None, None, "no basis")
+        _, stats = run_ipm(p, start=start)
+        assert stats.polish == "no basis"
+        assert stats.status.value == "Stalled"
+
+    def test_cold_start_makes_no_attempt(self):
+        _, stats = run_ipm(to_standard_form(lp2().model)[0])
+        assert stats.polish == ""
+        assert stats.iterations > 0
+
+    def test_accepted_vertex_ends_the_solve(self):
+        p = _scaled(planted_equality_lp(40, 70, seed=20))
+        pt, stats = run_ipm(p, start=_warm_start(p))
+        assert stats.polish == "accepted"
+        assert (stats.status.value, stats.iterations, stats.history) == ("Optimal", 0, [])
+        assert stats.termination.ok
+        assert np.count_nonzero(pt.x) <= p.m
+        assert min(pt.x.min(), pt.z.min()) >= 0.0
+
+    def test_singular_basis_is_refused(self):
+        """Rows 0 and 1 of SINGULAR are equal, so every BB' is singular."""
+        start = IpmState(np.array([3.0, 2.0, 1.0, 1e-3]), np.zeros(3), np.full(4, 1e-3))
+        assert basis_polish(SINGULAR, start, 1e-8)[2] == "singular"
+
+    @pytest.mark.parametrize("inst", [lp2(), planted_equality_lp(40, 70, seed=20),
+                                      planted_equality_lp(120, 200, seed=24)],
+                             ids=lambda inst: inst.name)
+    def test_sparse_backend_matches_dense(self, inst, monkeypatch):
+        p = _scaled(inst)
+        start = _warm_start(p)
+        dense, dense_stats = run_ipm(p, start=start)
+        monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
+        sparse, sparse_stats = run_ipm(p, start=start)
+        assert (dense_stats.backend, sparse_stats.backend) == ("dense", "sparse")
+        assert dense_stats.polish == sparse_stats.polish == "accepted"
+        for a, b in ((dense.x, sparse.x), (dense.y, sparse.y), (dense.z, sparse.z)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 10),
+        extra=st.integers(0, 10),
+        seed=st.integers(0, 2**16),
+        spread=st.floats(1e-8, 1e-2),
+    )
+    def test_accepted_point_is_a_feasible_vertex(self, m, extra, seed, spread):
+        """From a perturbed planted optimum: whatever basis_polish accepts is
+        in the cone, zero off the m columns with the largest x - z, and
+        solves Ax = b."""
+        inst = planted_equality_lp(m, m + extra, seed=seed)
+        p, _ = to_standard_form(inst.model)
+        rng = np.random.default_rng(seed)
+        z_star = p.c - p.A.T @ inst.y_star
+        x = inst.x_star + spread * rng.uniform(0.1, 1.0, p.n)
+        z = np.maximum(z_star, 0.0) + spread * rng.uniform(0.1, 1.0, p.n)
+        pt, check, reason = basis_polish(p, IpmState(x, inst.y_star.copy(), z), 1e-8)
+        assert reason in ("accepted", "no basis", "singular", "infeasible", "not optimal")
+        if pt is None:
+            return
+        assert check.ok
+        assert pt.x.min() >= 0.0 and pt.z.min() >= 0.0
+        gap = x - z
+        assert np.all(gap[pt.x != 0] >= np.sort(gap)[p.n - p.m])
+        assert np.max(np.abs(p.A @ pt.x - p.b)) <= 1e-9

@@ -5,24 +5,29 @@ import functools
 import numpy as np
 import pytest
 
+import hybridlp.ipm
 import hybridlp.warmstart
 from hybridlp import (
     EQ,
     GeneralLp,
     IpmParams,
+    IpmState,
     KktPoint,
     PdhgParams,
     SolveStatus,
     WarmStartParams,
     centered_start,
+    check_relative_termination,
     mu_target,
+    predictor_corrector_iteration,
     run_ipm,
+    run_pdhg,
     solve,
     to_standard_form,
 )
-from hybridlp.warmstart import center_toward_target, warm_started_ipm
+from hybridlp.warmstart import center_toward_target, prepare_model, warm_started_ipm
 
-from _desk import lp1, lp2
+from _desk import desk_suite, lp1, lp2
 
 
 class TestMuTarget:
@@ -217,3 +222,54 @@ class TestHybridSolve:
         sol, stats = solve(lp2().model, "hybrid")
         assert stats.scaled_violation is not None
         assert stats.violation is not None
+
+
+def _steps_without_polish(p, start: KktPoint, params: IpmParams) -> IpmState:
+    """run_ipm's loop as it is without the basis polish: check, then step,
+    until the check passes or a step stalls."""
+    state = IpmState(start.x.copy(), start.y.copy(), start.z.copy())
+    while not check_relative_termination(p, state, params.eps_rel).ok:
+        state, report = predictor_corrector_iteration(p, state)
+        if report.min_alpha < hybridlp.ipm._MIN_STEP:
+            break
+    return state
+
+
+class TestBasisPolishInTheHybrid:
+    @pytest.mark.parametrize("inst", desk_suite(), ids=lambda inst: inst.name)
+    def test_desk_model_polished_or_refusal_named(self, inst):
+        sol, stats = solve(inst.model, "hybrid")
+        assert sol.status == "Optimal"
+        polish = stats.ipm_stats.polish
+        if polish == "accepted":
+            assert stats.ipm_iterations == 0
+            assert stats.violation.max_violation <= 1e-12
+        else:
+            assert polish in ("no basis", "singular", "infeasible", "not optimal")
+            assert stats.ipm_iterations > 0
+
+    def test_degenerate_model_refused_and_still_optimal(self):
+        inst = next(i for i in desk_suite() if i.name == "degenerate")
+        sol, stats = solve(inst.model, "hybrid")
+        assert stats.ipm_stats.polish != "accepted"
+        assert sol.status == "Optimal"
+        assert stats.violation.max_violation <= 1e-7
+
+    @pytest.mark.parametrize("name", ["lp2", "eq_40x70_s20", "eq_120x200_s24", "ineq_35x60_s34"])
+    def test_refusal_leaves_the_interior_point_path_unchanged(self, name, monkeypatch):
+        """With every attempt refused, the warm result is the plain
+        predictor-corrector path from the same start, bit for bit."""
+        inst = next(i for i in desk_suite() if i.name == name)
+        p = prepare_model(inst.model).solve_model
+        start = centered_start(run_pdhg(p, PdhgParams(eps_rel=1e-4))[0])
+        monkeypatch.setattr(
+            hybridlp.ipm, "basis_polish", lambda p, state, eps_rel: (None, None, "not optimal")
+        )
+        res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
+        ref = _steps_without_polish(p, start, IpmParams())
+        assert (res.stats.status, res.escalations, res.stats.polish) == (
+            SolveStatus.OPTIMAL, 0, "not optimal"
+        )
+        assert res.total_iterations == ref.iterations > 0
+        for a, b in ((res.point.x, ref.x), (res.point.y, ref.y), (res.point.z, ref.z)):
+            assert np.array_equal(a, b)
