@@ -3,7 +3,8 @@
 # interior-point solver.  Its first move is one verified basis solve, which
 # here lands on the vertex exactly (0 iterations); a refused attempt leaves
 # the interior point to reach high accuracy in a fraction of its cold-start
-# iterations.  Also shows the stall-escalation safety valve.
+# iterations.  Also shows the stall-escalation safety valve, which runs after
+# a refusal and makes no second attempt.
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,10 +44,10 @@ g = GeneralLp(
 
 sol, stats = solve(g, "hybrid")
 print('solve(g, "hybrid"):', sol.status)
-print(f"  first-order iterations: {stats.pdhg_iterations}")
+print(f"  first-order iterations: {sol.pdhg_iterations}")
 print(f"  basis polish: {stats.ipm_stats.polish}")
-print(f"  interior-point iterations: {stats.ipm_iterations}")
-print(f"  max violation on the original model: {stats.violation.max_violation:.2e}")
+print(f"  interior-point iterations: {sol.ipm_iterations}")
+print(f"  max violation on the original model: {sol.violation.max_violation:.2e}")
 
 # --- what happened inside ----------------------------------------------------
 
@@ -72,7 +73,9 @@ print(f"warm interior point: {res.total_iterations} iterations "
 # A coordinate pair pinned at the boundary makes the first solve stall: the
 # centering correction has to blast through the tiny pair, collapsing the
 # fraction-to-boundary step.  Raising the floor tenfold and re-entering from
-# the current iterate recovers.
+# the current iterate recovers.  The start has x = z in every coordinate, so
+# it names no basis: the one polish attempt, before the first solve, is
+# refused with "no basis", and that is the verdict reported.
 g_small = GeneralLp(
     c=[-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], senses=["<=", "<="],
     rhs=[4.0, 6.0], lower=[0.0, 0.0], upper=[np.inf, np.inf],
@@ -85,4 +88,4 @@ res = warm_started_ipm(
 )
 print(f"\nboundary start: {res.stats.status.value} after "
       f"{res.escalations} escalation(s), {res.total_iterations} iterations "
-      f"(basis polish {res.stats.polish})")
+      f'(basis polish "{res.stats.polish}")')

@@ -39,7 +39,6 @@ from .ipm import (
     IpmStats,
     NumericalFailure,
     cold_start_point,
-    kkt_solve,
     predictor_corrector_iteration,
     run_ipm,
 )
@@ -66,7 +65,7 @@ __all__ = [
     "presolve", "postsolve", "ruiz_equilibrate", "scale_point", "unscale_point",
     "PdhgParams", "PdhgState", "SolveStats", "estimate_opnorm", "pdhg_step", "run_pdhg",
     "IpmParams", "IpmState", "IpmStats", "NumericalFailure",
-    "cold_start_point", "kkt_solve", "predictor_corrector_iteration", "run_ipm",
+    "cold_start_point", "predictor_corrector_iteration", "run_ipm",
     "WarmStartParams", "HybridStats", "mu_target", "centered_start",
     "warm_started_ipm", "solve",
     "SolveStatus",

@@ -5,9 +5,10 @@ Works in standard form with the normal-equations linear algebra
 the model's cached pair list and factored by dense Cholesky, or the sparse
 product factored by splu above a memory cap), an infeasible-start Newton
 right-hand side, a fraction-to-boundary step rule, and Mehrotra-style
-adaptive centering.  Accepts a cold start or an externally supplied strictly
-positive start; from a supplied start it first tries one verified basis
-solve (basis_polish), which ends the solve at a vertex when it is accepted.
+adaptive centering.  run_ipm runs the same iteration from a cold start or
+from an externally supplied strictly positive start.  basis_polish, one
+verified solve at the vertex of the basis a point names, is the hybrid's
+first move (warmstart.warm_started_ipm calls it once, before run_ipm).
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class IpmStats:
     history: list = field(default_factory=list)
     backend: str = ""
     max_reg_level: int = 0
-    # basis_polish's verdict: "accepted", a refusal reason, or "" when no
-    # attempt was made (a cold start)
+    # basis_polish's verdict, set by warm_started_ipm: "accepted", a refusal
+    # reason, or "" when no attempt was made (run_ipm never makes one)
     polish: str = ""
 
 
@@ -230,17 +231,6 @@ class NormalEquationsSolver:
             if self.level >= len(_REG_LADDER):
                 raise NumericalFailure("Newton system residual above tolerance at max regularization")
             self._factor()
-
-
-def kkt_solve(p: StandardLp, state: IpmState, rhs_p, rhs_d, rhs_c):
-    """One-shot Newton solve at the given state (see NormalEquationsSolver)."""
-    state.require_interior()
-    solver = NormalEquationsSolver(p, state.x, state.z)
-    return solver.solve(
-        np.asarray(rhs_p, dtype=float),
-        np.asarray(rhs_d, dtype=float),
-        np.asarray(rhs_c, dtype=float),
-    )
 
 
 def cold_start_point(p: StandardLp) -> IpmState:
@@ -376,10 +366,6 @@ def run_ipm(
     Stops with Stalled as soon as min(alpha_p, alpha_d) drops below
     _MIN_STEP on any iteration; the caller (the warm-start driver) owns the
     retry policy.  Iteration counts are accepted predictor-corrector steps.
-    From a supplied start that does not pass the first check, one
-    basis_polish attempt comes before the first step: an accepted vertex
-    ends the solve Optimal after 0 iterations, and a refusal leaves the
-    start as it was.
     """
     if params is None:
         params = IpmParams()
@@ -397,7 +383,6 @@ def run_ipm(
     stall_iteration = None
     termination = None
     max_reg_level = 0
-    polish = ""
     # One residual evaluation per iterate serves its history entry, the next
     # check and the next Newton right-hand side.
     res = residuals(p, state)
@@ -413,12 +398,6 @@ def run_ipm(
         if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
             status = SolveStatus.TIME_LIMIT
             break
-        if it == 0 and start is not None:
-            vertex, check, polish = basis_polish(p, state, params.eps_rel)
-            if vertex is not None:
-                state = IpmState(vertex.x, vertex.y, vertex.z)
-                termination, status = check, SolveStatus.OPTIMAL
-                break
         try:
             state, report = predictor_corrector_iteration(p, state, res)
         except NumericalFailure:
@@ -451,6 +430,5 @@ def run_ipm(
         history=history,
         backend=normal_backend(p.m),
         max_reg_level=max_reg_level,
-        polish=polish,
     )
     return KktPoint(state.x, state.y, state.z), stats

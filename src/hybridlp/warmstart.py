@@ -4,10 +4,11 @@ The centering construction floors a primal-dual pair away from the boundary,
 then nudges each coordinate pair toward a common complementarity target with
 per-coordinate moves clamped to a trust region.  The pipeline runs presolve
 -> standard form -> scale -> pdhg -> centered start -> interior point, or
-just one of the two solvers, under one deadline; the warm-started interior
-point first tries the basis its start names (ipm.basis_polish), and
-escalates the floor and retries from the current iterate whenever it
-stalls.  Violations are measured on the user's original model.
+just one of the two solvers, under one deadline.  The warm-started interior
+point makes one attempt at the basis its start names (ipm.basis_polish);
+on a refusal it runs the interior point, and escalates the floor and
+retries from the current iterate whenever it stalls.  Violations are
+measured on the user's original model.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ipm import IpmParams, IpmState, IpmStats, run_ipm
+from .ipm import IpmParams, IpmState, IpmStats, basis_polish, normal_backend, run_ipm
 from .lp_core import (
     GeneralLp,
     InvalidModelError,
@@ -117,25 +118,41 @@ def warm_started_ipm(
     ws_params: WarmStartParams,
     time_limit_s: float | None = None,
 ) -> WarmIpmResult:
-    """Run the interior-point solver from a warm point with stall escalation.
+    """One basis polish, then the interior-point solver with stall escalation.
 
-    On a stall the floor alpha_min is multiplied by the escalation factor,
-    the current iterate's (x, z) are re-floored, and the solve resumes from
-    that iterate.  After max_escalations stalls the Stalled status stands.
+    While time remains, basis_polish makes its one attempt at the vertex of
+    the basis the start names; an accepted vertex is the result, Optimal
+    after 0 iterations.  Otherwise run_ipm steps from the start.  On a stall
+    the floor alpha_min is multiplied by the escalation factor, the current
+    iterate's (x, z) are re-floored, and the solve resumes from that
+    iterate.  After max_escalations stalls the Stalled status stands.  The
+    returned stats carry the polish verdict ("" when no attempt was made).
     """
     t0 = time.monotonic()
+
+    def time_left() -> float | None:
+        if time_limit_s is None:
+            return None
+        return max(0.0, time_limit_s - (time.monotonic() - t0))
+
     x, y, z = start.x, start.y, start.z
+    IpmState(x, y, z).require_interior()
+    polish = ""
+    if time_limit_s is None or time_left() > 0:
+        vertex, check, polish = basis_polish(p, start, ipm_params.eps_rel)
+        if vertex is not None:
+            stats = IpmStats(
+                SolveStatus.OPTIMAL, 0, time.monotonic() - t0, None, check,
+                IpmState(vertex.x, vertex.y, vertex.z).mu,
+                backend=normal_backend(p.m), polish=polish,
+            )
+            return WarmIpmResult(vertex, stats, 0, 0)
+
     alpha = _ALPHA_MIN
     escalations = 0
     total_iters = 0
-
     while True:
-        remaining = None
-        if time_limit_s is not None:
-            remaining = max(0.0, time_limit_s - (time.monotonic() - t0))
-        pt, stats = run_ipm(
-            p, ipm_params, start=IpmState(x, y, z), time_limit_s=remaining
-        )
+        pt, stats = run_ipm(p, ipm_params, start=IpmState(x, y, z), time_limit_s=time_left())
         total_iters += stats.iterations
         if stats.status is SolveStatus.STALLED and escalations < ws_params.max_escalations:
             escalations += 1
@@ -144,6 +161,7 @@ def warm_started_ipm(
             z = np.maximum(pt.z, alpha)
             y = pt.y
             continue
+        stats.polish = polish
         return WarmIpmResult(pt, stats, escalations, total_iters)
 
 
@@ -218,27 +236,21 @@ def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
 
 @dataclass
 class HybridStats:
-    status: SolveStatus
-    pdhg_iterations: int
-    ipm_iterations: int
-    escalations: int
-    wall_seconds: float
-    violation: ViolationSummary | None
+    """What solve reports beside its SolutionFile, which holds the status,
+    iteration counts, escalations, wall time and original-model violation."""
+
     scaled_violation: ViolationSummary | None
-    pdhg_stats: SolveStats | None = None
-    ipm_stats: IpmStats | None = None
+    pdhg_stats: SolveStats | None
+    ipm_stats: IpmStats | None
 
 
 # method name -> (its stages: "pdhg" only, "ipm" from the cold start, or
 # "hybrid" = pdhg -> centered start -> warm-started ipm, which begins with a
-# basis polish; the first stage's
-# eps_rel, None keeping the solver's default)
+# basis polish; the first stage's eps_rel, None keeping the solver's default)
 METHODS = {
-    "pdhg": ("pdhg", None),
     "pdhg-1e4": ("pdhg", 1e-4),
     "pdhg-1e6": ("pdhg", 1e-6),
     "pdhg-1e8": ("pdhg", 1e-8),
-    "ipm": ("ipm", None),
     "ipm-cold": ("ipm", None),
     "hybrid": ("hybrid", None),
 }
@@ -310,20 +322,13 @@ def solve(
         message = "" if status is SolveStatus.OPTIMAL else f"{stage}: {status.value}"
 
     finished = finish_point(prep, pt)
-    wall = time.monotonic() - t0
-    pdhg_iterations = pdhg_stats.iterations if pdhg_stats else 0
     sol = make_solution_file(
         g, status, finished.x, finished.y, finished.z,
-        method=method, wall_seconds=wall,
-        pdhg_iterations=pdhg_iterations,
+        method=method, wall_seconds=time.monotonic() - t0,
+        pdhg_iterations=pdhg_stats.iterations if pdhg_stats else 0,
         ipm_iterations=ipm_iterations,
         escalations=escalations,
         violation=finished.violation,
         message=message,
     )
-    stats = HybridStats(
-        status, pdhg_iterations, ipm_iterations, escalations,
-        wall, finished.violation, finished.scaled_violation,
-        pdhg_stats, ipm_stats,
-    )
-    return sol, stats
+    return sol, HybridStats(finished.scaled_violation, pdhg_stats, ipm_stats)

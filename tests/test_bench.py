@@ -29,6 +29,12 @@ from hybridlp.warmstart import METHODS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# one method per solver path, each test id naming its stage
+ONE_PER_STAGE = {"pdhg": "pdhg-1e4", "ipm": "ipm-cold", "hybrid": "hybrid"}
+by_stage = pytest.mark.parametrize(
+    "method", list(ONE_PER_STAGE.values()), ids=list(ONE_PER_STAGE)
+)
+
 # X1 is fixed at 2, which leaves R1 empty and requiring 0 = 1
 INFEASIBLE_AFTER_FIX_MPS = (
     "NAME INFEASIBLE\nROWS\n N OBJ\n E R1\n L R2\nCOLUMNS\n X1 OBJ 1 R1 1\n"
@@ -269,7 +275,7 @@ class TestCli:
         assert SolveStatus(back.status) is status
         assert back.status in _EXIT_BY_STATUS
 
-    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    @by_stage
     @pytest.mark.parametrize(
         "text, status, code",
         [(INFEASIBLE_AFTER_FIX_MPS, "Infeasible", 9), (EMPTY_COLUMN_UNBOUNDED_MPS, "Unbounded", 10)],
@@ -311,7 +317,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "results.csv").exists()
 
-    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    @by_stage
     def test_invalid_model_exit_code(self, tmp_path, capsys, method):
         crossed = tmp_path / "crossed.mps"
         crossed.write_text(
@@ -331,7 +337,7 @@ class TestCli:
         assert main(["solve", str(model)]) == 3
         assert capsys.readouterr().err.startswith("error: variable 0 has bounds")
 
-    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    @by_stage
     def test_unbounded_model_exits_with_a_status(self, tmp_path, method):
         """min -x1 s.t. x1 - x2 <= 1 is unbounded; every method ends with a
         status and its exit code.  The 1 s limit outlasts the ~0.2 s (on a
@@ -350,7 +356,7 @@ class TestCli:
         assert code != _EXIT_BY_STATUS["Optimal"]
 
     @pytest.mark.parametrize("empty_row", [False, True], ids=["empty-column", "empty-row"])
-    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    @by_stage
     def test_no_presolve_accepts_empty_lines(self, tmp_path, method, empty_row):
         """Without presolve an empty column (x2) or row (R2) reaches scaling
         and the solvers unchanged."""
@@ -369,7 +375,7 @@ class TestCli:
     def test_time_limit_zero_still_writes_best_point(self, tmp_path):
         out = tmp_path / "sol.txt"
         code = main([
-            "solve", str(FIXTURES / "lp2.mps"), "--method", "pdhg",
+            "solve", str(FIXTURES / "lp2.mps"), "--method", "pdhg-1e4",
             "--time-limit", "0", "--out", str(out),
         ])
         assert code == 4
@@ -433,7 +439,7 @@ class TestCli:
 
     def test_check_verb_prints_components(self, tmp_path, capsys):
         out = tmp_path / "sol.txt"
-        main(["solve", str(FIXTURES / "lp1.mps"), "--method", "ipm", "--out", str(out)])
+        main(["solve", str(FIXTURES / "lp1.mps"), "--method", "ipm-cold", "--out", str(out)])
         capsys.readouterr()
         code = main(["check", str(FIXTURES / "lp1.mps"), str(out)])
         assert code == 0
@@ -463,11 +469,9 @@ class TestSolveWithMethodTolerance:
 # method name -> the (stage, eps_rel) pairs its solvers receive, in order,
 # without and with an eps_rel override of 1e-5
 _STAGES_BY_METHOD = {
-    "pdhg": ([("pdhg", 1e-4)], [("pdhg", 1e-5)]),
     "pdhg-1e4": ([("pdhg", 1e-4)], [("pdhg", 1e-5)]),
     "pdhg-1e6": ([("pdhg", 1e-6)], [("pdhg", 1e-5)]),
     "pdhg-1e8": ([("pdhg", 1e-8)], [("pdhg", 1e-5)]),
-    "ipm": ([("ipm", 1e-8)], [("ipm", 1e-5)]),
     "ipm-cold": ([("ipm", 1e-8)], [("ipm", 1e-5)]),
     "hybrid": ([("pdhg", 1e-4), ("ipm", 1e-8)], [("pdhg", 1e-5), ("ipm", 1e-8)]),
 }
@@ -476,27 +480,29 @@ _STAGES_BY_METHOD = {
 class TestMethodTable:
     @staticmethod
     def _spy(monkeypatch):
-        """Record (stage, eps_rel) for each distinct solver call, in order."""
+        """Record (stage, eps_rel) for each distinct solver call, in order;
+        the warm interior point is recorded when warm_started_ipm starts,
+        since an accepted basis polish ends it without a run_ipm call."""
         import hybridlp.warmstart
 
         calls = []
 
-        def spying(stage, real):
-            def call(p, params, *args, **kwargs):
-                if (stage, params.eps_rel) not in calls:
-                    calls.append((stage, params.eps_rel))
-                return real(p, params, *args, **kwargs)
+        def spying(stage, real, at=0):
+            def call(p, *args, **kwargs):
+                if (stage, args[at].eps_rel) not in calls:
+                    calls.append((stage, args[at].eps_rel))
+                return real(p, *args, **kwargs)
             return call
 
-        monkeypatch.setattr(hybridlp.warmstart, "run_pdhg",
-                            spying("pdhg", hybridlp.warmstart.run_pdhg))
-        monkeypatch.setattr(hybridlp.warmstart, "run_ipm",
-                            spying("ipm", hybridlp.warmstart.run_ipm))
+        for name, stage, at in (("run_pdhg", "pdhg", 0), ("run_ipm", "ipm", 0),
+                                ("warm_started_ipm", "ipm", 1)):
+            monkeypatch.setattr(hybridlp.warmstart, name,
+                                spying(stage, getattr(hybridlp.warmstart, name), at))
         return calls
 
     def test_every_name_is_tabled(self):
         paper_methods = ("pdhg-1e4", "pdhg-1e6", "pdhg-1e8", "ipm-cold", "hybrid")
-        assert set(_STAGES_BY_METHOD) == {"pdhg", "ipm", *paper_methods}
+        assert set(_STAGES_BY_METHOD) == set(METHODS) == set(paper_methods)
 
     @pytest.mark.parametrize("method", sorted(_STAGES_BY_METHOD))
     @pytest.mark.parametrize("override", [False, True])
@@ -527,9 +533,9 @@ class TestWithoutScaling:
     """use_scaling=False, the path where finish_point has no scaling to undo."""
 
     # 100 times the last stage's tolerance: pdhg stops at 1e-4, ipm at 1e-8
-    X_ATOL = {"pdhg": 1e-2, "ipm": 1e-6, "hybrid": 1e-6}
+    X_ATOL = {"pdhg-1e4": 1e-2, "ipm-cold": 1e-6, "hybrid": 1e-6}
 
-    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    @by_stage
     def test_solve_with_method(self, method):
         g = parse_mps((FIXTURES / "lp2.mps").read_text())
         scaled, _ = solve_with_method(g, method)
@@ -538,7 +544,7 @@ class TestWithoutScaling:
         np.testing.assert_allclose(plain.x, scaled.x, rtol=0, atol=self.X_ATOL[method])
         np.testing.assert_allclose(plain.x, [1.6, 1.2], rtol=0, atol=self.X_ATOL[method])
 
-    @pytest.mark.parametrize("method", ["pdhg", "ipm", "hybrid"])
+    @by_stage
     def test_cli(self, tmp_path, method):
         model = str(FIXTURES / "lp2.mps")
         sols = {}
@@ -561,11 +567,11 @@ class TestOneMethodList:
 
     def test_bench_takes_table_names(self, tmp_path):
         results = tmp_path / "results.csv"
-        assert main(["bench", str(FIXTURES), "--methods", "pdhg,ipm", "--out", str(results)]) == 0
+        assert main(["bench", str(FIXTURES), "--methods", "pdhg-1e4,ipm-cold", "--out", str(results)]) == 0
         with open(results) as fh:
             records = read_records_csv(fh)
         assert len(records) == 10
-        assert {r.method for r in records} == {"pdhg", "ipm"}
+        assert {r.method for r in records} == {"pdhg-1e4", "ipm-cold"}
         assert {r.status for r in records} == {"Optimal"}
 
     def test_bench_unknown_name_usage_error(self, tmp_path):
@@ -575,7 +581,7 @@ class TestOneMethodList:
         assert exc.value.code == 2
         assert not results.exists()
 
-    def test_cold_baseline_named_ipm_or_ipm_cold(self):
+    def test_cold_baseline_is_ipm_cold(self):
         def records(cold):
             out = []
             for model, cold_iters, warm_iters in (("m1", 20, 5), ("m2", 16, 8), ("m3", 30, 3)):
@@ -583,15 +589,14 @@ class TestOneMethodList:
                 out.append(_rec(model, "hybrid", ipm_iters=warm_iters))
             return out
 
-        by_ipm = summarize(records("ipm")).by_method()
         by_cold = summarize(records("ipm-cold")).by_method()
-        assert by_ipm["hybrid"].geo_ipm_iteration_ratio == pytest.approx((1 / 4 * 1 / 2 * 1 / 10) ** (1 / 3))
-        assert by_ipm["hybrid"].geo_ipm_iteration_ratio == by_cold["hybrid"].geo_ipm_iteration_ratio
-        assert by_ipm["ipm"].geo_ipm_iteration_ratio is None
+        by_other = summarize(records("ipm")).by_method()  # not a method name
+        assert by_cold["hybrid"].geo_ipm_iteration_ratio == pytest.approx((1 / 4 * 1 / 2 * 1 / 10) ** (1 / 3))
         assert by_cold["ipm-cold"].geo_ipm_iteration_ratio is None
+        assert by_other["hybrid"].geo_ipm_iteration_ratio is None
 
     def test_summary_columns_in_table_order(self):
-        names = ["hybrid", "ipm", "pdhg-1e8", "pdhg"]
+        names = ["hybrid", "ipm-cold", "pdhg-1e8", "pdhg-1e4"]
         table = summarize([_rec("m1", name) for name in names])
         assert [m.method for m in table.methods] == [m for m in METHODS if m in names]
 
@@ -616,13 +621,13 @@ class TestSettingsPassedThrough:
     def test_solve_with_method_takes_no_pdhg_params(self):
         g = parse_mps((FIXTURES / "lp1.mps").read_text())
         with pytest.raises(TypeError, match="pdhg_params"):
-            solve_with_method(g, "pdhg", pdhg_params=PdhgParams())
+            solve_with_method(g, "pdhg-1e4", pdhg_params=PdhgParams())
 
     def test_settings_reach_solve(self, tmp_path):
         (tmp_path / "lp2.mps").write_text((FIXTURES / "lp2.mps").read_text())
-        (record,) = bench_directory(str(tmp_path), ["pdhg"], time_limit_s=0.0)
+        (record,) = bench_directory(str(tmp_path), ["pdhg-1e4"], time_limit_s=0.0)
         assert record.status == "TimeLimit"
-        (record,) = bench_directory(str(tmp_path), ["pdhg"], eps_rel=1e-9, use_scaling=False)
+        (record,) = bench_directory(str(tmp_path), ["pdhg-1e4"], eps_rel=1e-9, use_scaling=False)
         assert record.status == "Optimal" and record.max_violation < 1e-6
 
     @pytest.mark.parametrize("flags, settings", [
@@ -642,8 +647,8 @@ class TestSettingsPassedThrough:
 
         monkeypatch.setattr(hybridlp.warmstart, "solve", spy)
         out = tmp_path / "sol.txt"
-        main(["solve", str(FIXTURES / "lp1.mps"), "--method", "ipm", "--out", str(out), *flags])
-        assert calls == [("ipm", settings)]
+        main(["solve", str(FIXTURES / "lp1.mps"), "--method", "ipm-cold", "--out", str(out), *flags])
+        assert calls == [("ipm-cold", settings)]
 
 
 class TestBadInput:

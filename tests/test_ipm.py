@@ -13,10 +13,10 @@ from hybridlp import (
     KktPoint,
     PdhgParams,
     StandardLp,
+    WarmStartParams,
     centered_start,
     cold_start_point,
     evaluate_general_point,
-    kkt_solve,
     predictor_corrector_iteration,
     restrict_point,
     ruiz_equilibrate,
@@ -33,6 +33,7 @@ from hybridlp.ipm import (
     basis_polish,
     normal_matrix,
 )
+from hybridlp.warmstart import warm_started_ipm
 
 from _desk import desk_suite, lp1, lp2, planted_equality_lp
 
@@ -56,11 +57,16 @@ class TestColdStart:
         assert st.mu >= 1.0
 
 
+def _newton(p, st, rhs_p, rhs_d, rhs_c):
+    """The Newton direction at st for the given right-hand sides."""
+    return NormalEquationsSolver(p, st.x, st.z).solve(rhs_p, rhs_d, rhs_c)
+
+
 class TestKktSolve:
     def test_scalar_exact(self):
         p = StandardLp(np.array([[1.0]]), [1.0], [1.0])
         st = IpmState(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-        dx, dy, dz = kkt_solve(p, st, np.array([0.5]), np.array([0.25]), np.array([-1.0]))
+        dx, dy, dz = _newton(p, st, np.array([0.5]), np.array([0.25]), np.array([-1.0]))
         # normal matrix is 1; verify all three equations exactly
         assert dx[0] == pytest.approx(0.5, abs=1e-12)
         assert dy[0] + dz[0] == pytest.approx(0.25, abs=1e-12)
@@ -69,7 +75,7 @@ class TestKktSolve:
     def test_zero_rhs_gives_zero_direction(self):
         p, _ = to_standard_form(lp2().model)
         st = cold_start_point(p)
-        dx, dy, dz = kkt_solve(p, st, np.zeros(p.m), np.zeros(p.n), np.zeros(p.n))
+        dx, dy, dz = _newton(p, st, np.zeros(p.m), np.zeros(p.n), np.zeros(p.n))
         np.testing.assert_allclose(dx, 0.0, atol=1e-12)
         np.testing.assert_allclose(dy, 0.0, atol=1e-12)
         np.testing.assert_allclose(dz, 0.0, atol=1e-12)
@@ -79,7 +85,7 @@ class TestKktSolve:
         st = cold_start_point(p)
         rhs_p = p.b - p.A @ st.x
         rhs_d = p.c - p.A.T @ st.y - st.z
-        dx, dy, dz = kkt_solve(p, st, rhs_p, rhs_d, -st.x * st.z)
+        dx, dy, dz = _newton(p, st, rhs_p, rhs_d, -st.x * st.z)
         np.testing.assert_allclose(p.A @ dx, rhs_p, atol=1e-10)
         np.testing.assert_allclose(p.A.T @ dy + dz, rhs_d, atol=1e-10)
 
@@ -89,7 +95,9 @@ class TestKktSolve:
         p, _ = to_standard_form(lp1().model)
         st = IpmState(np.array([1.0, 0.0]), np.zeros(1), np.ones(2))
         with pytest.raises(InvalidModelError):
-            kkt_solve(p, st, np.zeros(1), np.zeros(2), np.zeros(2))
+            predictor_corrector_iteration(p, st)
+        with pytest.raises(InvalidModelError):
+            run_ipm(p, start=st)
 
 
 class TestPredictorCorrector:
@@ -253,8 +261,6 @@ class TestRegularizationLadder:
         direction = solver.solve(*rhs)
         assert solver.level > 0
         assert _newton_residual(SINGULAR, UNIT_START, rhs, direction) <= 1e-8
-        for a, b in zip(kkt_solve(SINGULAR, UNIT_START, *rhs), direction):
-            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("inst", desk_suite(), ids=lambda inst: inst.name)
     def test_duplicated_row_on_desk_models(self, inst):
@@ -263,13 +269,13 @@ class TestRegularizationLadder:
         p = _with_duplicated_row(to_standard_form(inst.model)[0])
         st = cold_start_point(p)
         rhs = _cold_rhs(p, st)
-        assert _newton_residual(p, st, rhs, kkt_solve(p, st, *rhs)) <= 1e-8
+        assert _newton_residual(p, st, rhs, _newton(p, st, *rhs)) <= 1e-8
 
     def test_inconsistent_system_exhausts_the_ladder(self):
         rhs_p, rhs_d, rhs_c = _cold_rhs(SINGULAR, UNIT_START)
         rhs_p[1] += 1.0  # A dx cannot differ in two equal rows
         with pytest.raises(NumericalFailure, match="residual above tolerance"):
-            kkt_solve(SINGULAR, UNIT_START, rhs_p, rhs_d, rhs_c)
+            _newton(SINGULAR, UNIT_START, rhs_p, rhs_d, rhs_c)
 
     def test_factorization_failure_on_the_last_rung(self, monkeypatch):
         monkeypatch.setattr(hybridlp.ipm, "_REG_LADDER", (0.0,))
@@ -363,8 +369,8 @@ class TestSparseFallback:
         sparse_sol, sparse_stats = solve(g, "hybrid")
         assert stats.ipm_stats.backend == "dense"
         assert sparse_stats.ipm_stats.backend == "sparse"
-        assert (sparse_sol.status, sparse_stats.ipm_iterations) == (
-            sol.status, stats.ipm_iterations
+        assert (sparse_sol.status, sparse_sol.ipm_iterations) == (
+            sol.status, sol.ipm_iterations
         )
 
 
@@ -411,6 +417,12 @@ def _warm_start(p: StandardLp) -> IpmState:
     return IpmState(pt.x, pt.y, pt.z)
 
 
+def _polished(p: StandardLp, start: IpmState):
+    """warm_started_ipm's point and stats from start."""
+    res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
+    return res.point, res.stats
+
+
 def _scaled(inst) -> StandardLp:
     return ruiz_equilibrate(to_standard_form(inst.model)[0])[0]
 
@@ -418,7 +430,7 @@ def _scaled(inst) -> StandardLp:
 class TestBasisPolish:
     def test_boundary_start_fails_the_gate(self):
         """Acceptance criterion 8's boundary start has x - z = 0 everywhere:
-        no column is basic, so run_ipm steps from it and stalls."""
+        no column is basic, so the interior point steps from it and stalls."""
         p, _ = to_standard_form(lp2().model)
         start = IpmState(
             x=np.array([1.0, 1.0, 1e-9, 1.0]),
@@ -426,18 +438,27 @@ class TestBasisPolish:
             z=np.array([1.0, 1.0, 1e-9, 1.0]),
         )
         assert basis_polish(p, start, 1e-8) == (None, None, "no basis")
-        _, stats = run_ipm(p, start=start)
-        assert stats.polish == "no basis"
-        assert stats.status.value == "Stalled"
+        res = warm_started_ipm(p, start, IpmParams(), WarmStartParams(max_escalations=0))
+        assert res.stats.polish == "no basis"
+        assert res.stats.status.value == "Stalled"
 
     def test_cold_start_makes_no_attempt(self):
         _, stats = run_ipm(to_standard_form(lp2().model)[0])
         assert stats.polish == ""
         assert stats.iterations > 0
 
+    def test_run_ipm_makes_no_attempt_from_a_start(self, monkeypatch):
+        """Only warm_started_ipm polishes: from the start it would polish,
+        run_ipm steps."""
+        monkeypatch.setattr(hybridlp.ipm, "basis_polish", None)
+        p = _scaled(planted_equality_lp(40, 70, seed=20))
+        _, stats = run_ipm(p, start=_warm_start(p))
+        assert (stats.status.value, stats.polish) == ("Optimal", "")
+        assert stats.iterations > 0
+
     def test_accepted_vertex_ends_the_solve(self):
         p = _scaled(planted_equality_lp(40, 70, seed=20))
-        pt, stats = run_ipm(p, start=_warm_start(p))
+        pt, stats = _polished(p, _warm_start(p))
         assert stats.polish == "accepted"
         assert (stats.status.value, stats.iterations, stats.history) == ("Optimal", 0, [])
         assert stats.termination.ok
@@ -455,9 +476,9 @@ class TestBasisPolish:
     def test_sparse_backend_matches_dense(self, inst, monkeypatch):
         p = _scaled(inst)
         start = _warm_start(p)
-        dense, dense_stats = run_ipm(p, start=start)
+        dense, dense_stats = _polished(p, start)
         monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
-        sparse, sparse_stats = run_ipm(p, start=start)
+        sparse, sparse_stats = _polished(p, start)
         assert (dense_stats.backend, sparse_stats.backend) == ("dense", "sparse")
         assert dense_stats.polish == sparse_stats.polish == "accepted"
         for a, b in ((dense.x, sparse.x), (dense.y, sparse.y), (dense.z, sparse.z)):

@@ -159,6 +159,30 @@ class TestWarmStartedIpm:
         assert res.stats.status.value == "Stalled"
         assert res.escalations == 0
 
+    def test_one_polish_attempt_across_escalations(self, monkeypatch):
+        """The boundary start is refused once ("no basis"); the stall
+        escalations after it run the interior point and make no attempt."""
+        p, _ = to_standard_form(lp2().model)
+        start = KktPoint(
+            np.array([1.0, 1.0, 1e-9, 1.0]),
+            np.zeros(2),
+            np.array([1.0, 1.0, 1e-9, 1.0]),
+        )
+        verdicts = []
+        real = hybridlp.warmstart.basis_polish
+
+        def spy(*args):
+            out = real(*args)
+            verdicts.append(out[2])
+            return out
+
+        monkeypatch.setattr(hybridlp.warmstart, "basis_polish", spy)
+        res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
+        assert verdicts == ["no basis"]
+        assert res.stats.polish == "no basis"
+        assert res.escalations >= 1
+        assert res.stats.status is SolveStatus.OPTIMAL
+
 
 class TestHybridSolve:
     def test_lp1_warm_beats_cold(self):
@@ -167,22 +191,22 @@ class TestHybridSolve:
         assert sol.status == "Optimal"
         p, _ = to_standard_form(inst.model)
         _, cold = run_ipm(p)
-        assert stats.ipm_iterations <= cold.iterations
+        assert sol.ipm_iterations <= cold.iterations
 
     def test_lp2_accuracy_lift(self):
         """The refined point is orders of magnitude more accurate than the
         first-order point it started from."""
         inst = lp2()
-        sol, stats = solve(inst.model, "hybrid")
+        sol, _ = solve(inst.model, "hybrid")
         assert sol.status == "Optimal"
-        assert stats.violation.max_violation <= 1e-7
+        assert sol.violation.max_violation <= 1e-7
 
         from hybridlp.bench import solve_with_method
 
         pdhg_sol, _ = solve_with_method(inst.model, "pdhg-1e4")
         v0 = pdhg_sol.violation.max_violation
         assert 1e-8 < v0 <= 1e-3
-        assert stats.violation.max_violation <= v0 * 1e-3
+        assert sol.violation.max_violation <= v0 * 1e-3
 
     def test_presolve_only_model_skips_solvers(self):
         """Fully fixed model: neither solver phase runs."""
@@ -192,8 +216,9 @@ class TestHybridSolve:
         )
         sol, stats = solve(g, "hybrid")
         assert sol.status == "Optimal"
-        assert stats.pdhg_iterations == 0
-        assert stats.ipm_iterations == 0
+        assert sol.pdhg_iterations == 0
+        assert sol.ipm_iterations == 0
+        assert stats.pdhg_stats is None and stats.ipm_stats is None
         assert sol.message == "solved by presolve"
         np.testing.assert_allclose(sol.x, [1.0])
         assert sol.violation.max_violation == pytest.approx(0.0, abs=1e-12)
@@ -203,9 +228,8 @@ class TestHybridSolve:
             c=[1.0], A=[[0.0]], senses=[EQ], rhs=[5.0],
             lower=[0.0], upper=[np.inf],
         )
-        sol, stats = solve(g, "hybrid")
+        sol, _ = solve(g, "hybrid")
         assert sol.status == "Infeasible"
-        assert stats.status is SolveStatus.INFEASIBLE
         assert sol.message.startswith("presolve: ")
 
     def test_phase_tag_on_pdhg_failure(self, monkeypatch):
@@ -221,12 +245,12 @@ class TestHybridSolve:
     def test_scaled_and_original_violations_both_reported(self):
         sol, stats = solve(lp2().model, "hybrid")
         assert stats.scaled_violation is not None
-        assert stats.violation is not None
+        assert sol.violation is not None
 
 
 def _steps_without_polish(p, start: KktPoint, params: IpmParams) -> IpmState:
-    """run_ipm's loop as it is without the basis polish: check, then step,
-    until the check passes or a step stalls."""
+    """run_ipm's loop written out: check, then step, until the check passes
+    or a step stalls."""
     state = IpmState(start.x.copy(), start.y.copy(), start.z.copy())
     while not check_relative_termination(p, state, params.eps_rel).ok:
         state, report = predictor_corrector_iteration(p, state)
@@ -242,18 +266,18 @@ class TestBasisPolishInTheHybrid:
         assert sol.status == "Optimal"
         polish = stats.ipm_stats.polish
         if polish == "accepted":
-            assert stats.ipm_iterations == 0
-            assert stats.violation.max_violation <= 1e-12
+            assert sol.ipm_iterations == 0
+            assert sol.violation.max_violation <= 1e-12
         else:
             assert polish in ("no basis", "singular", "infeasible", "not optimal")
-            assert stats.ipm_iterations > 0
+            assert sol.ipm_iterations > 0
 
     def test_degenerate_model_refused_and_still_optimal(self):
         inst = next(i for i in desk_suite() if i.name == "degenerate")
         sol, stats = solve(inst.model, "hybrid")
         assert stats.ipm_stats.polish != "accepted"
         assert sol.status == "Optimal"
-        assert stats.violation.max_violation <= 1e-7
+        assert sol.violation.max_violation <= 1e-7
 
     @pytest.mark.parametrize("name", ["lp2", "eq_40x70_s20", "eq_120x200_s24", "ineq_35x60_s34"])
     def test_refusal_leaves_the_interior_point_path_unchanged(self, name, monkeypatch):
@@ -263,7 +287,7 @@ class TestBasisPolishInTheHybrid:
         p = prepare_model(inst.model).solve_model
         start = centered_start(run_pdhg(p, PdhgParams(eps_rel=1e-4))[0])
         monkeypatch.setattr(
-            hybridlp.ipm, "basis_polish", lambda p, state, eps_rel: (None, None, "not optimal")
+            hybridlp.warmstart, "basis_polish", lambda p, state, eps_rel: (None, None, "not optimal")
         )
         res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
         ref = _steps_without_polish(p, start, IpmParams())
