@@ -4,15 +4,18 @@ Both transforms carry exact inverse mappings (ScalingInfo, PresolveStack) so
 that a solution of the transformed model can be translated back and its
 violations measured on the model the user supplied.  Pipeline order is
 presolve -> standard form -> scale -> solve -> unscale -> postsolve.
+Presolve keeps its reductions as one batch of arrays per step, and
+postsolve replays the singleton-row duals in waves of stacked dot
+products, bitwise equal to a backward replay one record at a time.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lp_core import EQ, LE, GeneralLp, InvalidModelError, KktPoint, StandardLp, csr_rmatvec
 
@@ -139,37 +142,77 @@ class SingletonRow:
     col_vals: np.ndarray
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_VALUES = np.empty(0)
+
+
+class ReductionBatch(NamedTuple):
+    """One presolve step's reductions, all records of type kind, as arrays
+    in record order (all indices original).
+
+    rows are the removed rows (EmptyRow, SingletonRow); cols and values
+    the removed columns and their values (FixedVariable, EmptyColumn,
+    SingletonRow).  A SingletonRow batch also holds each record's coeff and
+    cost, and the col_rows/col_vals of all its records as one flat pair,
+    counts[k] entries for record k.
+    """
+
+    kind: type
+    rows: np.ndarray = _NO_ROWS
+    cols: np.ndarray = _NO_ROWS
+    values: np.ndarray = _NO_VALUES
+    coeffs: np.ndarray = _NO_VALUES
+    costs: np.ndarray = _NO_VALUES
+    col_rows: np.ndarray = _NO_ROWS
+    col_vals: np.ndarray = _NO_VALUES
+    counts: np.ndarray = _NO_ROWS
+
+    def records(self) -> list:
+        if self.kind is EmptyRow:
+            return list(map(EmptyRow, self.rows.tolist()))
+        if self.kind is not SingletonRow:
+            return list(map(self.kind, self.cols.tolist(), self.values.tolist()))
+        ends = np.cumsum(self.counts).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        return list(map(
+            SingletonRow, self.rows.tolist(), self.cols.tolist(), self.values.tolist(),
+            self.coeffs.tolist(), self.costs.tolist(),
+            [self.col_rows[a:b] for a, b in spans], [self.col_vals[a:b] for a, b in spans],
+        ))
+
+
 @dataclass
 class PresolveStack:
-    """Ordered reductions with enough data to replay them backwards."""
+    """Ordered reductions with enough data to replay them backwards: the
+    reduction stack of Andersen & Andersen, "Presolving in linear
+    programming", Math. Programming 71 (1995).
+
+    batches holds one ReductionBatch per presolve step, in the order the
+    steps ran, so presolve builds no object per reduction.  records is a
+    view built on each read: the FixedVariable, EmptyRow, EmptyColumn and
+    SingletonRow records, one per reduction, in reduction order.
+    """
 
     n_original: int
     m_original: int
-    records: list = field(default_factory=list)
+    batches: list = field(default_factory=list)
 
-    def _removed(self) -> tuple:
-        """(columns, their values, rows, SingletonRow records) removed, in
-        record order."""
-        cols, values, rows, singles = [], [], [], []
-        for rec in self.records:
-            if isinstance(rec, EmptyRow):
-                rows.append(rec.i)
-                continue
-            cols.append(rec.j)
-            values.append(rec.value)
-            if isinstance(rec, SingletonRow):
-                rows.append(rec.i)
-                singles.append(rec)
-        return (np.array(cols, dtype=np.intp), np.array(values, dtype=float),
-                np.array(rows, dtype=np.intp), singles)
+    @property
+    def records(self) -> list:
+        return [rec for batch in self.batches for rec in batch.records()]
+
+    def _joined(self, name: str, kind: type | None = None) -> np.ndarray:
+        """Field name of every batch (of type kind), concatenated."""
+        parts = [getattr(b, name) for b in self.batches if kind in (None, b.kind)]
+        return np.concatenate(parts + [ReductionBatch._field_defaults[name]])
 
     @property
     def n_reduced(self) -> int:
-        return self.n_original - self._removed()[0].size
+        return self.n_original - sum(b.cols.size for b in self.batches)
 
     @property
     def m_reduced(self) -> int:
-        return self.m_original - self._removed()[2].size
+        return self.m_original - sum(b.rows.size for b in self.batches)
 
 
 class PresolveStatus(enum.Enum):
@@ -195,12 +238,12 @@ class PresolveResult:
         )
 
 
-def _entries(M: sp.csr_matrix | sp.csc_matrix, major: np.ndarray):
-    """Positions in M.indices and M.data of the stored entries of the major
-    slices `major`, slice after slice, and the index into `major` of each
-    entry's slice."""
-    starts = M.indptr[major]
-    counts = M.indptr[major + 1] - starts
+def _entries(indptr: np.ndarray, major: np.ndarray):
+    """Positions of the entries of the compressed slices `major` (slice k
+    holds positions indptr[k] to indptr[k+1]), slice after slice, and the
+    index into `major` of each entry's slice."""
+    starts = indptr[major]
+    counts = indptr[major + 1] - starts
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
     owner = np.repeat(np.arange(major.size), counts)
@@ -253,7 +296,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
     col_count = np.bincount(A.indices, minlength=n)
     A_csc = None  # built on first use: models with nothing to remove skip it
     stack = PresolveStack(n_original=n, m_original=m)
-    records = stack.records
+    batches = stack.batches
 
     def column_entries(cols: np.ndarray):
         """Rows and values of the stored entries of columns cols, column
@@ -261,7 +304,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
         nonlocal A_csc
         if A_csc is None:
             A_csc = A.tocsc()
-        pos, owner = _entries(A_csc, cols)
+        pos, owner = _entries(A_csc.indptr, cols)
         return A_csc.indices[pos], A_csc.data[pos], owner
 
     def remove_columns(cols: np.ndarray, values: np.ndarray):
@@ -289,7 +332,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
             np.where(is_le, r < -_FEAS_TOL, r > _FEAS_TOL),
         )
         k = int(np.argmax(bad)) if bad.any() else empty.size
-        records.extend(map(EmptyRow, empty[:k].tolist()))
+        batches.append(ReductionBatch(EmptyRow, rows=empty[:k]))
         row_live[empty] = False
         if k < empty.size:
             i = int(empty[k])
@@ -307,7 +350,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
         unbounded = (pos & ~lo_ok) | (neg & ~up_ok)
         values = np.where(pos | (~neg & lo_ok), lo, np.where(neg | up_ok, up, 0.0))
         k = int(np.argmax(unbounded)) if unbounded.any() else empty.size
-        records.extend(map(EmptyColumn, empty[:k].tolist(), values[:k].tolist()))
+        batches.append(ReductionBatch(EmptyColumn, cols=empty[:k], values=values[:k]))
         if k < empty.size:
             j = int(empty[k])
             sign, bound = ("positive", "lower") if pos[k] else ("negative", "upper")
@@ -320,7 +363,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
         return None
 
     def singleton_round(singles: np.ndarray):
-        pos, _ = _entries(A, singles)
+        pos, _ = _entries(A.indptr, singles)
         cols = A.indices[pos]
         live = col_live[cols]
         cols, coeffs = cols[live], A.data[pos][live]
@@ -349,12 +392,8 @@ def presolve(g: GeneralLp) -> PresolveResult:
         rows, done = singles[:k], cols[:k]
         row_live[rows] = False
         col_rows, col_vals, counts = remove_columns(done, values[:k])
-        ends = np.cumsum(counts).tolist()
-        spans = list(zip([0] + ends[:-1], ends))
-        records.extend(map(
-            SingletonRow, rows.tolist(), done.tolist(), values[:k].tolist(),
-            coeffs[:k].tolist(), c[done].tolist(),
-            [col_rows[a:b] for a, b in spans], [col_vals[a:b] for a, b in spans],
+        batches.append(ReductionBatch(
+            SingletonRow, rows, done, values[:k], coeffs[:k], c[done], col_rows, col_vals, counts,
         ))
         if k < size:
             i, j, value = int(singles[k]), int(cols[k]), values[k]
@@ -368,7 +407,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
     fixed = np.flatnonzero(np.isfinite(lower) & (lower == upper))
     if fixed.size:
         values = lower[fixed]
-        records.extend(map(FixedVariable, fixed.tolist(), values.tolist()))
+        batches.append(ReductionBatch(FixedVariable, cols=fixed, values=values))
         remove_columns(fixed, values)
 
     verdict = remove_empty_rows() or remove_empty_columns()
@@ -395,16 +434,32 @@ def presolve(g: GeneralLp) -> PresolveResult:
     return PresolveResult(PresolveStatus.REDUCED, reduced, stack)
 
 
+def _row_dots(vals: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """vals[k] @ ys[k] for each row k of two k x L arrays, by one stacked
+    np.matmul of k 1 x L by L x 1 products.  numpy forms each such product
+    with the kernel of a 1-D @, so each result is bitwise that row's 1-D @
+    (pinned in tests/test_presolve_reference.py); np.einsum rounds
+    differently."""
+    return np.matmul(vals[:, None, :], ys[:, :, None])[:, 0, 0]
+
+
 def postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoint:
     """Restore a point on the original model from one on the reduced model.
 
     The reduced point is scattered into the surviving rows and columns and
-    eliminated primal values come from the records.  Replaying the singleton
-    rows backwards, each removed row's dual is chosen so the restored
-    column's reduced cost is zero; other removed rows get dual zero.  z is
-    recomputed as c - A'y on the original model.
+    eliminated primal values come from the batches.  Each removed singleton
+    row's dual is chosen so its column's reduced cost is zero,
+    y_i = (cost - col_vals @ y[col_rows]) / coeff; other removed rows get
+    dual zero.  A record's col_rows hold only rows that outlive it, so
+    replaying the records backwards gives every y it reads its final value.
+    The replay runs in waves instead: a wave is every remaining record
+    whose col_rows hold no singleton row still waiting for its dual (the
+    last record never waits), solved with one _row_dots per entry count.
+    A record waits only on records of later presolve rounds, so there are
+    at most as many waves as singleton rounds, and each y is bitwise the
+    backward replay's.  z is recomputed as c - A'y on the original model.
     """
-    cols, values, rows, singles = stack._removed()
+    cols, rows = stack._joined("cols"), stack._joined("rows")
     n_reduced, m_reduced = stack.n_original - cols.size, stack.m_original - rows.size
     if pt.x.size != n_reduced or pt.y.size != m_reduced:
         raise InvalidModelError(
@@ -418,14 +473,31 @@ def postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoi
     y = np.zeros(stack.m_original)
     col_live = np.ones(stack.n_original, dtype=bool)
     row_live = np.ones(stack.m_original, dtype=bool)
-    x[cols] = values
+    x[cols] = stack._joined("values")
     col_live[cols] = False
     row_live[rows] = False
     x[col_live] = pt.x
     y[row_live] = pt.y
-    for rec in reversed(singles):
-        partial = rec.col_vals @ y[rec.col_rows] if rec.col_rows.size else 0.0
-        y[rec.i] = (rec.cost - partial) / rec.coeff
+
+    s_rows, coeffs, costs, col_rows, col_vals, counts = (
+        stack._joined(name, SingletonRow)
+        for name in ("rows", "coeffs", "costs", "col_rows", "col_vals", "counts")
+    )
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    waiting = np.zeros(stack.m_original, dtype=bool)
+    waiting[s_rows] = True
+    todo = np.arange(s_rows.size)
+    while todo.size:
+        pos, owner = _entries(indptr, todo)
+        blocked = np.zeros(todo.size, dtype=bool)
+        blocked[owner[waiting[col_rows[pos]]]] = True
+        blocked[-1] = False  # next in the backward replay: nothing left to wait for
+        wave, todo = todo[~blocked], todo[blocked]
+        for length in np.unique(counts[wave]).tolist():
+            ks = wave[counts[wave] == length]
+            at = indptr[ks, None] + np.arange(length)
+            y[s_rows[ks]] = (costs[ks] - _row_dots(col_vals[at], y[col_rows[at]])) / coeffs[ks]
+        waiting[s_rows[wave]] = False
 
     z = original.c - csr_rmatvec(original.A, y, np.empty(original.n_vars))
     return KktPoint(x, y, z)

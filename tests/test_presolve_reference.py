@@ -9,6 +9,7 @@ zeros, no duplicate entries) the two must agree exactly: verdicts, record
 sequences, the reduced model and restored points.
 """
 
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from hybridlp.transform import (
     EmptyRow,
     FixedVariable,
     PresolveResult,
-    PresolveStack,
     PresolveStatus,
     SingletonRow,
+    _row_dots,
     postsolve,
     presolve,
 )
@@ -32,6 +33,23 @@ from hybridlp.transform import (
 from _desk import desk_suite
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@dataclass
+class RecordStack:
+    """The reference's reduction stack: records appended one at a time."""
+
+    n_original: int
+    m_original: int
+    records: list = field(default_factory=list)
+
+    @property
+    def n_reduced(self) -> int:
+        return self.n_original - sum(not isinstance(r, EmptyRow) for r in self.records)
+
+    @property
+    def m_reduced(self) -> int:
+        return self.m_original - sum(isinstance(r, (EmptyRow, SingletonRow)) for r in self.records)
 
 
 def _drop_col(A: sp.csc_matrix, j: int) -> sp.csc_matrix:
@@ -64,7 +82,7 @@ def reference_presolve(g: GeneralLp) -> PresolveResult:
     col_names = g.variable_names()
     row_names = g.constraint_names()
     offset = g.obj_offset
-    stack = PresolveStack(n_original=g.n_vars, m_original=g.n_rows)
+    stack = RecordStack(n_original=g.n_vars, m_original=g.n_rows)
 
     def _remove_variable(j: int, value: float):
         nonlocal A, c, rhs, lower, upper, col_names, offset
@@ -193,7 +211,7 @@ def reference_presolve(g: GeneralLp) -> PresolveResult:
     return PresolveResult(PresolveStatus.REDUCED, reduced, stack)
 
 
-def reference_postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoint:
+def reference_postsolve(stack: RecordStack, pt: KktPoint, original: GeneralLp) -> KktPoint:
     """Replay the reduction stack backwards, restoring a point on the original model.
 
     Eliminated primal values come from the records; the dual of a removed
@@ -302,6 +320,57 @@ def padded_model(seed: int, m: int = 30, n: int = 50, n_fixed: int = 300,
         col_names=[f"C{j}" for j in range(A.shape[1])],
         row_names=[f"R{i}" for i in range(A.shape[0])],
     )
+
+
+def chained_model(seed: int, m_core: int = 70, n_core: int = 30) -> GeneralLp:
+    """Inequality core rows with chains of singleton equality rows.
+
+    Chain row s_1 holds only column j_1 and row s_t holds j_{t-1} and j_t,
+    so substituting j_{t-1} leaves s_t a singleton.  The record of s_t then
+    has s_{t+1} among its col_rows and waits for its dual: a chain of depth
+    d takes d waves to replay.  Most chain columns also have 40 to 64
+    entries in core rows, of magnitudes from 1e-3 to 1e3; the rest have
+    up to 4.  Chain columns are free, so no substitution leaves its bounds.
+    """
+    rng = np.random.default_rng([seed, 8])
+    depths = rng.integers(3, 7, size=int(rng.integers(2, 6)))
+    n_chain = int(depths.sum())
+    m, n = m_core + n_chain, n_core + n_chain
+    A = np.zeros((m, n))
+    A[:m_core, :n_core] = np.where(
+        rng.random((m_core, n_core)) < 0.2, rng.uniform(-2.0, 2.0, (m_core, n_core)), 0.0
+    )
+    A[np.arange(m_core), np.arange(m_core) % n_core] = 3.0
+    k = 0
+    for depth in depths.tolist():
+        for t in range(depth):
+            i, j = m_core + k + t, n_core + k + t
+            A[i, j] = rng.uniform(0.5, 2.0)
+            if t:
+                A[i, j - 1] = rng.uniform(-2.0, 2.0)
+            live = int(rng.integers(40, 65) if rng.random() < 0.7 else rng.integers(0, 5))
+            rows = rng.choice(m_core, live, replace=False)
+            A[rows, j] = rng.choice([-1.0, 1.0], live) * 10.0 ** rng.uniform(-3.0, 3.0, live)
+        k += depth
+    senses = [str(s) for s in rng.choice([LE, GE], m_core)] + [EQ] * n_chain
+    lower = np.concatenate([np.zeros(n_core), np.full(n_chain, -np.inf)])
+    upper = np.concatenate([np.full(n_core, 5.0), np.full(n_chain, np.inf)])
+    x0 = np.concatenate([rng.uniform(0.0, 5.0, n_core), rng.uniform(-2.0, 2.0, n_chain)])
+    slack = {LE: 1.0, GE: -1.0, EQ: 0.0}
+    rhs = A @ x0 + np.array([slack[s] for s in senses]) * rng.uniform(0.0, 1.0, m)
+    return GeneralLp(
+        c=rng.standard_normal(n), A=sp.csr_matrix(A), senses=senses, rhs=rhs,
+        lower=lower, upper=upper,
+    )
+
+
+def replay_waves(records) -> int:
+    """Waves postsolve needs for records: a SingletonRow record waits for
+    every later SingletonRow record whose row is among its col_rows."""
+    wave = {}
+    for rec in reversed([r for r in records if isinstance(r, SingletonRow)]):
+        wave[rec.i] = 1 + max((wave[i] for i in rec.col_rows.tolist() if i in wave), default=0)
+    return max(wave.values(), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +494,34 @@ def test_padded_models(seed):
     res = check_against_reference(g, seed)
     assert res.status is PresolveStatus.REDUCED
     assert len(res.stack.records) >= 750
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chained_singleton_models(seed):
+    """Dual replay over 3 or more waves, with dot products past 40 entries."""
+    g = chained_model(seed)
+    res = check_against_reference(g, seed)
+    assert res.status is PresolveStatus.REDUCED
+    assert replay_waves(res.stack.records) >= 3
+    assert max(r.col_rows.size for r in res.stack.records) >= 40
+
+
+def test_row_dots_match_one_dimensional_dot():
+    """The stacked np.matmul of postsolve's replay is bitwise each row's 1-D
+    @, for every entry count 1 to 64, on data whose summation order shows:
+    np.einsum and a left-to-right sum both differ somewhere."""
+    rng = np.random.default_rng(9)
+    order_shows = False
+    for length in range(1, 65):
+        a, b = (
+            rng.choice([-1.0, 1.0], (50, length)) * 10.0 ** rng.uniform(-8.0, 8.0, (50, length))
+            for _ in range(2)
+        )
+        want = np.array([a[k] @ b[k] for k in range(50)])
+        assert _bits(_row_dots(a, b)) == _bits(want), length
+        order_shows |= _bits(np.einsum("kl,kl->k", a, b)) != _bits(want)
+        order_shows |= any(sum((a[k] * b[k]).tolist()) != want[k] for k in range(50))
+    assert order_shows
 
 
 # ---------------------------------------------------------------------------
