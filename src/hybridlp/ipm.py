@@ -5,10 +5,12 @@ Works in standard form with the normal-equations linear algebra
 the model's cached pair list and factored by dense Cholesky, or the sparse
 product factored by splu above a memory cap), an infeasible-start Newton
 right-hand side, a fraction-to-boundary step rule, and Mehrotra-style
-adaptive centering.  run_ipm runs the same iteration from a cold start or
-from an externally supplied strictly positive start.  basis_polish, one
-verified solve at the vertex of the basis a point names, is the hybrid's
-first move (warmstart.warm_started_ipm calls it once, before run_ipm).
+adaptive centering.  factor_normal alone decides whether a normal matrix
+can be factored; the Newton solver and basis_polish act on its None.
+run_ipm runs the same iteration from a cold start or from an externally
+supplied strictly positive start.  basis_polish, one verified solve at the
+vertex of the basis a point names, is the hybrid's first move
+(warmstart.warm_started_ipm calls it once, before run_ipm).
 """
 
 from __future__ import annotations
@@ -130,31 +132,36 @@ def normal_lower(p: StandardLp, d2: np.ndarray) -> np.ndarray:
     One bincount over p.normal_pairs: it adds each entry's products
     a_kj (a_ij d2_j) from 0 in increasing j, the order in which normal_matrix's
     sparse product sums them, so the triangle is bitwise normal_matrix's.
+    float64 also when A has no entries, where bincount gives int64 zeros.
     """
     ei, flat, akj = p.normal_pairs
     A = p.A
     v = (A.data * d2[A.indices])[ei]
     v *= akj
     m = p.m
-    return np.bincount(flat, weights=v, minlength=m * m).reshape((m, m), order="F")
+    a = np.bincount(flat, weights=v, minlength=m * m).astype(float, copy=False)
+    return a.reshape((m, m), order="F")
 
 
-def factor_normal(p: StandardLp, d2: np.ndarray, delta: float = 0.0, M=None):
-    """A function solving (A D^2 A' + delta I) v = r.
+def factor_normal(p: StandardLp, d2: np.ndarray, delta: float = 0.0):
+    """A function solving (A D^2 A' + delta I) v = r, or None when that
+    matrix does not factor.
 
-    Dense while normal_backend(p.m) says so: normal_lower, then cho_factor,
-    which raises LinAlgError unless the matrix is positive definite.  Sparse
-    above the cap: splu of M (normal_matrix(p, d2) unless given), which
-    raises RuntimeError on an exactly singular matrix.
+    Builds the matrix on every call.  Dense while normal_backend(p.m) says
+    so: normal_lower, then cho_factor, which fails unless the matrix is
+    positive definite.  Sparse above the cap: splu of normal_matrix(p, d2),
+    which fails on an exactly singular matrix.
     """
-    if normal_backend(p.m) == "sparse":
-        if M is None:
+    try:
+        if normal_backend(p.m) == "sparse":
             M = normal_matrix(p, d2)
-        return spla.splu(M + delta * sp.identity(M.shape[0], format="csc") if delta else M).solve
-    a = normal_lower(p, d2)
-    if delta:
-        a[np.diag_indices_from(a)] += delta
-    factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+            return spla.splu(M + delta * sp.identity(p.m, format="csc") if delta else M).solve
+        a = normal_lower(p, d2)
+        if delta:
+            a[np.diag_indices_from(a)] += delta
+        factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+    except (LinAlgError, RuntimeError):
+        return None
     return lambda r: cho_solve(factor, r, check_finite=False)
 
 
@@ -173,12 +180,12 @@ class NormalEquationsSolver:
     normal_matrix; it stays because it is the one path that runs when m is
     too large for a dense matrix.
 
-    Regularization delta escalates through a fixed ladder when factorization
-    fails (a matrix that is not positive definite, or exactly singular for
-    splu) or the solved system's relative residual exceeds 1e-8.  Each rung
-    drops the previous factor before it rebuilds its matrix: the dense
-    backend assembles the triangle again and adds delta to its diagonal, the
-    sparse one adds delta I to its M.  Only the sparse backend keeps M.
+    Regularization delta escalates through a fixed ladder when factor_normal
+    cannot factor the matrix (one that is not positive definite, or exactly
+    singular for splu) or the solved system's relative residual exceeds
+    1e-8.  Each rung drops the previous factor before factor_normal builds
+    its matrix again: the dense triangle, or the sparse normal_matrix, with
+    delta added to its diagonal.
     """
 
     def __init__(self, p: StandardLp, x: np.ndarray, z: np.ndarray):
@@ -186,8 +193,6 @@ class NormalEquationsSolver:
         self.x = x
         self.z = z
         self.d2 = np.clip(x / z, *_D2_CLIP)
-        self.backend = normal_backend(p.m)
-        self.M = normal_matrix(p, self.d2) if self.backend == "sparse" else None
         self.level = 0
         self._solve_normal = None
         self._factor()
@@ -195,13 +200,10 @@ class NormalEquationsSolver:
     def _factor(self):
         while self.level < len(_REG_LADDER):
             self._solve_normal = None  # free the old factor before the next
-            try:
-                self._solve_normal = factor_normal(
-                    self.p, self.d2, _REG_LADDER[self.level], self.M
-                )
+            self._solve_normal = factor_normal(self.p, self.d2, _REG_LADDER[self.level])
+            if self._solve_normal is not None:
                 return
-            except (LinAlgError, RuntimeError):
-                self.level += 1
+            self.level += 1
         raise NumericalFailure("normal-equations factorization failed at max regularization")
 
     def _residual_ok(self, dx, aty, dz, rhs_p, rhs_d, rhs_c) -> bool:
@@ -278,9 +280,8 @@ def basis_polish(
         return None, None, "no basis"
     w = np.zeros(n)
     w[basis] = 1.0
-    try:
-        solve_bbt = factor_normal(p, w)
-    except (LinAlgError, RuntimeError):
+    solve_bbt = factor_normal(p, w)
+    if solve_bbt is None:
         return None, None, "singular"
 
     A = p.A

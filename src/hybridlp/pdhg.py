@@ -151,7 +151,7 @@ def _operator(p: StandardLp, tau: float, sigma: float, omega: float):
     return p.n, p.m, A.indptr, A.indices, s * A.data, -g * A.data, q
 
 
-def _iterate(op, zs, ws, anchor, tx, k, count, ty=None):
+def _iterate(op, zs, ws, anchor, tx, k, count, ty):
     """Run count reflected Halpern iterations on z in place, with anchor z0
     and k iterations since it; return k + count.  zs and ws are the (whole,
     x half, y half) views of z and of the scratch vector w.  Iteration j
@@ -162,20 +162,20 @@ def _iterate(op, zs, ws, anchor, tx, k, count, ty=None):
         w  = (2 tx - z_x, (z_y + q_y) - 2 sigma omega A (2 tx - z_x))
 
     where each product is summed into the vector before it, and then moves
-    z <- z0 + j/(j+1) (w - z0), overwriting w.  If ty is given, the last
-    iteration writes T(z)'s y half (z_y + w_y) / 2 to it before z moves, so
-    (tx, ty) is then T of the last point reflected.  The operator's arrays,
-    the ufuncs and a zero vector are bound once per call, not once per
-    iteration, and 2 tx is tx + tx (exact either way): scalar operands cost
-    a conversion per ufunc call.
+    z <- z0 + j/(j+1) (w - z0), overwriting w.  The last iteration writes
+    T(z)'s y half (z_y + w_y) / 2 to ty before z moves, so (tx, ty) is then
+    T of the last point reflected.  The operator's arrays, the ufuncs and a
+    zero vector are bound once per call, not once per iteration, and 2 tx is
+    tx + tx (exact either way): scalar operands cost a conversion per ufunc
+    call.
     """
     n, m, ptr, idx, at_val, a_val, q = op
     (z, zx, zy), (w, wx, wy) = zs, ws
     rmatvec_add, matvec_add, maximum = _csc_matvec_add, _csr_matvec_add, np.maximum
     add, sub, mul = np.add, np.subtract, np.multiply
     zero = np.zeros(n)
-    last = k + count if ty is not None else 0
-    for j in range(k + 1, k + count + 1):
+    last = k + count
+    for j in range(k + 1, last + 1):
         add(z, q, w)
         rmatvec_add(n, m, ptr, idx, at_val, zy, wx)
         maximum(zero, wx, out=tx)
@@ -188,7 +188,7 @@ def _iterate(op, zs, ws, anchor, tx, k, count, ty=None):
         sub(w, anchor, w)
         mul(j / (j + 1.0), w, w)
         add(anchor, w, z)
-    return k + count
+    return last
 
 
 def pdhg_step(state: PdhgState, p: StandardLp) -> np.ndarray:
@@ -228,19 +228,18 @@ def run_pdhg(
 
     Each iteration sets z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0), with z0 the
     anchor (the point of the last restart) and k the iterations since it.
-    The iterations run in blocks of check_every, one _iterate call each;
-    the last iteration of a block, a check, also forms T(z) as a fresh
-    array.  T(z), never z, is scored and returned if it passes, and its max
-    violation drives the _RESTART_* rules.  A restart sets z = z0 = T(z),
-    k = 0, and moves the primal weight omega, which starts at ||c|| / ||b||,
-    halfway in log scale towards ||dy|| / ||dx||, the anchor's movement,
-    both clipped to _WEIGHT_CLIP; the scaled operator is rebuilt then.  On
-    failure statuses the best point scored so far is returned.  The time
-    limit is tested before each block starts, so a run may overrun it by
-    one block; an iteration limit that is not a multiple of check_every
-    ends the run in a shorter last block with no check.  Non-finite
-    iterates are detected at the checks, and at the end of a run that the
-    iteration limit stops between them.
+    The iterations run in blocks of check_every, one _iterate call each,
+    the last block cut short when the iteration limit is not a multiple of
+    check_every; the last iteration of every block, a check, also forms T(z)
+    as a fresh array.  T(z), never z, is scored and returned if it passes,
+    and its max violation drives the _RESTART_* rules.  A restart sets
+    z = z0 = T(z), k = 0, and moves the primal weight omega, which starts at
+    ||c|| / ||b||, halfway in log scale towards ||dy|| / ||dx||, the
+    anchor's movement, both clipped to _WEIGHT_CLIP; the scaled operator is
+    rebuilt then.  On failure statuses the best point scored so far is
+    returned.  The time limit is tested before each block starts, so a run
+    may overrun it by one block.  Non-finite iterates are detected at the
+    checks.
     """
     if params is None:
         params = PdhgParams()
@@ -257,7 +256,7 @@ def run_pdhg(
 
     best_pt, best_summary, best_term = _score(p, state.x, state.y, params.eps_rel)
     z = np.concatenate((state.x, state.y))  # fresh: best_pt wraps the start
-    w, tx, anchor = np.empty_like(z), np.empty(n), z.copy()
+    w, anchor = np.empty_like(z), z.copy()
     zs, ws = (z, z[:n], z[n:]), (w, w[:n], w[n:])  # z and w are only written in place
     iterations = restarts = since_restart = 0
     r0 = r_prev = np.inf
@@ -269,10 +268,6 @@ def run_pdhg(
             break
         count = min(every, limit - iterations)
         iterations += count
-        if count < every:  # the iteration limit ends the run between checks
-            _iterate(op, zs, ws, anchor, tx, since_restart, count)
-            break
-
         t = np.empty(n + p.m)  # fresh: best_pt may wrap it
         since_restart = _iterate(op, zs, ws, anchor, t[:n], since_restart, count, t[n:])
         if not np.isfinite(t).all():
@@ -305,8 +300,6 @@ def run_pdhg(
             since_restart, r0 = 0, np.inf
             restarts += 1
 
-    if status is SolveStatus.ITERATION_LIMIT and not np.isfinite(z).all():
-        status = SolveStatus.NUMERICAL_FAILURE
     stats = SolveStats(
         status=status,
         iterations=iterations,

@@ -186,7 +186,9 @@ def prepare_model(
     g: GeneralLp, *, use_presolve: bool = True, use_scaling: bool = True
 ) -> PreparedModel:
     """presolve -> standard form -> scale; any stage can be switched off."""
-    if use_presolve:
+    # the solvers cannot take an A without entries, and presolve's empty-row
+    # and empty-column rules solve such a model outright
+    if use_presolve or g.A.nnz == 0:
         pres = presolve(g)
     else:
         pres = PresolveResult(
@@ -210,7 +212,6 @@ class FinishedPoint:
     y: np.ndarray
     z: np.ndarray
     violation: ViolationSummary
-    scaled_violation: ViolationSummary | None
 
 
 def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
@@ -220,10 +221,8 @@ def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
     reduced point is zeros sized by the presolve stack, so the reported
     point holds the values presolve recorded before it stopped.
     """
-    scaled_viol = None
     stack = prep.presolve_result.stack
     if prep.solve_model is not None:
-        scaled_viol = violation_summary(prep.solve_model, pt_solve)
         pt_std = unscale_point(prep.scaling, pt_solve) if prep.scaling else pt_solve
         x_r, y_r = _restrict_xy(prep.fmap, pt_std)
     else:
@@ -231,7 +230,7 @@ def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
     # postsolve reads x and y only and forms z on the original model
     restored = postsolve(stack, KktPoint(x_r, y_r, np.zeros_like(x_r)), prep.original)
     viol = evaluate_general_point(prep.original, restored.x, restored.y)
-    return FinishedPoint(restored.x, restored.y, restored.z, viol, scaled_viol)
+    return FinishedPoint(restored.x, restored.y, restored.z, viol)
 
 
 @dataclass
@@ -300,7 +299,7 @@ def solve(
         # both enums spell Infeasible and Unbounded the same way
         status = SolveStatus(pres.status.value)
         message = f"presolve: {pres.message}"
-    pdhg_stats = ipm_stats = None
+    pdhg_stats = ipm_stats = scaled_violation = None
     ipm_iterations = escalations = 0
     if prep.solve_model is not None:
         if stages != "ipm":
@@ -320,6 +319,7 @@ def solve(
         if ipm_stats is not None:
             status, stage = ipm_stats.status, "ipm"
         message = "" if status is SolveStatus.OPTIMAL else f"{stage}: {status.value}"
+        scaled_violation = violation_summary(prep.solve_model, pt)
 
     finished = finish_point(prep, pt)
     sol = make_solution_file(
@@ -331,4 +331,4 @@ def solve(
         violation=finished.violation,
         message=message,
     )
-    return sol, HybridStats(finished.scaled_violation, pdhg_stats, ipm_stats)
+    return sol, HybridStats(scaled_violation, pdhg_stats, ipm_stats)

@@ -372,6 +372,22 @@ class TestCli:
         assert sol.status == "Optimal"
         np.testing.assert_allclose(sol.x, [4.0, 0.0], atol=1e-4)
 
+    @pytest.mark.parametrize("rows, columns, code", [
+        ("", " X1 OBJ 1\n X2 OBJ 2\n", 0),
+        (" E R1\n", " X1 OBJ 1\nRHS\n RHS R1 1\n", 9),
+    ], ids=["rowless", "empty-eq-row"])
+    def test_no_presolve_on_a_matrix_without_entries(self, tmp_path, rows, columns, code):
+        """A model whose matrix has no entries exits with its status's code
+        under --no-presolve: Optimal without rows, Infeasible with an empty
+        = row whose rhs is 1."""
+        model = tmp_path / "empty.mps"
+        model.write_text(f"NAME EMPTY\nROWS\n N OBJ\n{rows}COLUMNS\n{columns}ENDATA\n")
+        for method in METHODS:
+            out = tmp_path / f"{method}.sol"
+            assert main(["solve", str(model), "--method", method, "--no-presolve",
+                         "--out", str(out)]) == code
+            assert main(["check", str(model), str(out)]) == 0
+
     def test_time_limit_zero_still_writes_best_point(self, tmp_path):
         out = tmp_path / "sol.txt"
         code = main([

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from hybridlp.ipm import (
     NormalEquationsSolver,
     NumericalFailure,
     basis_polish,
+    normal_lower,
     normal_matrix,
 )
 from hybridlp.warmstart import warm_started_ipm
@@ -312,6 +314,55 @@ class TestDenseLadderMatrix:
             levels.append(self._assert_rungs(p, cold_start_point(p), factored))
             factored.clear()
         assert max(levels) > 0
+
+
+class TestSparseLadderMatrix:
+    """With the memory cap at zero, every rung hands splu
+    A D^2 A' + delta I, bitwise."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch) -> list:
+        seen = []
+        real = hybridlp.ipm.spla.splu
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.toarray())
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
+        monkeypatch.setattr(hybridlp.ipm.spla, "splu", spy)
+        return seen
+
+    @staticmethod
+    def _assert_rungs(p, st, factored) -> int:
+        solver = NormalEquationsSolver(p, st.x, st.z)
+        solver.solve(*_cold_rhs(p, st))
+        full = normal_matrix(p, solver.d2).toarray()
+        assert len(factored) == solver.level + 1
+        for rung, a in enumerate(factored):
+            assert np.array_equal(a, full + _REG_LADDER[rung] * np.eye(p.m))
+        return solver.level
+
+    def test_singular(self, factored):
+        assert self._assert_rungs(SINGULAR, UNIT_START, factored) > 0
+
+    def test_duplicated_row_on_desk_models(self, factored):
+        levels = []
+        for inst in desk_suite():
+            p = _with_duplicated_row(to_standard_form(inst.model)[0])
+            levels.append(self._assert_rungs(p, cold_start_point(p), factored))
+            factored.clear()
+        assert max(levels) > 0
+
+
+def test_model_without_entries_gets_a_status():
+    """A with no stored entries: the normal matrix is float64 zeros, so the
+    ladder can add its delta, and run_ipm ends with a status."""
+    p = StandardLp(sp.csr_matrix((1, 1)), [0.0], [1.0])
+    assert normal_lower(p, np.ones(1)).dtype == np.float64
+    _, stats = run_ipm(p)
+    assert stats.status.value == "Optimal"
+    assert stats.max_reg_level > 0
 
 
 def test_pair_list_built_once_per_model(monkeypatch):

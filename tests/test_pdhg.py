@@ -316,8 +316,8 @@ def reference_loop(p, eps, limit=None):
     """Restarted Halpern PDHG in one-line array expressions: T and the
     reflected point w = 2 T(z) - z from reference_reflection, the README's
     update z <- z0 + (k+1)/(k+2) (w - z0) and its restart rules at every
-    64th iteration, for at most limit iterations (by default PdhgParams');
-    returns (status, iterations, restarts, the T scored last)."""
+    64th iteration and at the last, for at most limit iterations (by default
+    PdhgParams'); returns (status, iterations, restarts, the T scored last)."""
     params = PdhgParams(eps_rel=eps)
     if limit is not None:
         params.max_kkt_passes = limit
@@ -332,7 +332,7 @@ def reference_loop(p, eps, limit=None):
     for it in range(1, params.max_kkt_passes + 1):
         tx, wy = reference_reflection(p, z[:n], z[n:], tau, sigma, omega)
         t = np.concatenate((tx, 0.5 * (z[n:] + wy)))
-        if it % every == 0:
+        if it % every == 0 or it == params.max_kkt_passes:
             x, y = scored = t[:n], t[n:]
             res = residuals(p, KktPoint(x, y, np.maximum(0.0, p.c - p.A.T @ y)))
             if termination_from_residuals(p, res, eps).ok:
@@ -388,15 +388,14 @@ def test_returned_point_is_reference_t(inst):
 @pytest.mark.parametrize("limit", [100, 1])
 def test_iteration_limit_between_checks(limit):
     """An iteration limit that is not a multiple of check_every ends the run
-    after exactly that many iterations, in a block cut short, and the run
-    returns the T that the plain loop scored last (the zero start when no
-    check came)."""
+    after exactly that many iterations, in a block cut short that ends on a
+    check like every other, and the run returns the T that the plain loop
+    scored at iteration limit."""
     p = _pipeline_scaled(planted_equality_lp(15, 27, seed=1))
     pt, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, max_kkt_passes=limit))
-    status, iterations, restarts, scored = reference_loop(p, 1e-12, limit)
+    status, iterations, restarts, (x, y) = reference_loop(p, 1e-12, limit)
     assert (status, iterations) == ("IterationLimit", limit)
     assert (stats.status.value, stats.iterations, stats.restarts) == (status, iterations, restarts)
-    x, y = scored if scored is not None else (np.zeros(p.n), np.zeros(p.m))
     assert np.array_equal(pt.x, x)
     assert np.array_equal(pt.y, y)
 

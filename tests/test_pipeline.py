@@ -86,6 +86,34 @@ def test_presolve_exits_are_shared_by_every_method(g, status, message, x):
         np.testing.assert_array_equal(sol.x, first.x)
 
 
+def _without_entries(c, senses, rhs):
+    n = len(c)
+    return GeneralLp(
+        c=c, A=np.zeros((len(senses), n)), senses=senses, rhs=rhs,
+        lower=np.zeros(n), upper=np.full(n, np.inf),
+    )
+
+
+@pytest.mark.parametrize(
+    "g, status",
+    [
+        (_without_entries([1.0, 2.0], [], []), "Optimal"),
+        (_without_entries([-1.0, 2.0], [], []), "Unbounded"),
+        (_without_entries([1.0], [EQ], [0.0]), "Optimal"),
+        (_without_entries([1.0], [EQ], [1.0]), "Infeasible"),
+    ],
+    ids=["rowless", "rowless-negative-cost", "empty-eq-row-rhs-0", "empty-eq-row-rhs-1"],
+)
+@pytest.mark.parametrize("method", PAPER_METHODS)
+def test_model_without_entries_is_presolved_regardless(g, status, method):
+    """A model whose A has no stored entries gets a status from every method,
+    and the same status and objective without presolve as with it."""
+    with_presolve, _ = solve_with_method(g, method)
+    without, _ = solve_with_method(g, method, use_presolve=False)
+    assert with_presolve.status == without.status == status
+    assert g.objective_value(without.x) == g.objective_value(with_presolve.x)
+
+
 STORED_ZERO_MPS = """NAME ZERO
 ROWS
  N OBJ
