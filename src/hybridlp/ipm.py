@@ -15,6 +15,7 @@ vertex of the basis a point names, is the hybrid's first move
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -98,14 +99,13 @@ class IpmStats:
     status: SolveStatus
     iterations: int
     wall_seconds: float
-    stall_iteration: int | None
     termination: TerminationCheck | None
-    mu: float
     history: list = field(default_factory=list)
     backend: str = ""
     max_reg_level: int = 0
-    # basis_polish's verdict, set by warm_started_ipm: "accepted", a refusal
-    # reason, or "" when no attempt was made (run_ipm never makes one)
+    # basis_polish's verdict in the stats warm_started_ipm returns for its
+    # whole stage: "accepted", a refusal reason, or "" when no attempt was
+    # made (run_ipm never makes one)
     polish: str = ""
 
 
@@ -360,7 +360,7 @@ def run_ipm(
     p: StandardLp,
     params: IpmParams | None = None,
     start: IpmState | None = None,
-    time_limit_s: float | None = None,
+    time_limit_s: float = math.inf,
 ) -> tuple[KktPoint, IpmStats]:
     """Iterate predictor-corrector steps until the relative criteria hold.
 
@@ -381,7 +381,6 @@ def run_ipm(
     t0 = time.monotonic()
     history = []
     status = SolveStatus.ITERATION_LIMIT
-    stall_iteration = None
     termination = None
     max_reg_level = 0
     # One residual evaluation per iterate serves its history entry, the next
@@ -396,7 +395,7 @@ def run_ipm(
         if it == params.max_iters:
             status = SolveStatus.ITERATION_LIMIT
             break
-        if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
+        if time.monotonic() - t0 > time_limit_s:
             status = SolveStatus.TIME_LIMIT
             break
         try:
@@ -418,16 +417,13 @@ def run_ipm(
         )
         if report.min_alpha < _MIN_STEP:
             status = SolveStatus.STALLED
-            stall_iteration = state.iterations
             break
 
     stats = IpmStats(
         status=status,
         iterations=state.iterations,
         wall_seconds=time.monotonic() - t0,
-        stall_iteration=stall_iteration,
         termination=termination,
-        mu=state.mu,
         history=history,
         backend=normal_backend(p.m),
         max_reg_level=max_reg_level,

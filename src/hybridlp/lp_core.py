@@ -233,13 +233,6 @@ class KktPoint:
         self.y = _as_float_array(self.y)
         self.z = _as_float_array(self.z)
 
-    def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.x))
-            and np.all(np.isfinite(self.y))
-            and np.all(np.isfinite(self.z))
-        )
-
 
 @dataclass
 class Residuals:
@@ -299,7 +292,10 @@ class ViolationSummary:
     dual_inf: float
     rel_gap: float
     max_violation: float
-    comp_negative: bool = False
+
+    @property
+    def comp_negative(self) -> bool:
+        return self.rel_gap < 0
 
 
 @dataclass
@@ -604,7 +600,6 @@ def summary_from_residuals(res: Residuals) -> ViolationSummary:
         dual_inf=dual_inf,
         rel_gap=rel_gap,
         max_violation=max(primal_inf, dual_inf, rel_gap),
-        comp_negative=res.comp < 0,
     )
 
 

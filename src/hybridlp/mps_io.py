@@ -469,7 +469,7 @@ def parse_solution(text: str) -> SolutionFile:
         if len(found) < len(_VIOLATION):
             raise ValueError(f"violation lines come all or none; found only {', '.join(found)}")
         v = {name: float(header[key]) for key, name in _VIOLATION.items()}
-        violation = ViolationSummary(**v, comp_negative=v["rel_gap"] < 0)
+        violation = ViolationSummary(**v)
     return SolutionFile(**fields, violation=violation)
 
 

@@ -250,11 +250,6 @@ def _entries(indptr: np.ndarray, major: np.ndarray):
     return np.arange(total) + (starts - ends + counts)[owner], owner
 
 
-def _name(names: list | None, default: str, k: int) -> str:
-    """names[k], or GeneralLp's default name (default + k) without names."""
-    return f"{default}{k}" if names is None else names[k]
-
-
 def presolve(g: GeneralLp) -> PresolveResult:
     """Reduce a model to fixpoint with four reduction rules.
 
@@ -338,7 +333,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
             i = int(empty[k])
             return PresolveResult(
                 PresolveStatus.INFEASIBLE, None, stack,
-                f"empty row {_name(row_names, 'r', i)} requires 0 {senses[i]} {rhs[i]}",
+                f"empty row {g.constraint_names()[i]} requires 0 {senses[i]} {rhs[i]}",
             )
         return None
 
@@ -356,7 +351,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
             sign, bound = ("positive", "lower") if pos[k] else ("negative", "upper")
             return PresolveResult(
                 PresolveStatus.UNBOUNDED, None, stack,
-                f"column {_name(col_names, 'x', j)} has {sign} cost and no {bound} bound",
+                f"column {g.variable_names()[j]} has {sign} cost and no {bound} bound",
             )
         if empty.size:
             remove_columns(empty, values)
@@ -399,7 +394,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
             i, j, value = int(singles[k]), int(cols[k]), values[k]
             return PresolveResult(
                 PresolveStatus.INFEASIBLE, None, stack,
-                f"row {_name(row_names, 'r', i)} fixes {_name(col_names, 'x', j)} = {value} "
+                f"row {g.constraint_names()[i]} fixes {g.variable_names()[j]} = {value} "
                 f"outside [{lower[j]}, {upper[j]}]",
             )
         return None

@@ -13,6 +13,7 @@ measured on the user's original model.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -108,7 +109,11 @@ class WarmIpmResult:
     point: KktPoint
     stats: IpmStats
     escalations: int
-    total_iterations: int
+
+    @property
+    def total_iterations(self) -> int:
+        """stats.iterations, the stage's one count (perfbench reads this name)."""
+        return self.stats.iterations
 
 
 def warm_started_ipm(
@@ -116,7 +121,7 @@ def warm_started_ipm(
     start: KktPoint,
     ipm_params: IpmParams,
     ws_params: WarmStartParams,
-    time_limit_s: float | None = None,
+    time_limit_s: float = math.inf,
 ) -> WarmIpmResult:
     """One basis polish, then the interior-point solver with stall escalation.
 
@@ -125,44 +130,48 @@ def warm_started_ipm(
     after 0 iterations.  Otherwise run_ipm steps from the start.  On a stall
     the floor alpha_min is multiplied by the escalation factor, the current
     iterate's (x, z) are re-floored, and the solve resumes from that
-    iterate.  After max_escalations stalls the Stalled status stands.  The
-    returned stats carry the polish verdict ("" when no attempt was made).
+    iterate.  After max_escalations stalls the Stalled status stands.
+
+    The returned stats describe the whole stage: the status, termination
+    check and backend of the last run_ipm call; the iterations and history
+    of every call, stalled steps included; the highest regularization rung
+    of any call; the wall time since the stage began, polish included; and
+    the polish verdict ("" when no attempt was made).
     """
     t0 = time.monotonic()
 
-    def time_left() -> float | None:
-        if time_limit_s is None:
-            return None
+    def time_left() -> float:
         return max(0.0, time_limit_s - (time.monotonic() - t0))
 
     x, y, z = start.x, start.y, start.z
     IpmState(x, y, z).require_interior()
     polish = ""
-    if time_limit_s is None or time_left() > 0:
+    if time_left() > 0:
         vertex, check, polish = basis_polish(p, start, ipm_params.eps_rel)
         if vertex is not None:
             stats = IpmStats(
-                SolveStatus.OPTIMAL, 0, time.monotonic() - t0, None, check,
-                IpmState(vertex.x, vertex.y, vertex.z).mu,
+                SolveStatus.OPTIMAL, 0, time.monotonic() - t0, check,
                 backend=normal_backend(p.m), polish=polish,
             )
-            return WarmIpmResult(vertex, stats, 0, 0)
+            return WarmIpmResult(vertex, stats, 0)
 
     alpha = _ALPHA_MIN
-    escalations = 0
-    total_iters = 0
+    runs = []
     while True:
         pt, stats = run_ipm(p, ipm_params, start=IpmState(x, y, z), time_limit_s=time_left())
-        total_iters += stats.iterations
-        if stats.status is SolveStatus.STALLED and escalations < ws_params.max_escalations:
-            escalations += 1
-            alpha *= _ESCALATION_FACTOR
-            x = np.maximum(pt.x, alpha)
-            z = np.maximum(pt.z, alpha)
-            y = pt.y
-            continue
-        stats.polish = polish
-        return WarmIpmResult(pt, stats, escalations, total_iters)
+        runs.append(stats)
+        if stats.status is not SolveStatus.STALLED or len(runs) > ws_params.max_escalations:
+            break
+        alpha *= _ESCALATION_FACTOR
+        x = np.maximum(pt.x, alpha)
+        z = np.maximum(pt.z, alpha)
+        y = pt.y
+    stats.iterations = sum(r.iterations for r in runs)
+    stats.history = [entry for r in runs for entry in r.history]
+    stats.max_reg_level = max(r.max_reg_level for r in runs)
+    stats.wall_seconds = time.monotonic() - t0
+    stats.polish = polish
+    return WarmIpmResult(pt, stats, len(runs) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +309,7 @@ def solve(
         status = SolveStatus(pres.status.value)
         message = f"presolve: {pres.message}"
     pdhg_stats = ipm_stats = scaled_violation = None
-    ipm_iterations = escalations = 0
+    escalations = 0
     if prep.solve_model is not None:
         if stages != "ipm":
             params = PdhgParams(**first, time_limit_s=time_left())
@@ -308,14 +317,12 @@ def solve(
             status, stage = pdhg_stats.status, "pdhg"
         if stages == "ipm":
             pt, ipm_stats = run_ipm(prep.solve_model, ipm_params, time_limit_s=time_left())
-            ipm_iterations = ipm_stats.iterations
         elif stages == "hybrid" and status is SolveStatus.OPTIMAL:
             warm = centered_start(pt)
             result = warm_started_ipm(
                 prep.solve_model, warm, ipm_params, WarmStartParams(), time_left()
             )
-            pt, ipm_stats = result.point, result.stats
-            ipm_iterations, escalations = result.total_iterations, result.escalations
+            pt, ipm_stats, escalations = result.point, result.stats, result.escalations
         if ipm_stats is not None:
             status, stage = ipm_stats.status, "ipm"
         message = "" if status is SolveStatus.OPTIMAL else f"{stage}: {status.value}"
@@ -326,7 +333,7 @@ def solve(
         g, status, finished.x, finished.y, finished.z,
         method=method, wall_seconds=time.monotonic() - t0,
         pdhg_iterations=pdhg_stats.iterations if pdhg_stats else 0,
-        ipm_iterations=ipm_iterations,
+        ipm_iterations=ipm_stats.iterations if ipm_stats else 0,
         escalations=escalations,
         violation=finished.violation,
         message=message,

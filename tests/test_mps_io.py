@@ -349,6 +349,14 @@ class TestSolutionFileBytes:
         else:
             assert back.violation.comp_negative == (sol.violation.rel_gap < 0)
 
+    def test_negative_gap_flag_round_trips(self):
+        """comp_negative follows rel_gap, so a written and parsed summary
+        equals the one written."""
+        s = _sample_solution()
+        s.violation = ViolationSummary(1e-9, 2.5e-10, -3e-12, 1e-9)
+        assert s.violation.comp_negative
+        assert parse_solution(write_solution(s)).violation == s.violation
+
     def test_missing_header_lines_read_as_defaults(self):
         back = parse_solution(
             "hybridlp-solution 1\nstatus Optimal\n"

@@ -1,5 +1,6 @@
 """Centered-start construction, the stall-escalation driver, and hybrid solves."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -183,6 +184,36 @@ class TestWarmStartedIpm:
         assert res.escalations >= 1
         assert res.stats.status is SolveStatus.OPTIMAL
 
+    def test_stats_cover_every_run(self, monkeypatch):
+        """After a stall escalation the stats count the iterations, history,
+        regularization and wall time of every run_ipm call, the stalled step
+        included."""
+        p, _ = to_standard_form(lp2().model)
+        start = KktPoint(
+            np.array([1.0, 1.0, 1e-9, 1.0]),
+            np.zeros(2),
+            np.array([1.0, 1.0, 1e-9, 1.0]),
+        )
+        runs = []
+        real = hybridlp.warmstart.run_ipm
+
+        def spy(*args, **kwargs):
+            pt, stats = real(*args, **kwargs)
+            runs.append(dataclasses.replace(stats, history=list(stats.history)))
+            return pt, stats
+
+        monkeypatch.setattr(hybridlp.warmstart, "run_ipm", spy)
+        res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
+        assert res.escalations >= 1 and len(runs) == res.escalations + 1
+        assert res.stats.iterations == res.total_iterations == len(res.stats.history)
+        assert res.stats.iterations == sum(r.iterations for r in runs)
+        assert res.stats.history == [entry for r in runs for entry in r.history]
+        assert res.stats.max_reg_level == max(r.max_reg_level for r in runs)
+        assert any(
+            min(h["alpha_p"], h["alpha_d"]) < hybridlp.ipm._MIN_STEP for h in res.stats.history
+        )
+        assert res.stats.wall_seconds >= sum(r.wall_seconds for r in runs)
+
 
 class TestHybridSolve:
     def test_lp1_warm_beats_cold(self):
@@ -241,6 +272,12 @@ class TestHybridSolve:
         assert sol.status == "IterationLimit"
         assert sol.message.startswith("pdhg:")
         assert sol.violation is not None
+
+    @pytest.mark.parametrize("method", ["hybrid", "ipm-cold"])
+    @pytest.mark.parametrize("inst", desk_suite(), ids=lambda inst: inst.name)
+    def test_file_and_stats_count_the_same_iterations(self, inst, method):
+        sol, stats = solve(inst.model, method)
+        assert sol.ipm_iterations == stats.ipm_stats.iterations
 
     def test_scaled_and_original_violations_both_reported(self):
         sol, stats = solve(lp2().model, "hybrid")
