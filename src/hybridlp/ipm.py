@@ -16,6 +16,7 @@ vertex of the basis a point names, is the hybrid's first move
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -44,11 +45,24 @@ _D2_CLIP = (1e-32, 1e32)
 # Mehrotra's centering parameter: sigma = (mu_aff / mu) ** _CENTERING_POWER
 _CENTERING_POWER = 3.0
 # Fixed by the method, not by the model: the share of the distance to the
-# boundary a step may take, and the step length below which run_ipm stalls.
+# boundary a step may take, the step length below which run_ipm stalls, and
+# run_ipm's iteration limit.
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-6
-# Largest dense normal matrix, 8 m^2 bytes, factored by LAPACK (m <= 5792).
-_DENSE_CAP_BYTES = 256 << 20
+_MAX_ITERS = 200
+
+
+def _dense_cap_bytes() -> int:
+    """A quarter of physical memory, or 256 MiB where sysconf cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 4
+    except (AttributeError, OSError, ValueError):
+        return 256 << 20
+
+
+# Largest dense normal matrix, 8 m^2 bytes, factored by LAPACK: m <= 16384
+# with 8 GiB of memory, m <= 5792 on the fallback.
+_DENSE_CAP_BYTES = _dense_cap_bytes()
 
 
 class NumericalFailure(RuntimeError):
@@ -58,7 +72,6 @@ class NumericalFailure(RuntimeError):
 @dataclass
 class IpmParams:
     eps_rel: float = 1e-8
-    max_iters: int = 200
 
     def __post_init__(self):
         if self.eps_rel <= 0:
@@ -169,16 +182,17 @@ class NormalEquationsSolver:
     """Factor A D^2 A' once per iterate and solve Newton systems against it.
 
     The backend follows from m alone.  While the dense m x m matrix fits
-    _DENSE_CAP_BYTES (256 MB, m <= 5792), LAPACK Cholesky factors M + delta I
-    in place in one Fortran-ordered array holding only the lower triangle it
-    reads: normal_lower assembles it by one bincount over the pair list that
-    the model builds once from its CSR A and keeps (every pair of entries of
-    one column of A, 24 bytes each), bitwise the sparse product's triangle.
-    The factors of A D^2 A' fill in almost completely even when M itself is a
-    few percent full, so dense is the faster choice on every model that
-    fits.  Above the cap, SuperLU (splu) factors the sparse M + delta I from
-    normal_matrix; it stays because it is the one path that runs when m is
-    too large for a dense matrix.
+    _DENSE_CAP_BYTES (a quarter of physical memory: m <= 16384 with 8 GiB),
+    LAPACK Cholesky factors M + delta I in place in one Fortran-ordered
+    array holding only the lower triangle it reads: normal_lower assembles
+    it by one bincount over the pair list that the model builds once from
+    its CSR A and keeps (every pair of entries of one column of A, 24 bytes
+    each), bitwise the sparse product's triangle.  The factors of A D^2 A'
+    fill in almost completely even when M itself is a few percent full, so
+    dense is the faster choice on every model that fits.  Above the cap,
+    SuperLU (splu) factors the sparse M + delta I from normal_matrix; it
+    stays because it is the one path that runs when m is too large for a
+    dense matrix.
 
     Regularization delta escalates through a fixed ladder when factor_normal
     cannot factor the matrix (one that is not positive definite, or exactly
@@ -381,19 +395,17 @@ def run_ipm(
     t0 = time.monotonic()
     history = []
     status = SolveStatus.ITERATION_LIMIT
-    termination = None
     max_reg_level = 0
     # One residual evaluation per iterate serves its history entry, the next
     # check and the next Newton right-hand side.
     res = residuals(p, state)
 
-    for it in range(params.max_iters + 1):
+    while True:
         termination = termination_from_residuals(p, res, params.eps_rel)
         if termination.ok:
             status = SolveStatus.OPTIMAL
             break
-        if it == params.max_iters:
-            status = SolveStatus.ITERATION_LIMIT
+        if state.iterations == _MAX_ITERS:
             break
         if time.monotonic() - t0 > time_limit_s:
             status = SolveStatus.TIME_LIMIT

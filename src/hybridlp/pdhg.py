@@ -53,20 +53,20 @@ _RESTART_ARTIFICIAL = 0.36
 # power iteration stops once the estimate moves by at most this relative amount
 _OPNORM_TOL = 1e-4
 _OPNORM_MAX_ITERS = 100
+# PDLP's check interval: iterations per block, the last of them scored, and
+# the blocks a run may take (200,000 iterations).
+_CHECK_EVERY = 64
+_MAX_CHECKS = 3125
 
 
 @dataclass
 class PdhgParams:
     eps_rel: float = 1e-4
-    max_kkt_passes: int = 200_000
     time_limit_s: float = 10_000.0
-    check_every: int = 64
 
     def __post_init__(self):
         if self.eps_rel <= 0:
             raise ValueError("eps_rel must be positive")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
 
 
 @dataclass
@@ -228,18 +228,17 @@ def run_pdhg(
 
     Each iteration sets z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0), with z0 the
     anchor (the point of the last restart) and k the iterations since it.
-    The iterations run in blocks of check_every, one _iterate call each,
-    the last block cut short when the iteration limit is not a multiple of
-    check_every; the last iteration of every block, a check, also forms T(z)
-    as a fresh array.  T(z), never z, is scored and returned if it passes,
-    and its max violation drives the _RESTART_* rules.  A restart sets
-    z = z0 = T(z), k = 0, and moves the primal weight omega, which starts at
-    ||c|| / ||b||, halfway in log scale towards ||dy|| / ||dx||, the
-    anchor's movement, both clipped to _WEIGHT_CLIP; the scaled operator is
-    rebuilt then.  On failure statuses the best point scored so far is
-    returned.  The time limit is tested before each block starts, so a run
-    may overrun it by one block.  Non-finite iterates are detected at the
-    checks.
+    The iterations run in blocks of _CHECK_EVERY, at most _MAX_CHECKS of
+    them, one _iterate call each; the last iteration of every block, a
+    check, also forms T(z) as a fresh array.  T(z), never z, is scored and
+    returned if it passes, and its max violation drives the _RESTART_*
+    rules.  A restart sets z = z0 = T(z), k = 0, and moves the primal weight
+    omega, which starts at ||c|| / ||b||, halfway in log scale towards
+    ||dy|| / ||dx||, the anchor's movement, both clipped to _WEIGHT_CLIP;
+    the scaled operator is rebuilt then.  On failure statuses the best point
+    scored so far is returned.  The time limit is tested before each block
+    starts, so a run may overrun it by one block.  Non-finite iterates are
+    detected at the checks.
     """
     if params is None:
         params = PdhgParams()
@@ -252,7 +251,7 @@ def run_pdhg(
     if c_norm > 0.0 and b_norm > 0.0:
         omega = float(np.clip(c_norm / b_norm, *_WEIGHT_CLIP))
     op = _operator(p, tau, sigma, omega)
-    n, every, limit = p.n, params.check_every, params.max_kkt_passes
+    n = p.n
 
     best_pt, best_summary, best_term = _score(p, state.x, state.y, params.eps_rel)
     z = np.concatenate((state.x, state.y))  # fresh: best_pt wraps the start
@@ -262,14 +261,13 @@ def run_pdhg(
     r0 = r_prev = np.inf
     status = SolveStatus.ITERATION_LIMIT
 
-    while iterations < limit:
+    for _ in range(_MAX_CHECKS):
         if time.monotonic() - t0 > params.time_limit_s:
             status = SolveStatus.TIME_LIMIT
             break
-        count = min(every, limit - iterations)
-        iterations += count
+        iterations += _CHECK_EVERY
         t = np.empty(n + p.m)  # fresh: best_pt may wrap it
-        since_restart = _iterate(op, zs, ws, anchor, t[:n], since_restart, count, t[n:])
+        since_restart = _iterate(op, zs, ws, anchor, t[:n], since_restart, _CHECK_EVERY, t[n:])
         if not np.isfinite(t).all():
             status = SolveStatus.NUMERICAL_FAILURE
             break

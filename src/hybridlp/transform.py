@@ -21,6 +21,7 @@ from .lp_core import EQ, LE, GeneralLp, InvalidModelError, KktPoint, StandardLp,
 
 _FEAS_TOL = 1e-9
 _RUIZ_TOL = 1e-2
+_RUIZ_MAX_ITERS = 20
 
 
 @dataclass
@@ -32,16 +33,16 @@ class ScalingInfo:
     applied_iterations: int
 
 
-def ruiz_equilibrate(p: StandardLp, max_iters: int = 20) -> tuple[StandardLp, ScalingInfo]:
+def ruiz_equilibrate(p: StandardLp) -> tuple[StandardLp, ScalingInfo]:
     """Iterative infinity-norm equilibration.
 
     Each pass divides every row by the square root of its max-abs entry and
     every column likewise, stopping once all row and column norms lie in
-    [1/(1+_RUIZ_TOL), 1+_RUIZ_TOL] or after max_iters passes.  b is scaled
-    by the row scales and c by the column scales.  A copy of the canonical A
-    is scaled entry by entry, with the rounding of diag(r) @ A @ diag(c);
-    building the scaled StandardLp drops products that underflowed to zero.
-    Empty rows and columns keep unit scale.
+    [1/(1+_RUIZ_TOL), 1+_RUIZ_TOL] or after _RUIZ_MAX_ITERS passes.  b is
+    scaled by the row scales and c by the column scales.  A copy of the
+    canonical A is scaled entry by entry, with the rounding of
+    diag(r) @ A @ diag(c); building the scaled StandardLp drops products
+    that underflowed to zero.  Empty rows and columns keep unit scale.
     """
     A = p.A.copy()
     m, n = A.shape
@@ -56,7 +57,7 @@ def ruiz_equilibrate(p: StandardLp, max_iters: int = 20) -> tuple[StandardLp, Sc
     col_scale = np.ones(n)
     lo, hi = 1.0 / (1.0 + _RUIZ_TOL), 1.0 + _RUIZ_TOL
     applied = 0
-    for _ in range(max_iters):
+    for _ in range(_RUIZ_MAX_ITERS):
         abs_data = np.abs(A.data)
         row_norm = np.ones(m)
         row_norm[full_rows] = np.maximum.reduceat(abs_data, A.indptr[full_rows])

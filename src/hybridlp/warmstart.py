@@ -61,13 +61,12 @@ class WarmStartParams:
     max_escalations: int = 6
 
 
-def mu_target(x, z, n: int, mu_min: float) -> float:
-    """Complementarity target max(x'z / n, mu_min)."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.size != n or z.size != n or n < 1:
-        raise InvalidModelError("x and z must both have length n >= 1")
-    return max(float(x @ z) / n, mu_min)
+def mu_target(x, z) -> float:
+    """Complementarity target max(x'z / n, _MU_MIN), n = len(x) = len(z)."""
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    if z.size != x.size or x.size < 1:
+        raise InvalidModelError("x and z must have one length n >= 1")
+    return max(float(x @ z) / x.size, _MU_MIN)
 
 
 def center_toward_target(
@@ -97,9 +96,9 @@ def center_toward_target(
 
 
 def centered_start(pt: KktPoint, params: WarmStartParams | None = None) -> KktPoint:
-    """Perturb (x, z) toward max(x'z/n, mu_min) complementarity; y is untouched.
+    """Perturb (x, z) toward mu_target(x, z) complementarity; y is untouched.
     params is accepted from callers that pass one and read by nothing."""
-    mu = mu_target(pt.x, pt.z, pt.x.size, _MU_MIN)
+    mu = mu_target(pt.x, pt.z)
     x_new, z_new = center_toward_target(pt.x, pt.z, mu, _ALPHA_MIN, _DELTA_MAX)
     return KktPoint(x_new, pt.y.copy(), z_new)
 

@@ -197,10 +197,11 @@ class TestRunIpm:
         pt, stats = run_ipm(p)
         assert stats.iterations == len(stats.history)
 
-    def test_iteration_limit_status(self):
+    def test_iteration_limit_status(self, monkeypatch):
+        monkeypatch.setattr(hybridlp.ipm, "_MAX_ITERS", 2)
         inst = planted_equality_lp(10, 18, seed=11)
         p, _ = to_standard_form(inst.model)
-        pt, stats = run_ipm(p, IpmParams(max_iters=2))
+        pt, stats = run_ipm(p)
         assert stats.status.value == "IterationLimit"
         assert stats.iterations == 2
 
@@ -395,10 +396,24 @@ class TestSparseFallback:
     """With the memory cap at zero every model takes the splu path."""
 
     def test_backend_follows_the_cap(self, monkeypatch):
+        monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 256 << 20)
         assert hybridlp.ipm.normal_backend(5792) == "dense"
         assert hybridlp.ipm.normal_backend(5793) == "sparse"
         monkeypatch.setattr(hybridlp.ipm, "_DENSE_CAP_BYTES", 0)
         assert hybridlp.ipm.normal_backend(1) == "sparse"
+
+    def test_cap_is_a_quarter_of_physical_memory(self, monkeypatch):
+        pages = {"SC_PHYS_PAGES": 2 << 20, "SC_PAGE_SIZE": 4096}  # 8 GiB
+        monkeypatch.setattr(hybridlp.ipm.os, "sysconf", pages.__getitem__)
+        assert hybridlp.ipm._dense_cap_bytes() == 2 << 30
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_cap_falls_back_without_sysconf(self, monkeypatch, error):
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(hybridlp.ipm.os, "sysconf", sysconf)
+        assert hybridlp.ipm._dense_cap_bytes() == 256 << 20
 
     def test_statuses_and_iterations_match_dense(self, monkeypatch):
         models = []
@@ -519,6 +534,19 @@ class TestBasisPolish:
         """Rows 0 and 1 of SINGULAR are equal, so every BB' is singular."""
         start = IpmState(np.array([3.0, 2.0, 1.0, 1e-3]), np.zeros(3), np.full(4, 1e-3))
         assert basis_polish(SINGULAR, start, 1e-8)[2] == "singular"
+
+    def test_negative_basic_value_is_refused(self):
+        """x1 - x2 = -1 with x1 the one basic column sets x1 = -1."""
+        p = StandardLp([[1.0, -1.0]], [-1.0], [1.0, 0.0])
+        start = KktPoint(np.array([2.0, 0.1]), np.zeros(1), np.array([0.1, 1.0]))
+        assert basis_polish(p, start, 1e-8) == (None, None, "infeasible")
+
+    @pytest.mark.parametrize("eps, reason", [(1e-8, "accepted"), (1e-300, "not optimal")])
+    def test_verdict_follows_the_tolerance(self, eps, reason):
+        """lp2's vertex from its hybrid start passes the relative test at
+        1e-8, and its rounding error fails it at 1e-300."""
+        p = _scaled(lp2())
+        assert basis_polish(p, _warm_start(p), eps)[2] == reason
 
     @pytest.mark.parametrize("inst", [lp2(), planted_equality_lp(40, 70, seed=20),
                                       planted_equality_lp(120, 200, seed=24)],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hybridlp.pdhg
 from hybridlp import (
     KktPoint,
     PdhgParams,
@@ -185,10 +186,11 @@ class TestRunPdhg:
         assert stats.status.value == "TimeLimit"
         assert pt.x.size == p.n
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(hybridlp.pdhg, "_MAX_CHECKS", 2)
         inst = planted_equality_lp(10, 18, seed=9)
         p, _ = to_standard_form(inst.model)
-        pt, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, max_kkt_passes=128))
+        pt, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12))
         assert stats.status.value == "IterationLimit"
         assert stats.iterations == 128
 
@@ -200,7 +202,9 @@ class TestRunPdhg:
         inst = planted_equality_lp(10, 18, seed=9)
         p, _ = to_standard_form(inst.model)
         checks, every = 3, 16
-        params = PdhgParams(eps_rel=1e-12, max_kkt_passes=checks * every, check_every=every)
+        monkeypatch.setattr(hybridlp.pdhg, "_MAX_CHECKS", checks)
+        monkeypatch.setattr(hybridlp.pdhg, "_CHECK_EVERY", every)
+        params = PdhgParams(eps_rel=1e-12)
         real_residuals = hybridlp.lp_core.residuals
         calls = []
 
@@ -220,7 +224,9 @@ class TestRunPdhg:
         inst = planted_equality_lp(10, 18, seed=9)
         p, _ = to_standard_form(inst.model)
         checks, every = 3, 16
-        params = PdhgParams(eps_rel=1e-12, max_kkt_passes=checks * every, check_every=every)
+        monkeypatch.setattr(hybridlp.pdhg, "_MAX_CHECKS", checks)
+        monkeypatch.setattr(hybridlp.pdhg, "_CHECK_EVERY", every)
+        params = PdhgParams(eps_rel=1e-12)
         real = StandardLp.at_y
         calls = []
 
@@ -245,35 +251,27 @@ class TestRunPdhg:
 
 
 class TestRunPdhgFailurePoints:
-    def test_best_point_is_the_scored_point(self):
+    def test_best_point_is_the_scored_point(self, monkeypatch):
         """On IterationLimit the returned point has the violation the stats
         report; the averaged iterate it was scored from moves on in place."""
+        monkeypatch.setattr(hybridlp.pdhg, "_MAX_CHECKS", 50)
         inst = planted_equality_lp(25, 45, seed=18)
         p, _ = to_standard_form(inst.model)
         scaled, _ = ruiz_equilibrate(p)
-        pt, stats = run_pdhg(scaled, PdhgParams(eps_rel=1e-10, max_kkt_passes=3200))
+        pt, stats = run_pdhg(scaled, PdhgParams(eps_rel=1e-10))
         assert stats.status.value == "IterationLimit"
         assert violation_summary(scaled, pt).max_violation == stats.max_violation
 
-    def test_overflow_reports_numerical_failure(self):
+    def test_overflow_reports_numerical_failure(self, monkeypatch):
         """Iterates that overflow are caught at the first check point, and the
         finite starting point is returned."""
+        monkeypatch.setattr(hybridlp.pdhg, "_CHECK_EVERY", 16)
         p = StandardLp(np.array([[1.0, -1.0]]), [1e308], [-1e308, 1e308])
-        params = PdhgParams(check_every=16)
         with np.errstate(over="ignore", invalid="ignore"):
-            pt, stats = run_pdhg(p, params)
+            pt, stats = run_pdhg(p)
         assert stats.status.value == "NumericalFailure"
-        assert 0 < stats.iterations <= params.check_every
+        assert 0 < stats.iterations <= 16
         assert all(np.all(np.isfinite(v)) for v in (pt.x, pt.y, pt.z))
-
-    def test_overflow_before_iteration_limit(self):
-        """An overflow after the last check point is still reported when the
-        iteration limit ends the run."""
-        p = StandardLp(np.array([[1.0, -1.0]]), [1e308], [-1e308, 1e308])
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, stats = run_pdhg(p, PdhgParams(check_every=16, max_kkt_passes=5))
-        assert stats.status.value == "NumericalFailure"
-        assert stats.iterations == 5
 
 
 def _pipeline_scaled(inst):
@@ -282,13 +280,14 @@ def _pipeline_scaled(inst):
 
 
 @pytest.mark.parametrize("inst", desk_suite(), ids=lambda inst: inst.name)
-def test_only_projected_points_returned(inst):
+def test_only_projected_points_returned(inst, monkeypatch):
     """Whether it converges or hits the iteration limit, run_pdhg returns a
     point T produced (x >= 0, z = max(0, c - A'y)), never the Halpern
     iterate, and two runs return bitwise the same point and stats."""
     p = _pipeline_scaled(inst)
-    for passes in (PdhgParams().max_kkt_passes, 64, 640):
-        params = PdhgParams(eps_rel=1e-6, max_kkt_passes=passes)
+    params = PdhgParams(eps_rel=1e-6)
+    for checks in (hybridlp.pdhg._MAX_CHECKS, 1, 10):
+        monkeypatch.setattr(hybridlp.pdhg, "_MAX_CHECKS", checks)
         (pt, s1), (pt2, s2) = run_pdhg(p, params), run_pdhg(p, params)
         assert np.all(pt.x >= 0.0)
         assert np.array_equal(pt.z, np.maximum(0.0, p.c - p.at_y(pt.y)))
@@ -312,16 +311,14 @@ def test_tail_cases_within_iteration_ceiling(m, n, seed, eps, ceiling):
     assert stats.iterations <= ceiling
 
 
-def reference_loop(p, eps, limit=None):
+def reference_loop(p, eps):
     """Restarted Halpern PDHG in one-line array expressions: T and the
     reflected point w = 2 T(z) - z from reference_reflection, the README's
     update z <- z0 + (k+1)/(k+2) (w - z0) and its restart rules at every
-    64th iteration and at the last, for at most limit iterations (by default
-    PdhgParams'); returns (status, iterations, restarts, the T scored last)."""
+    64th iteration, for at most 200,000 iterations; returns (status,
+    iterations, restarts, the T scored last)."""
     params = PdhgParams(eps_rel=eps)
-    if limit is not None:
-        params.max_kkt_passes = limit
-    n, every = p.n, params.check_every
+    n, every, limit = p.n, 64, 200_000
     tau = sigma = initial_state(p, params).tau
     omega = 1.0
     if np.linalg.norm(p.c) > 0.0 and np.linalg.norm(p.b) > 0.0:
@@ -329,10 +326,10 @@ def reference_loop(p, eps, limit=None):
     z = z0 = np.zeros(n + p.m)
     k, restarts, r0, r_prev = 0, 0, np.inf, np.inf
     scored = None
-    for it in range(1, params.max_kkt_passes + 1):
+    for it in range(1, limit + 1):
         tx, wy = reference_reflection(p, z[:n], z[n:], tau, sigma, omega)
         t = np.concatenate((tx, 0.5 * (z[n:] + wy)))
-        if it % every == 0 or it == params.max_kkt_passes:
+        if it % every == 0:
             x, y = scored = t[:n], t[n:]
             res = residuals(p, KktPoint(x, y, np.maximum(0.0, p.c - p.A.T @ y)))
             if termination_from_residuals(p, res, eps).ok:
@@ -350,7 +347,7 @@ def reference_loop(p, eps, limit=None):
                 continue
         z = z0 + (k + 1) / (k + 2) * (np.concatenate((2.0 * tx - z[:n], wy)) - z0)
         k += 1
-    return "IterationLimit", params.max_kkt_passes, restarts, scored
+    return "IterationLimit", limit, restarts, scored
 
 
 def reference_run(p, eps):
@@ -385,24 +382,9 @@ def test_returned_point_is_reference_t(inst):
     assert np.array_equal(pt.y, y)
 
 
-@pytest.mark.parametrize("limit", [100, 1])
-def test_iteration_limit_between_checks(limit):
-    """An iteration limit that is not a multiple of check_every ends the run
-    after exactly that many iterations, in a block cut short that ends on a
-    check like every other, and the run returns the T that the plain loop
-    scored at iteration limit."""
-    p = _pipeline_scaled(planted_equality_lp(15, 27, seed=1))
-    pt, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, max_kkt_passes=limit))
-    status, iterations, restarts, (x, y) = reference_loop(p, 1e-12, limit)
-    assert (status, iterations) == ("IterationLimit", limit)
-    assert (stats.status.value, stats.iterations, stats.restarts) == (status, iterations, restarts)
-    assert np.array_equal(pt.x, x)
-    assert np.array_equal(pt.y, y)
-
-
 def test_time_limit_ends_the_run_at_a_block(monkeypatch):
     """A time limit that expires mid-run stops it before a block of
-    check_every iterations starts: the clock is read once before each block
+    _CHECK_EVERY iterations starts: the clock is read once before each block
     (the one that ends the run too), at the start and for the wall time."""
     import hybridlp.pdhg
 
@@ -415,19 +397,22 @@ def test_time_limit_ends_the_run_at_a_block(monkeypatch):
             return float(len(reads))
 
     monkeypatch.setattr(hybridlp.pdhg, "time", Clock)
+    monkeypatch.setattr(hybridlp.pdhg, "_CHECK_EVERY", 16)
     p = _pipeline_scaled(planted_equality_lp(15, 27, seed=1))
-    _, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, check_every=16, time_limit_s=4.5))
+    _, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, time_limit_s=4.5))
     assert stats.status.value == "TimeLimit"
     assert stats.iterations % 16 == 0
     assert len(reads) == stats.iterations // 16 + 1 + 2
     assert stats.wall_seconds == len(reads) - 1.0
 
 
-@pytest.mark.parametrize("passes, every", [(40, 64), (48, 16)])
-def test_two_sparse_products_per_iteration(monkeypatch, passes, every):
+@pytest.mark.parametrize("limit, every", [(40, 64), (48, 16)])
+def test_two_sparse_products_per_iteration(monkeypatch, limit, every):
     """Every iteration, between checks or at one, makes exactly two sparse
     products, through hybridlp.pdhg._csc_matvec_add and _csr_matvec_add; the
-    start score and the norm estimate make theirs elsewhere."""
+    start score and the norm estimate make theirs elsewhere.  The run ends
+    after the whole blocks that cover `limit` iterations: 40 in blocks of 64
+    is one block, 48 in blocks of 16 is three."""
     import hybridlp.pdhg
 
     calls = []
@@ -440,30 +425,36 @@ def test_two_sparse_products_per_iteration(monkeypatch, passes, every):
 
     for name in ("_csc_matvec_add", "_csr_matvec_add"):
         monkeypatch.setattr(hybridlp.pdhg, name, counted(getattr(hybridlp.pdhg, name)))
+    checks = -(-limit // every)
+    monkeypatch.setattr(hybridlp.pdhg, "_MAX_CHECKS", checks)
+    monkeypatch.setattr(hybridlp.pdhg, "_CHECK_EVERY", every)
     p = _pipeline_scaled(planted_equality_lp(15, 27, seed=1))
-    _, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12, max_kkt_passes=passes, check_every=every))
+    _, stats = run_pdhg(p, PdhgParams(eps_rel=1e-12))
     assert stats.status.value == "IterationLimit"
-    assert len(calls) == 2 * passes
+    assert stats.iterations == checks * every
+    assert len(calls) == 2 * checks * every
 
 
-def test_overflowed_norms_fail_termination():
+def test_overflowed_norms_fail_termination(monkeypatch):
     """Residual norms that overflow to inf do not pass against bounds that
     overflow too."""
+    monkeypatch.setattr(hybridlp.pdhg, "_CHECK_EVERY", 16)
     p = StandardLp(np.array([[1.0, -1.0]]), [1e308], [-1e308, 1e308])
     with np.errstate(over="ignore", invalid="ignore"):
-        _, stats = run_pdhg(p, PdhgParams(check_every=16))
+        _, stats = run_pdhg(p)
     assert stats.status.value == "NumericalFailure"
     assert stats.termination.ok is False
     assert not (stats.termination.primal_ok or stats.termination.dual_ok)
 
 
-def test_unbounded_lp_keeps_primal_weight_positive():
+def test_unbounded_lp_keeps_primal_weight_positive(monkeypatch):
     """min -x1 s.t. x1 - x2 <= 1, x >= 0 is unbounded: the iterates diverge
     and the anchor's movement ||dy|| / ||dx|| goes to 0.  The primal weight
     stays clipped, so the run ends with a status instead of dividing by a
     weight that underflowed to 0 (after about 17,000 iterations)."""
+    monkeypatch.setattr(hybridlp.pdhg, "_MAX_CHECKS", 313)  # 20,032 iterations
     p = StandardLp(np.array([[1.0, -1.0, 1.0]]), [1.0], [-1.0, 0.0, 0.0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, stats = run_pdhg(p, PdhgParams(max_kkt_passes=20_000))
+        _, stats = run_pdhg(p)
     assert stats.status.value in ("IterationLimit", "NumericalFailure")
     assert not stats.termination.ok

@@ -50,7 +50,7 @@ class TestRuizEquilibrate:
 
     def test_badly_scaled_reaches_norm_box(self):
         p = StandardLp(np.array([[1.0, 100.0], [0.01, 1.0]]), [1.0, 1.0], [1.0, 1.0])
-        scaled, info = ruiz_equilibrate(p, max_iters=20)
+        scaled, info = ruiz_equilibrate(p)
         absA = np.abs(scaled.A.toarray())
         assert info.applied_iterations <= 20
         for norm in np.r_[absA.max(axis=1), absA.max(axis=0)]:

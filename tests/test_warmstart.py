@@ -1,12 +1,12 @@
 """Centered-start construction, the stall-escalation driver, and hybrid solves."""
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
 
 import hybridlp.ipm
+import hybridlp.pdhg
 import hybridlp.warmstart
 from hybridlp import (
     EQ,
@@ -33,19 +33,21 @@ from _desk import desk_suite, lp1, lp2
 
 class TestMuTarget:
     def test_floor_active_on_zero_vectors(self):
-        assert mu_target(np.zeros(3), np.zeros(3), 3, 1e-6) == 1e-6
+        assert mu_target(np.zeros(3), np.zeros(3)) == 1e-6
 
     def test_plain_arithmetic(self):
-        assert mu_target([1.0, 1.0], [2.0, 0.0], 2, 1e-6) == 1.0
+        assert mu_target([1.0, 1.0], [2.0, 0.0]) == 1.0
 
     def test_exact_tie(self):
-        assert mu_target([1e-3], [1e-3], 1, 1e-6) == 1e-6
+        assert mu_target([1e-3], [1e-3]) == 1e-6
 
     def test_dimension_check(self):
         from hybridlp import InvalidModelError
 
         with pytest.raises(InvalidModelError):
-            mu_target([1.0], [1.0, 2.0], 2, 1e-6)
+            mu_target([1.0], [1.0, 2.0])
+        with pytest.raises(InvalidModelError):
+            mu_target([], [])
 
 
 class TestCenterTowardTarget:
@@ -264,9 +266,7 @@ class TestHybridSolve:
         assert sol.message.startswith("presolve: ")
 
     def test_phase_tag_on_pdhg_failure(self, monkeypatch):
-        monkeypatch.setattr(
-            hybridlp.warmstart, "PdhgParams", functools.partial(PdhgParams, max_kkt_passes=64)
-        )
+        monkeypatch.setattr(hybridlp.pdhg, "_MAX_CHECKS", 1)
         inst = lp2()
         sol, stats = solve(inst.model, "hybrid", eps_rel=1e-12)
         assert sol.status == "IterationLimit"
