@@ -12,12 +12,17 @@ An iteration costs two sparse products and a few vector operations, so at
 desk scale the interpreter's per-call overhead, not the flops, sets its
 time.  One kernel, _iterate, therefore runs every iteration: one Python call
 per block of iterations between checks, each in place on A's CSR arrays with
-two copies of its values, pre-scaled by tau / omega and -2 sigma omega;
+two copies of its values, pre-scaled by -2 tau / omega and -2 sigma omega;
 scipy's CSC and CSR kernels add A'v and A v into vectors holding the rest.
+An iteration is the two products and five array passes, with no Python
+float among their operands: it keeps the reflected point 2 T(z) - z negated,
+using 2 max(0, v) - z_x = max(-z_x, 2 v - z_x), and forms T(z) itself only
+at a check.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,8 +34,6 @@ from .lp_core import (
     KktPoint,
     StandardLp,
     TerminationCheck,
-    csr_matvec,
-    csr_rmatvec,
     residuals,
     summary_from_residuals,
     termination_from_residuals,
@@ -96,26 +99,34 @@ def estimate_opnorm(A, seed: int = 0) -> float:
 
     Returns lam with lam <= ||A||_2 <= 1.05 lam on the matrices this solver
     meets; callers derive safe step sizes from 1/(1.05 lam).  A sparse A is
-    read through its CSR arrays, without a copy when it is float64 CSR.
+    read through its CSR arrays, without a copy when it is float64 CSR; each
+    product is summed by scipy's kernel into a zeroed buffer (called by its
+    scipy name, so that the _*_matvec_add names count PDHG's products only),
+    and the norm sqrt(w @ w) is np.linalg.norm's own arithmetic.
     """
     m, n = A.shape
     if m == 0 or n == 0 or A.nnz == 0:
         raise InvalidModelError("cannot estimate the norm of an empty matrix")
     A = A.tocsr().astype(float, copy=False)
+    ptr, idx, val = A.indptr, A.indices, A.data
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     av, w = np.empty(m), np.empty(n)
 
     def norm_at_a(v):  # ||A'A v||, leaving A'A v in w
-        return np.linalg.norm(csr_rmatvec(A, csr_matvec(A, v, av), w))
+        av.fill(0.0)
+        _sparsetools.csr_matvec(m, n, ptr, idx, val, v, av)
+        w.fill(0.0)
+        _sparsetools.csc_matvec(n, m, ptr, idx, val, av, w)
+        return math.sqrt(w @ w)
 
     lam = 0.0
     for _ in range(_OPNORM_MAX_ITERS):
         norm_w = norm_at_a(v)
         if norm_w == 0.0:
             break
-        new_lam = np.sqrt(norm_w)
+        new_lam = math.sqrt(norm_w)
         np.divide(w, norm_w, out=v)
         if lam > 0 and abs(new_lam - lam) <= _OPNORM_TOL * new_lam:
             lam = new_lam
@@ -124,8 +135,8 @@ def estimate_opnorm(A, seed: int = 0) -> float:
     # safeguard multiply: one more pass tightens the estimate from below
     norm_w = norm_at_a(v)
     if norm_w > 0:
-        lam = max(lam, float(np.sqrt(norm_w)))
-    return float(lam)
+        lam = max(lam, math.sqrt(norm_w))
+    return lam
 
 
 def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState:
@@ -144,50 +155,52 @@ def initial_state(p: StandardLp, params: PdhgParams, seed: int = 0) -> PdhgState
 
 def _operator(p: StandardLp, tau: float, sigma: float, omega: float):
     """What _iterate runs on: A's shape, indptr and indices, its values
-    scaled by tau / omega and by -2 sigma omega, and q = (-(tau / omega) c,
-    2 sigma omega b)."""
-    s, g = tau / omega, 2.0 * sigma * omega
-    A, q = p.A, np.concatenate((-s * p.c, g * p.b))
-    return p.n, p.m, A.indptr, A.indices, s * A.data, -g * A.data, q
+    scaled by -2 tau / omega and by -2 sigma omega, and nq = (2 (tau / omega)
+    c, -2 sigma omega b)."""
+    s, g = 2.0 * (tau / omega), 2.0 * sigma * omega
+    A, nq = p.A, np.concatenate((s * p.c, -g * p.b))
+    return p.n, p.m, A.indptr, A.indices, -s * A.data, -g * A.data, nq
 
 
-def _iterate(op, zs, ws, anchor, tx, k, count, ty):
+def _iterate(op, zs, ws, anchor, t, k, count):
     """Run count reflected Halpern iterations on z in place, with anchor z0
     and k iterations since it; return k + count.  zs and ws are the (whole,
     x half, y half) views of z and of the scratch vector w.  Iteration j
-    since the anchor reflects z, w = 2 T(z) - z for the operator op, with
-    T(z)'s x half written to tx:
+    since the anchor reflects z through T, the operator op, keeping the
+    reflected point negated, w = z - 2 T(z), in five array passes and two
+    sparse products:
 
-        tx = max(0, (z_x + q_x) + (tau / omega) A'z_y)
-        w  = (2 tx - z_x, (z_y + q_y) - 2 sigma omega A (2 tx - z_x))
+        w   = nq - z
+        w_x = min(z_x, w_x + (-2 tau / omega) A'z_y)
+        w_y = w_y + (-2 sigma omega) A w_x
 
-    where each product is summed into the vector before it, and then moves
-    z <- z0 + j/(j+1) (w - z0), overwriting w.  The last iteration writes
-    T(z)'s y half (z_y + w_y) / 2 to ty before z moves, so (tx, ty) is then
-    T of the last point reflected.  The operator's arrays, the ufuncs and a
-    zero vector are bound once per call, not once per iteration, and 2 tx is
-    tx + tx (exact either way): scalar operands cost a conversion per ufunc
-    call.
+    where each product is summed into the vector before it; the min is
+    -(2 max(0, v) - z_x) = -max(-z_x, 2 v - z_x) for the unprojected primal
+    step v.  Then z moves to z0 + j/(j+1) (2 T(z) - z - z0) as w += z0,
+    w *= j/(j+1), z = z0 - w.  The last iteration, the check, first writes
+    T(z) = (z - w) / 2 into t, the only iteration that forms T.  The
+    operator's arrays and the ufuncs are bound once per call, not once per
+    iteration, and j/(j+1) goes through a 0-d array: a Python-float operand
+    costs a conversion per ufunc call.
     """
-    n, m, ptr, idx, at_val, a_val, q = op
+    n, m, ptr, idx, at_val, a_val, nq = op
     (z, zx, zy), (w, wx, wy) = zs, ws
-    rmatvec_add, matvec_add, maximum = _csc_matvec_add, _csr_matvec_add, np.maximum
-    add, sub, mul = np.add, np.subtract, np.multiply
-    zero = np.zeros(n)
+    rmatvec_add, matvec_add = _csc_matvec_add, _csr_matvec_add
+    add, sub, mul, minimum = np.add, np.subtract, np.multiply, np.minimum
+    lam = np.empty(())
     last = k + count
     for j in range(k + 1, last + 1):
-        add(z, q, w)
+        sub(nq, z, w)
         rmatvec_add(n, m, ptr, idx, at_val, zy, wx)
-        maximum(zero, wx, out=tx)
-        add(tx, tx, wx)
-        sub(wx, zx, wx)
+        minimum(zx, wx, out=wx)
         matvec_add(m, n, ptr, idx, a_val, wx, wy)
         if j == last:
-            add(zy, wy, ty)
-            mul(0.5, ty, ty)
-        sub(w, anchor, w)
-        mul(j / (j + 1.0), w, w)
-        add(anchor, w, z)
+            sub(z, w, t)
+            mul(t, 0.5, t)
+        add(w, anchor, w)
+        lam[()] = j / (j + 1.0)
+        mul(w, lam, w)
+        sub(anchor, w, z)
     return last
 
 
@@ -206,7 +219,7 @@ def pdhg_step(state: PdhgState, p: StandardLp) -> np.ndarray:
     z = np.concatenate((state.x, state.y))
     w, t = np.empty_like(z), np.empty_like(z)
     op = _operator(p, state.tau, state.sigma, state.omega)
-    _iterate(op, (z, z[:n], z[n:]), (w, w[:n], w[n:]), z, t[:n], 0, 1, t[n:])
+    _iterate(op, (z, z[:n], z[n:]), (w, w[:n], w[n:]), z, t, 0, 1)
     state.x, state.y = t[:n], t[n:]
     state.iterations += 1
     return t
@@ -229,8 +242,8 @@ def run_pdhg(
     Each iteration sets z <- z0 + (k+1)/(k+2) (2 T(z) - z - z0), with z0 the
     anchor (the point of the last restart) and k the iterations since it.
     The iterations run in blocks of _CHECK_EVERY, at most _MAX_CHECKS of
-    them, one _iterate call each; the last iteration of every block, a
-    check, also forms T(z) as a fresh array.  T(z), never z, is scored and
+    them, one _iterate call each; only the last iteration of every block, a
+    check, forms T(z), as a fresh array.  T(z), never z, is scored and
     returned if it passes, and its max violation drives the _RESTART_*
     rules.  A restart sets z = z0 = T(z), k = 0, and moves the primal weight
     omega, which starts at ||c|| / ||b||, halfway in log scale towards
@@ -267,7 +280,7 @@ def run_pdhg(
             break
         iterations += _CHECK_EVERY
         t = np.empty(n + p.m)  # fresh: best_pt may wrap it
-        since_restart = _iterate(op, zs, ws, anchor, t[:n], since_restart, _CHECK_EVERY, t[n:])
+        since_restart = _iterate(op, zs, ws, anchor, t, since_restart, _CHECK_EVERY)
         if not np.isfinite(t).all():
             status = SolveStatus.NUMERICAL_FAILURE
             break

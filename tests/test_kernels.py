@@ -134,17 +134,19 @@ def added_product(init, scale, M, v):
 
 
 def reference_reflection(p, x, y, tau, sigma, omega):
-    """T(x, y)'s x half and the y half of the reflected point 2 T - (x, y),
-    through A' scaled by tau/omega and A by -2 sigma omega, each product
-    added into the rest of its half-step."""
-    s, g = tau / omega, 2.0 * sigma * omega
-    x_new = np.maximum(0.0, added_product(x + (-s * p.c), s, p.A.T.tocsr(), y))
-    return x_new, added_product(y + g * p.b, -g, p.A, 2.0 * x_new - x)
+    """T(x, y)'s x half and the reflected point 2 T - (x, y), through A'
+    scaled by 2 tau/omega and A by -2 sigma omega, each product added into
+    the rest of its half-step.  The reflected x half is
+    2 max(0, v) - x = max(-x, 2 v - x), for the unprojected primal step v;
+    returns (T_x, reflected x, reflected y)."""
+    s, g = 2.0 * (tau / omega), 2.0 * sigma * omega
+    v = np.maximum(-x, added_product(x + (-s) * p.c, s, p.A.T.tocsr(), y))
+    return 0.5 * (x + v), v, added_product(y + g * p.b, -g, p.A, v)
 
 
 def reference_step(p, x, y, tau, sigma, omega):
     """One PDHG step; returns the new point."""
-    x_new, w_y = reference_reflection(p, x, y, tau, sigma, omega)
+    x_new, _, w_y = reference_reflection(p, x, y, tau, sigma, omega)
     return x_new, 0.5 * (y + w_y)
 
 

@@ -99,6 +99,24 @@ class TestPdhgStep:
             pdhg_step(st, p)
             assert np.all(st.x >= 0.0)
 
+    @pytest.mark.parametrize("inst", desk_suite(), ids=lambda inst: inst.name)
+    def test_matches_textbook_operator(self, inst):
+        """T written as its textbook formulas, a projected primal step and a
+        dual step on the extrapolated primal, at a random point with a primal
+        weight of 0.7: pdhg_step agrees to 1e-12 relative."""
+        p, _ = to_standard_form(inst.model)
+        st = self._state(p)
+        st.omega = 0.7
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(p.n), rng.standard_normal(p.m)
+        st.x, st.y = x, y
+        A = p.A.toarray()
+        x_new = np.maximum(0.0, x - (st.tau / st.omega) * (p.c - A.T @ y))
+        y_new = y + (st.sigma * st.omega) * (p.b - A @ (2.0 * x_new - x))
+        pdhg_step(st, p)
+        for got, want in ((st.x, x_new), (st.y, y_new)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_merit_nonincreasing_in_saddle_metric(self):
         """The step-scaled saddle metric (with the PDHG cross term) never
         increases by more than 1e-9 per step on LP1 and LP2."""
@@ -311,6 +329,20 @@ def test_tail_cases_within_iteration_ceiling(m, n, seed, eps, ceiling):
     assert stats.iterations <= ceiling
 
 
+@pytest.mark.parametrize("eps, iterations, restarts", [
+    (1e-4, 17_088, 82),
+    (1e-6, 194_560, 155),
+    (1e-8, 273_984, 197),
+])
+def test_desk_suite_totals(eps, iterations, restarts):
+    """The desk suite's PDHG iteration and restart totals at three
+    tolerances, pinned: a rounding change in the iteration that moves a
+    termination or restart decision on any desk case shows here."""
+    runs = [run_pdhg(_pipeline_scaled(inst), PdhgParams(eps_rel=eps))[1] for inst in desk_suite()]
+    assert sum(s.iterations for s in runs) == iterations
+    assert sum(s.restarts for s in runs) == restarts
+
+
 def reference_loop(p, eps):
     """Restarted Halpern PDHG in one-line array expressions: T and the
     reflected point w = 2 T(z) - z from reference_reflection, the README's
@@ -327,7 +359,7 @@ def reference_loop(p, eps):
     k, restarts, r0, r_prev = 0, 0, np.inf, np.inf
     scored = None
     for it in range(1, limit + 1):
-        tx, wy = reference_reflection(p, z[:n], z[n:], tau, sigma, omega)
+        tx, wx, wy = reference_reflection(p, z[:n], z[n:], tau, sigma, omega)
         t = np.concatenate((tx, 0.5 * (z[n:] + wy)))
         if it % every == 0:
             x, y = scored = t[:n], t[n:]
@@ -345,7 +377,7 @@ def reference_loop(p, eps):
                 z = z0 = t
                 k, r0, restarts = 0, np.inf, restarts + 1
                 continue
-        z = z0 + (k + 1) / (k + 2) * (np.concatenate((2.0 * tx - z[:n], wy)) - z0)
+        z = z0 + (k + 1) / (k + 2) * (np.concatenate((wx, wy)) - z0)
         k += 1
     return "IterationLimit", limit, restarts, scored
 
