@@ -1,8 +1,9 @@
 """Benchmark harness: per-model records, geometric-mean summaries, scatter data.
 
 Methods are warmstart.METHODS names, and settings pass through to
-warmstart.solve.  Relative runtimes are per model against the best method
-on that model; geometric means aggregate only over models the method solved.
+warmstart.solve.  Relative runtimes are per model against the fastest run
+that solved the model; geometric means aggregate only over models the method
+solved.
 """
 
 from __future__ import annotations
@@ -89,13 +90,18 @@ def geometric_mean(values) -> float | None:
 
 
 def relative_runtimes(records: list[ResultRecord]) -> dict[tuple[str, str], float]:
-    """wall / best-wall per model, best taken over every method run on it."""
+    """wall / best-wall per model, best taken over the runs that solved it;
+    every run on a model that no method solved gets RATIO_CLAMP."""
     best: dict[str, float] = {}
     for r in records:
-        w = max(r.wall_seconds, _GEO_RUNTIME_FLOOR)
-        best[r.model] = min(best.get(r.model, math.inf), w)
+        if r.solved:
+            w = max(r.wall_seconds, _GEO_RUNTIME_FLOOR)
+            best[r.model] = min(best.get(r.model, math.inf), w)
     return {
-        (r.model, r.method): max(r.wall_seconds, _GEO_RUNTIME_FLOOR) / best[r.model]
+        (r.model, r.method): (
+            max(r.wall_seconds, _GEO_RUNTIME_FLOOR) / best[r.model]
+            if r.model in best else RATIO_CLAMP
+        )
         for r in records
     }
 

@@ -73,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # namespace, so solve's default holds
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--time-limit", dest="time_limit_s", metavar="SECONDS", type=_time_limit)
-    shared.add_argument("--no-presolve", dest="use_presolve", action="store_false")
-    shared.add_argument("--no-scaling", dest="use_scaling", action="store_false")
     solve_only = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     solve_only.add_argument("--eps-rel", type=_positive_float,
                             help="relative tolerance (pdhg stage for hybrid)")

@@ -34,6 +34,8 @@ from .lp_core import (
     KktPoint,
     StandardLp,
     TerminationCheck,
+    csr_matvec,
+    csr_rmatvec,
     residuals,
     summary_from_residuals,
     termination_from_residuals,
@@ -99,26 +101,21 @@ def estimate_opnorm(A, seed: int = 0) -> float:
 
     Returns lam with lam <= ||A||_2 <= 1.05 lam on the matrices this solver
     meets; callers derive safe step sizes from 1/(1.05 lam).  A sparse A is
-    read through its CSR arrays, without a copy when it is float64 CSR; each
-    product is summed by scipy's kernel into a zeroed buffer (called by its
-    scipy name, so that the _*_matvec_add names count PDHG's products only),
-    and the norm sqrt(w @ w) is np.linalg.norm's own arithmetic.
+    read as CSR, without a copy when it is float64 CSR; each product is
+    lp_core's csr_matvec or csr_rmatvec into a reused buffer, and the norm
+    sqrt(w @ w) is np.linalg.norm's own arithmetic.
     """
     m, n = A.shape
     if m == 0 or n == 0 or A.nnz == 0:
         raise InvalidModelError("cannot estimate the norm of an empty matrix")
     A = A.tocsr().astype(float, copy=False)
-    ptr, idx, val = A.indptr, A.indices, A.data
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     av, w = np.empty(m), np.empty(n)
 
     def norm_at_a(v):  # ||A'A v||, leaving A'A v in w
-        av.fill(0.0)
-        _sparsetools.csr_matvec(m, n, ptr, idx, val, v, av)
-        w.fill(0.0)
-        _sparsetools.csc_matvec(n, m, ptr, idx, val, av, w)
+        csr_rmatvec(A, csr_matvec(A, v, av), w)
         return math.sqrt(w @ w)
 
     lam = 0.0

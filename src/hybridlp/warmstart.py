@@ -38,7 +38,6 @@ from .pdhg import PdhgParams, SolveStats, run_pdhg
 from .status import SolveStatus
 from .transform import (
     PresolveResult,
-    PresolveStack,
     PresolveStatus,
     ScalingInfo,
     postsolve,
@@ -190,27 +189,14 @@ class PreparedModel:
     scaling: ScalingInfo | None
 
 
-def prepare_model(
-    g: GeneralLp, *, use_presolve: bool = True, use_scaling: bool = True
-) -> PreparedModel:
-    """presolve -> standard form -> scale; any stage can be switched off."""
-    # the solvers cannot take an A without entries, and presolve's empty-row
-    # and empty-column rules solve such a model outright
-    if use_presolve or g.A.nnz == 0:
-        pres = presolve(g)
-    else:
-        pres = PresolveResult(
-            PresolveStatus.REDUCED, g,
-            PresolveStack(n_original=g.n_vars, m_original=g.n_rows),
-        )
+def prepare_model(g: GeneralLp) -> PreparedModel:
+    """presolve -> standard form -> scale."""
+    pres = presolve(g)
     if pres.status is not PresolveStatus.REDUCED or pres.solved:
         return PreparedModel(g, pres, pres.model, None, None, None, None)
 
     p_std, fmap = to_standard_form(pres.model)
-    if use_scaling:
-        p_solve, scaling = ruiz_equilibrate(p_std)
-    else:
-        p_solve, scaling = p_std, None
+    p_solve, scaling = ruiz_equilibrate(p_std)
     return PreparedModel(g, pres, pres.model, p_std, fmap, p_solve, scaling)
 
 
@@ -231,8 +217,7 @@ def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
     """
     stack = prep.presolve_result.stack
     if prep.solve_model is not None:
-        pt_std = unscale_point(prep.scaling, pt_solve) if prep.scaling else pt_solve
-        x_r, y_r = _restrict_xy(prep.fmap, pt_std)
+        x_r, y_r = _restrict_xy(prep.fmap, unscale_point(prep.scaling, pt_solve))
     else:
         x_r, y_r = np.zeros(stack.n_reduced), np.zeros(stack.m_reduced)
     # postsolve reads x and y only and forms z on the original model
@@ -270,8 +255,6 @@ def solve(
     *,
     eps_rel: float | None = None,
     time_limit_s: float = 10_000.0,
-    use_presolve: bool = True,
-    use_scaling: bool = True,
 ) -> tuple[SolutionFile, HybridStats]:
     """Run one method through the shared pipeline, measured on the original model.
 
@@ -298,7 +281,7 @@ def solve(
     def time_left() -> float:
         return max(0.0, time_limit_s - (time.monotonic() - t0))
 
-    prep = prepare_model(g, use_presolve=use_presolve, use_scaling=use_scaling)
+    prep = prepare_model(g)
     pres = prep.presolve_result
     pt = KktPoint(np.zeros(0), np.zeros(0), np.zeros(0))
     status = SolveStatus.OPTIMAL

@@ -1,5 +1,6 @@
 """Harness tests: aggregation, clamp rules, CSV schemas, and the CLI verbs."""
 
+import inspect
 import io
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from hybridlp import parse_mps, parse_solution, write_solution
 from hybridlp.bench import (
+    RATIO_CLAMP,
     ResultRecord,
     bench_directory,
     check_solution,
@@ -25,7 +27,7 @@ from hybridlp.cli import _EXIT_BY_STATUS, main
 from hybridlp.mps_io import make_solution_file
 from hybridlp.pdhg import PdhgParams
 from hybridlp.status import SolveStatus
-from hybridlp.warmstart import METHODS
+from hybridlp.warmstart import METHODS, solve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -109,6 +111,23 @@ class TestAggregation:
         by = summarize(records).by_method()
         # only m1 counts: ratio 5/10
         assert by["hybrid"].geo_ipm_iteration_ratio == pytest.approx(0.5)
+
+    def test_failed_runs_do_not_set_the_runtime_baseline(self):
+        """The baseline is the fastest run that solved the model: an Error
+        row's 0 s and a 1 ms NumericalFailure are not it.  Every run on a
+        model that no method solved gets the clamp."""
+        records = [
+            _rec("m", "hybrid", wall=0.5),
+            _rec("m", "ipm-cold", status="Error", wall=0.0),
+            _rec("m2", "hybrid", wall=0.2),
+            _rec("m2", "ipm-cold", status="NumericalFailure", wall=1e-3),
+            _rec("m3", "hybrid", status="TimeLimit", wall=2.0),
+            _rec("m3", "ipm-cold", status="Error", wall=0.0),
+        ]
+        rel = relative_runtimes(records)
+        assert rel[("m", "hybrid")] == rel[("m2", "hybrid")] == 1.0
+        assert rel[("m3", "hybrid")] == rel[("m3", "ipm-cold")] == RATIO_CLAMP
+        assert summarize(records).by_method()["hybrid"].geo_relative_runtime == pytest.approx(1.0)
 
 
 class TestScatterExport:
@@ -241,6 +260,15 @@ class TestCli:
             main(["solve", str(FIXTURES / "lp1.mps"), "--eps-rel", eps])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--no-presolve", "--no-scaling"])
+    def test_pipeline_switch_usage_error(self, tmp_path, flag):
+        """Presolve and scaling always run; there is no flag to turn them off."""
+        out = tmp_path / "sol.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(FIXTURES / "lp1.mps"), flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-1", "nan"])
     @pytest.mark.parametrize("verb", ["solve", "bench"])
     def test_negative_or_nan_time_limit_usage_error(self, tmp_path, verb, value):
@@ -357,16 +385,16 @@ class TestCli:
 
     @pytest.mark.parametrize("empty_row", [False, True], ids=["empty-column", "empty-row"])
     @by_stage
-    def test_no_presolve_accepts_empty_lines(self, tmp_path, method, empty_row):
-        """Without presolve an empty column (x2) or row (R2) reaches scaling
-        and the solvers unchanged."""
+    def test_empty_column_or_row_is_presolved_away(self, tmp_path, method, empty_row):
+        """An empty column (x2) or row (R2) is removed by presolve, and the
+        rest of the model is solved."""
         model = tmp_path / "empty.mps"
         model.write_text(
             "NAME EMPTY\nROWS\n N OBJ\n L R1\n" + (" E R2\n" if empty_row else "")
             + "COLUMNS\n X1 OBJ -1.0 R1 1.0\n X2 OBJ 1.0\nRHS\n RHS R1 4.0\nENDATA\n"
         )
         out = tmp_path / "sol.txt"
-        code = main(["solve", str(model), "--method", method, "--no-presolve", "--out", str(out)])
+        code = main(["solve", str(model), "--method", method, "--out", str(out)])
         assert code == 0
         sol = parse_solution(out.read_text())
         assert sol.status == "Optimal"
@@ -376,16 +404,15 @@ class TestCli:
         ("", " X1 OBJ 1\n X2 OBJ 2\n", 0),
         (" E R1\n", " X1 OBJ 1\nRHS\n RHS R1 1\n", 9),
     ], ids=["rowless", "empty-eq-row"])
-    def test_no_presolve_on_a_matrix_without_entries(self, tmp_path, rows, columns, code):
-        """A model whose matrix has no entries exits with its status's code
-        under --no-presolve: Optimal without rows, Infeasible with an empty
-        = row whose rhs is 1."""
+    def test_matrix_without_entries_exits_with_its_status(self, tmp_path, rows, columns, code):
+        """Presolve solves a model whose matrix has no entries outright, and
+        every method exits with its status's code: Optimal without rows,
+        Infeasible with an empty = row whose rhs is 1."""
         model = tmp_path / "empty.mps"
         model.write_text(f"NAME EMPTY\nROWS\n N OBJ\n{rows}COLUMNS\n{columns}ENDATA\n")
         for method in METHODS:
             out = tmp_path / f"{method}.sol"
-            assert main(["solve", str(model), "--method", method, "--no-presolve",
-                         "--out", str(out)]) == code
+            assert main(["solve", str(model), "--method", method, "--out", str(out)]) == code
             assert main(["check", str(model), str(out)]) == 0
 
     def test_time_limit_zero_still_writes_best_point(self, tmp_path):
@@ -545,33 +572,6 @@ class TestMethodTable:
         assert calls == []
 
 
-class TestWithoutScaling:
-    """use_scaling=False, the path where finish_point has no scaling to undo."""
-
-    # 100 times the last stage's tolerance: pdhg stops at 1e-4, ipm at 1e-8
-    X_ATOL = {"pdhg-1e4": 1e-2, "ipm-cold": 1e-6, "hybrid": 1e-6}
-
-    @by_stage
-    def test_solve_with_method(self, method):
-        g = parse_mps((FIXTURES / "lp2.mps").read_text())
-        scaled, _ = solve_with_method(g, method)
-        plain, record = solve_with_method(g, method, use_scaling=False)
-        assert record.status == plain.status == "Optimal"
-        np.testing.assert_allclose(plain.x, scaled.x, rtol=0, atol=self.X_ATOL[method])
-        np.testing.assert_allclose(plain.x, [1.6, 1.2], rtol=0, atol=self.X_ATOL[method])
-
-    @by_stage
-    def test_cli(self, tmp_path, method):
-        model = str(FIXTURES / "lp2.mps")
-        sols = {}
-        for flags in ([], ["--no-scaling"]):
-            out = tmp_path / f"{method}{len(flags)}.sol"
-            assert main(["solve", model, "--method", method, "--out", str(out), *flags]) == 0
-            sols[len(flags)] = parse_solution(out.read_text())
-        assert sols[1].status == "Optimal"
-        np.testing.assert_allclose(sols[1].x, sols[0].x, rtol=0, atol=self.X_ATOL[method])
-
-
 class TestOneMethodList:
     """Both verbs take every warmstart.METHODS name; the summary reads the table."""
 
@@ -634,6 +634,10 @@ class TestSettingsPassedThrough:
         with pytest.raises(TypeError, match=next(iter(setting))):
             bench_directory(str(tmp_path), ["hybrid"], **setting)
 
+    def test_solve_settings_are_eps_rel_and_time_limit(self):
+        params = inspect.signature(solve).parameters.values()
+        assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["eps_rel", "time_limit_s"]
+
     def test_solve_with_method_takes_no_pdhg_params(self):
         g = parse_mps((FIXTURES / "lp1.mps").read_text())
         with pytest.raises(TypeError, match="pdhg_params"):
@@ -643,13 +647,12 @@ class TestSettingsPassedThrough:
         (tmp_path / "lp2.mps").write_text((FIXTURES / "lp2.mps").read_text())
         (record,) = bench_directory(str(tmp_path), ["pdhg-1e4"], time_limit_s=0.0)
         assert record.status == "TimeLimit"
-        (record,) = bench_directory(str(tmp_path), ["pdhg-1e4"], eps_rel=1e-9, use_scaling=False)
+        (record,) = bench_directory(str(tmp_path), ["pdhg-1e4"], eps_rel=1e-9)
         assert record.status == "Optimal" and record.max_violation < 1e-6
 
     @pytest.mark.parametrize("flags, settings", [
         ([], {}),
-        (["--eps-rel", "1e-5", "--time-limit", "7", "--no-presolve", "--no-scaling"],
-         {"eps_rel": 1e-5, "time_limit_s": 7.0, "use_presolve": False, "use_scaling": False}),
+        (["--eps-rel", "1e-5", "--time-limit", "7"], {"eps_rel": 1e-5, "time_limit_s": 7.0}),
     ])
     def test_cli_solve_passes_only_given_settings(self, tmp_path, monkeypatch, flags, settings):
         """An option not given is left out, so warmstart.solve's default holds."""
