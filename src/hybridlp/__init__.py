@@ -14,7 +14,6 @@ from .lp_core import (
     ViolationSummary,
     check_relative_termination,
     evaluate_general_point,
-    lift_point,
     residuals,
     restrict_point,
     to_standard_form,
@@ -59,7 +58,7 @@ __all__ = [
     "GeneralLp", "StandardLp", "StandardFormMap", "KktPoint", "Residuals",
     "TerminationCheck", "ViolationSummary", "InvalidModelError",
     "to_standard_form", "residuals", "check_relative_termination",
-    "violation_summary", "lift_point", "restrict_point", "evaluate_general_point",
+    "violation_summary", "restrict_point", "evaluate_general_point",
     "MpsParseError", "SolutionFile", "parse_mps", "parse_solution", "write_solution",
     "PresolveResult", "PresolveStack", "PresolveStatus", "ScalingInfo",
     "presolve", "postsolve", "ruiz_equilibrate", "scale_point", "unscale_point",

@@ -2,8 +2,8 @@
 
 Methods are warmstart.METHODS names, and settings pass through to
 warmstart.solve.  Relative runtimes are per model against the fastest run
-that solved the model; geometric means aggregate only over models the method
-solved.
+that solved the model, and a run that did not solve its model gets
+RATIO_CLAMP; geometric means aggregate only over models the method solved.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def geometric_mean(values) -> float | None:
 
 def relative_runtimes(records: list[ResultRecord]) -> dict[tuple[str, str], float]:
     """wall / best-wall per model, best taken over the runs that solved it;
-    every run on a model that no method solved gets RATIO_CLAMP."""
+    every run that did not solve its model gets RATIO_CLAMP."""
     best: dict[str, float] = {}
     for r in records:
         if r.solved:
@@ -100,7 +100,7 @@ def relative_runtimes(records: list[ResultRecord]) -> dict[tuple[str, str], floa
     return {
         (r.model, r.method): (
             max(r.wall_seconds, _GEO_RUNTIME_FLOOR) / best[r.model]
-            if r.model in best else RATIO_CLAMP
+            if r.solved else RATIO_CLAMP
         )
         for r in records
     }
@@ -117,16 +117,9 @@ class MethodSummary:
     solved_in_10_ipm_iters: int | None
 
 
-@dataclass
-class SummaryTable:
-    methods: list[MethodSummary]
-
-    def by_method(self) -> dict[str, MethodSummary]:
-        return {m.method: m for m in self.methods}
-
-
-def summarize(records: list[ResultRecord]) -> SummaryTable:
-    """Per-method solved counts, geometric means, and warm-start iteration ratios."""
+def summarize(records: list[ResultRecord]) -> list[MethodSummary]:
+    """Per-method solved counts, geometric means, and warm-start iteration
+    ratios: one row per method, METHODS names in table order, then any other."""
     rel = relative_runtimes(records)
     rank = {name: k for k, name in enumerate(METHODS)}
     methods = sorted({r.method for r in records}, key=lambda m: (rank.get(m, len(rank)), m))
@@ -171,26 +164,26 @@ def summarize(records: list[ResultRecord]) -> SummaryTable:
                 solved_in_10_ipm_iters=ten,
             )
         )
-    return SummaryTable(rows)
+    return rows
 
 
-def format_summary(table: SummaryTable) -> str:
+def format_summary(summaries: list[MethodSummary]) -> str:
     """Aligned text table: solved counts, runtimes, violations, iteration stats."""
     def cell(v, fmt="{:.3g}"):
         if v is None:
             return "-"
         return fmt.format(v)
 
-    headers = ["", *[m.method for m in table.methods]]
+    headers = ["", *[m.method for m in summaries]]
     rows = [
-        ["Models run", *[str(m.models_run) for m in table.methods]],
-        ["Models solved", *[str(m.models_solved) for m in table.methods]],
-        ["Relative runtime", *[cell(m.geo_relative_runtime) for m in table.methods]],
-        ["Mean max violation", *[cell(m.geo_max_violation, "{:.2e}") for m in table.methods]],
-        ["IPM iter ratio vs cold", *[cell(m.geo_ipm_iteration_ratio) for m in table.methods]],
+        ["Models run", *[str(m.models_run) for m in summaries]],
+        ["Models solved", *[str(m.models_solved) for m in summaries]],
+        ["Relative runtime", *[cell(m.geo_relative_runtime) for m in summaries]],
+        ["Mean max violation", *[cell(m.geo_max_violation, "{:.2e}") for m in summaries]],
+        ["IPM iter ratio vs cold", *[cell(m.geo_ipm_iteration_ratio) for m in summaries]],
         ["Solved in <=10 IPM iters", *[
             "-" if m.solved_in_10_ipm_iters is None else str(m.solved_in_10_ipm_iters)
-            for m in table.methods
+            for m in summaries
         ]],
     ]
     widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
@@ -241,7 +234,8 @@ def scatter_export(records: list[ResultRecord]) -> list[ScatterRow]:
     """Clamped (relative runtime, max violation) pairs for scatter plotting.
 
     Runtime ratios above 100 are reported as 100; violations are clamped
-    into [1e-12, 1e6]; unsolved models are emitted with violation 1e6.
+    into [1e-12, 1e6]; a run that did not solve its model is emitted at
+    (100, 1e6).
     """
     if not records:
         raise ValueError("no records to export")

@@ -74,7 +74,7 @@ class IpmParams:
     eps_rel: float = 1e-8
 
     def __post_init__(self):
-        if self.eps_rel <= 0:
+        if not self.eps_rel > 0:
             raise ValueError("eps_rel must be positive")
 
 

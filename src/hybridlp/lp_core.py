@@ -6,9 +6,9 @@ The canonical solver form is the pure standard form
 
 and every richer model (inequalities, bounds, free variables) is mapped onto
 it by :func:`to_standard_form`.  The mapping is invertible through a
-:class:`StandardFormMap`, which also knows how to embed a general-model point
-back into the standard space so that feasibility violations can be measured
-on the model the user actually wrote.
+:class:`StandardFormMap`, and :func:`evaluate_general_point` embeds a
+general-model point into the standard space through it, so that
+feasibility violations are measured on the model the user actually wrote.
 """
 
 from __future__ import annotations
@@ -402,46 +402,31 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
     variables with no lower bound are split into a difference of two
     nonnegative columns, finite upper bounds become explicit rows with slack
     columns, and inequality rows gain slack (<=) or surplus (>=) columns.
-    A_std's CSR arrays are written directly, already canonical: row i holds
-    each entry of A's row i in its variable's column (and negated in the
-    next column for a split variable), then the row's slack; a bound row
-    holds 1 and -1 in its variable's columns, then 1 in its slack's.
+    A_std's entries are listed from the StandardFormMap, and scipy orders
+    them: each entry a of A's row i sits at (i, pos_col) of its variable,
+    and -a at (i, neg_col) for a split variable; each row's slack, bound
+    rows' too, sits at (i, slack_of_row[i]) with its slack_coef; a bound
+    row also holds 1 at its variable's pos_col and -1 at its neg_col.
     """
     g.validate()
     fmap = _standard_map(g)
     b_std, c_std = _standard_b_c(g, fmap)
     A, m = g.A, fmap.m_general
-    split = fmap.neg_col >= 0
-
-    # general rows: one item per entry and structural column of its variable
-    reps = 1 + split[A.indices]
-    entry = np.repeat(np.arange(A.nnz), reps)
-    second = np.zeros(entry.size, dtype=bool)
-    second[np.cumsum(reps)[reps == 2] - 1] = True
-    item_ptr = np.concatenate([[0], np.cumsum(reps)])[A.indptr]
-    has_slack = fmap.slack_of_row[:m] >= 0
-    slacks_before = np.concatenate([[0], np.cumsum(has_slack)])
-    row_ptr = item_ptr + slacks_before
-
-    # bound rows: their variable's one or two columns, then their slack
-    bound_var = fmap.bound_var[m:]
-    bound_cols = np.column_stack(
-        [fmap.pos_col[bound_var], fmap.neg_col[bound_var], fmap.slack_of_row[m:]]
-    )
-    present = bound_cols >= 0
-
-    indptr = np.concatenate([row_ptr, row_ptr[-1] + np.cumsum(present.sum(axis=1))])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    data = np.empty(indptr[-1])
-    at = np.arange(entry.size) + np.repeat(slacks_before[:-1], np.diff(item_ptr))
-    indices[at] = fmap.pos_col[A.indices[entry]] + second
-    data[at] = A.data[entry] * np.where(second, -1.0, 1.0)
-    ends = row_ptr[1:][has_slack] - 1
-    indices[ends] = fmap.slack_of_row[:m][has_slack]
-    data[ends] = fmap.slack_coef[:m][has_slack]
-    indices[row_ptr[-1]:] = bound_cols[present]
-    data[row_ptr[-1]:] = np.broadcast_to([1.0, -1.0, 1.0], bound_cols.shape)[present]
-    A_std = sp.csr_matrix((data, indices, indptr), shape=(fmap.m_std, fmap.n_std))
+    rows = np.repeat(np.arange(m), np.diff(A.indptr))
+    split = fmap.neg_col[A.indices] >= 0
+    slack_rows = np.nonzero(fmap.slack_of_row >= 0)[0]
+    bound_rows, bound_var = np.arange(m, fmap.m_std), fmap.bound_var[m:]
+    bound_split = fmap.neg_col[bound_var] >= 0
+    entries = [  # (row, column, value) of each kind of entry
+        (rows, fmap.pos_col[A.indices], A.data),
+        (rows[split], fmap.neg_col[A.indices[split]], -A.data[split]),
+        (slack_rows, fmap.slack_of_row[slack_rows], fmap.slack_coef[slack_rows]),
+        (bound_rows, fmap.pos_col[bound_var], np.ones(bound_var.size)),
+        (bound_rows[bound_split], fmap.neg_col[bound_var[bound_split]],
+         np.full(int(bound_split.sum()), -1.0)),
+    ]
+    row, col, val = (np.concatenate(parts) for parts in zip(*entries))
+    A_std = sp.csr_matrix((val, (row, col)), shape=(fmap.m_std, fmap.n_std))
     return StandardLp(A_std, b_std, c_std), fmap
 
 
@@ -460,7 +445,7 @@ def restrict_point(g: GeneralLp, fmap: StandardFormMap, pt: KktPoint):
     """Map a standard-form point back to (x, y, z) over the general model.
 
     z is the general reduced cost c - A'y; dual values of bound rows are
-    folded away (they reappear, if needed, through lift_point).
+    folded away (_lift sets them again from the reduced costs).
     """
     x, y = _restrict_xy(fmap, pt)
     return x, y, g.c - csr_rmatvec(g.A, y, np.empty(g.n_vars))
@@ -469,9 +454,16 @@ def restrict_point(g: GeneralLp, fmap: StandardFormMap, pt: KktPoint):
 def _lift(
     g: GeneralLp, fmap: StandardFormMap, b: np.ndarray, x, y
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(x_std, y_std, A_std x_std, A_std' y_std) of lift_point, where b is
-    the standard form's right-hand side, formed from g.A's CSR arrays
-    without building A_std.
+    """Embed a general-model point (x, y) into g's standard form.
+
+    Returns (x_std, y_std, A_std x_std, A_std' y_std), where b is the
+    standard form's right-hand side; the products are formed from g.A's CSR
+    arrays without building A_std.  Structural entries of x_std come from
+    the shift/split mapping (clamped at zero so bound violations surface in
+    the equality residuals), slack entries are the clamped row activities,
+    and bound-row duals are min(0, reduced cost).  With z = max(0, c_std -
+    A_std' y_std), an exactly optimal general point lifts to an exactly
+    optimal standard point.
 
     Each product of A_std sums its terms from 0 in index order, so:
     - row i of A_std x_std is (g.A u)_i, with u = x+ - x- per variable (one
@@ -518,21 +510,6 @@ def _lift(
     return x_std, y_std, ax, aty_std
 
 
-def lift_point(
-    g: GeneralLp, p: StandardLp, fmap: StandardFormMap, x: np.ndarray, y: np.ndarray
-) -> KktPoint:
-    """Embed a general-model point into the standard form for measurement.
-
-    Structural entries come from the shift/split mapping (clamped at zero so
-    bound violations surface in the equality residuals), slack entries are
-    the clamped row activities, bound-row duals are min(0, reduced cost), and
-    z = max(0, c - A'y).  An exactly optimal general point lifts to an
-    exactly optimal standard point.
-    """
-    x_std, y_std, _, aty_std = _lift(g, fmap, p.b, x, y)
-    return KktPoint(x_std, y_std, np.maximum(0.0, p.c - aty_std))
-
-
 def residuals(p: StandardLp, pt: KktPoint, aty: np.ndarray | None = None) -> Residuals:
     """Primal and dual residual vectors plus objectives and complementarity.
 
@@ -568,7 +545,7 @@ def termination_from_residuals(
     p: StandardLp, res: Residuals, eps_rel: float
 ) -> TerminationCheck:
     """check_relative_termination on residuals already computed for p."""
-    if eps_rel <= 0:
+    if not eps_rel > 0:
         raise ValueError("eps_rel must be positive")
     p_lhs = float(np.linalg.norm(res.r_p)) if res.r_p.size else 0.0
     d_lhs = float(np.linalg.norm(res.r_d)) if res.r_d.size else 0.0
@@ -583,9 +560,9 @@ def termination_from_residuals(
 def violation_summary(p: StandardLp, pt: KktPoint) -> ViolationSummary:
     """Max primal/dual infeasibility (infinity norms) and relative gap.
 
-    Evaluated on exactly the model it is given; callers who want violations
-    on the user's model must lift the point into that model's standard form
-    first (see lift_point).
+    Evaluated on exactly the model it is given; violations on the user's
+    model are measured on that model's standard form by
+    evaluate_general_point.
     """
     return summary_from_residuals(residuals(p, pt))
 
@@ -606,10 +583,11 @@ def summary_from_residuals(res: Residuals) -> ViolationSummary:
 def evaluate_general_point(g: GeneralLp, x, y) -> ViolationSummary:
     """Violation of a general-model point, measured on that model's standard form.
 
-    The result is violation_summary(p, lift_point(g, p, fmap, x, y)) with
-    p, fmap = to_standard_form(g), bit for bit, computed from g.A's CSR
-    arrays without building p (see _lift).  The objectives and x'z are dot
-    products over vectors laid out as p's.
+    The result is violation_summary(p, KktPoint(x_std, y_std, z)) with p =
+    to_standard_form(g), (x, y) lifted into p by _lift's rules and z =
+    max(0, c_std - A_std' y_std), bit for bit, computed from g.A's CSR
+    arrays without building p.  The objectives and x'z are dot products
+    over vectors laid out as p's.
     """
     g.validate()
     fmap = _standard_map(g)

@@ -70,7 +70,7 @@ class PdhgParams:
     time_limit_s: float = 10_000.0
 
     def __post_init__(self):
-        if self.eps_rel <= 0:
+        if not self.eps_rel > 0:
             raise ValueError("eps_rel must be positive")
 
 

@@ -59,6 +59,10 @@ def _rec(model, method, status="Optimal", wall=1.0, viol=1e-6,
     )
 
 
+def _by_method(rows):
+    return {row.method: row for row in rows}
+
+
 class TestAggregation:
     def test_geometric_mean_single_and_equal(self):
         assert geometric_mean([7.0]) == pytest.approx(7.0)
@@ -83,9 +87,9 @@ class TestAggregation:
         for model in ("m1", "m2", "m3"):
             records.append(_rec(model, "pdhg-1e4"))
             records.append(_rec(model, "ipm-cold", ipm_iters=8, pdhg_iters=0))
-        table = summarize(records)
-        assert len(table.methods) == 2
-        by = table.by_method()
+        rows = summarize(records)
+        assert len(rows) == 2
+        by = _by_method(rows)
         assert by["pdhg-1e4"].models_solved == 3
         assert by["ipm-cold"].solved_in_10_ipm_iters == 3
 
@@ -94,7 +98,7 @@ class TestAggregation:
             _rec("m1", "pdhg-1e4", status="TimeLimit"),
             _rec("m1", "ipm-cold", ipm_iters=5, pdhg_iters=0),
         ]
-        by = summarize(records).by_method()
+        by = _by_method(summarize(records))
         assert by["pdhg-1e4"].models_solved == 0
         assert by["pdhg-1e4"].geo_relative_runtime is None
         assert by["pdhg-1e4"].geo_max_violation is None
@@ -108,7 +112,7 @@ class TestAggregation:
             _rec("m2", "ipm-cold", status="TimeLimit", ipm_iters=9, pdhg_iters=0),
             _rec("m2", "hybrid", ipm_iters=2),
         ]
-        by = summarize(records).by_method()
+        by = _by_method(summarize(records))
         # only m1 counts: ratio 5/10
         assert by["hybrid"].geo_ipm_iteration_ratio == pytest.approx(0.5)
 
@@ -127,7 +131,7 @@ class TestAggregation:
         rel = relative_runtimes(records)
         assert rel[("m", "hybrid")] == rel[("m2", "hybrid")] == 1.0
         assert rel[("m3", "hybrid")] == rel[("m3", "ipm-cold")] == RATIO_CLAMP
-        assert summarize(records).by_method()["hybrid"].geo_relative_runtime == pytest.approx(1.0)
+        assert _by_method(summarize(records))["hybrid"].geo_relative_runtime == pytest.approx(1.0)
 
 
 class TestScatterExport:
@@ -141,6 +145,19 @@ class TestScatterExport:
         assert rows[("m1", "b")].max_violation == 1e-12
         assert rows[("m1", "a")].relative_runtime == 1.0
         assert rows[("m1", "a")].max_violation == 5e-5
+
+    def test_failed_run_is_not_left_of_the_baseline(self):
+        """A 1 ms NumericalFailure beside a 0.2 s solve is plotted at the
+        clamp, not at ratio 0.005: a run that did not solve its model gets
+        RATIO_CLAMP."""
+        records = [
+            _rec("m", "hybrid", wall=0.2),
+            _rec("m", "ipm-cold", status="NumericalFailure", wall=1e-3),
+        ]
+        rows = {(r.model, r.method): r for r in scatter_export(records)}
+        assert rows[("m", "hybrid")].relative_runtime == 1.0
+        assert rows[("m", "ipm-cold")].relative_runtime == RATIO_CLAMP
+        assert rows[("m", "ipm-cold")].max_violation == 1e6
 
     def test_unsolved_emitted_at_violation_cap(self):
         records = [
@@ -492,10 +509,13 @@ class TestCli:
 
 class TestSolveWithMethodTolerance:
     def test_hybrid_zero_eps_rel_rejected(self):
-        """eps_rel=0 is an invalid tolerance, not a request for the default."""
+        """eps_rel=0 is an invalid tolerance, not a request for the default,
+        and a NaN one, which no residual can meet, is invalid too."""
         g = parse_mps((FIXTURES / "lp2.mps").read_text())
-        with pytest.raises(ValueError, match="eps_rel"):
-            solve_with_method(g, "hybrid", eps_rel=0.0)
+        for method in METHODS:
+            for eps in (0.0, math.nan):
+                with pytest.raises(ValueError, match="eps_rel"):
+                    solve_with_method(g, method, eps_rel=eps)
 
     def test_ipm_nonpositive_eps_rel_rejected_before_presolve(self, monkeypatch):
         import hybridlp.warmstart
@@ -505,8 +525,9 @@ class TestSolveWithMethodTolerance:
 
         monkeypatch.setattr(hybridlp.warmstart, "presolve", unreachable)
         g = parse_mps((FIXTURES / "lp2.mps").read_text())
-        with pytest.raises(ValueError, match="eps_rel"):
-            solve_with_method(g, "ipm-cold", eps_rel=-1.0)
+        for eps in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="eps_rel"):
+                solve_with_method(g, "ipm-cold", eps_rel=eps)
 
 
 # method name -> the (stage, eps_rel) pairs its solvers receive, in order,
@@ -605,16 +626,16 @@ class TestOneMethodList:
                 out.append(_rec(model, "hybrid", ipm_iters=warm_iters))
             return out
 
-        by_cold = summarize(records("ipm-cold")).by_method()
-        by_other = summarize(records("ipm")).by_method()  # not a method name
+        by_cold = _by_method(summarize(records("ipm-cold")))
+        by_other = _by_method(summarize(records("ipm")))  # not a method name
         assert by_cold["hybrid"].geo_ipm_iteration_ratio == pytest.approx((1 / 4 * 1 / 2 * 1 / 10) ** (1 / 3))
         assert by_cold["ipm-cold"].geo_ipm_iteration_ratio is None
         assert by_other["hybrid"].geo_ipm_iteration_ratio is None
 
     def test_summary_columns_in_table_order(self):
         names = ["hybrid", "ipm-cold", "pdhg-1e8", "pdhg-1e4"]
-        table = summarize([_rec("m1", name) for name in names])
-        assert [m.method for m in table.methods] == [m for m in METHODS if m in names]
+        rows = summarize([_rec("m1", name) for name in names])
+        assert [m.method for m in rows] == [m for m in METHODS if m in names]
 
 
 class TestSettingsPassedThrough:

@@ -3,9 +3,10 @@
 evaluate_general_point measures a general-model point from the model's own
 arrays, without building its standard form.  It must give bit for bit what
 building that form and measuring the lifted point there gives:
-violation_summary(p, lift_point(g, p, fmap, x, y)) with p, fmap =
-to_standard_form(g).  The summaries are compared by repr, so a sign of zero
-counts too.
+violation_summary(p, reference_lift_point(g, p, fmap, x, y)) with p, fmap =
+to_standard_form(g), where reference_lift_point is the loop-based lifting
+of test_stdform_reference, written apart from the code under test.  The
+summaries are compared by repr, so a sign of zero counts too.
 """
 
 from pathlib import Path
@@ -23,7 +24,6 @@ from hybridlp import (
     LE,
     GeneralLp,
     evaluate_general_point,
-    lift_point,
     parse_mps,
     to_standard_form,
     violation_summary,
@@ -31,13 +31,14 @@ from hybridlp import (
 
 from _desk import desk_suite
 from test_pipeline import DUPLICATE_ENTRY, NONCANONICAL
+from test_stdform_reference import reference_lift_point
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def reference_evaluate(g: GeneralLp, x, y):
     p, fmap = to_standard_form(g)
-    return violation_summary(p, lift_point(g, p, fmap, x, y))
+    return violation_summary(p, reference_lift_point(g, p, fmap, x, y))
 
 
 def assert_same_summary(g: GeneralLp, x, y):

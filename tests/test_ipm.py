@@ -470,7 +470,7 @@ def test_three_transpose_products_per_iterate(monkeypatch):
     assert len(calls) == 1 + 3 * stats.iterations
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-8])
+@pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
 def test_params_reject_nonpositive_eps_rel(eps):
     with pytest.raises(ValueError, match="eps_rel"):
         IpmParams(eps_rel=eps)

@@ -15,12 +15,12 @@ from hybridlp import (
     StandardLp,
     check_relative_termination,
     evaluate_general_point,
-    lift_point,
     residuals,
     restrict_point,
     to_standard_form,
     violation_summary,
 )
+from hybridlp.lp_core import _lift
 
 from _desk import lp1, lp2
 
@@ -230,8 +230,9 @@ class TestTermination:
 
     def test_rejects_nonpositive_eps(self):
         p, _ = to_standard_form(lp1().model)
-        with pytest.raises(ValueError):
-            check_relative_termination(p, KktPoint([1, 0], [1], [0, 1]), 0.0)
+        for eps in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                check_relative_termination(p, KktPoint([1, 0], [1], [0, 1]), eps)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_monotone_in_eps(self, seed):
@@ -330,7 +331,8 @@ class TestProvenanceRoundTrip:
         p, fmap = to_standard_form(g)
         x = rng.uniform(0, 2, g.n_vars)
         y = rng.standard_normal(g.n_rows)
-        pt = lift_point(g, p, fmap, x, y)
+        x_std, y_std, _, aty = _lift(g, fmap, p.b, x, y)
+        pt = KktPoint(x_std, y_std, np.maximum(0.0, p.c - aty))
         x_back, y_back, _ = restrict_point(g, fmap, pt)
         np.testing.assert_allclose(x_back, x, atol=1e-14)
         np.testing.assert_allclose(y_back, y, atol=1e-14)

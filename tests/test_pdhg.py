@@ -154,6 +154,12 @@ class TestExtractReducedCosts:
         assert r.r_d[0] == pytest.approx(-0.3)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
+def test_params_reject_nonpositive_eps_rel(eps):
+    with pytest.raises(ValueError, match="eps_rel"):
+        PdhgParams(eps_rel=eps)
+
+
 class TestRunPdhg:
     def test_lp1_converges_to_unique_optimum(self):
         p, _ = to_standard_form(lp1().model)

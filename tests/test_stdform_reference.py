@@ -3,7 +3,8 @@
 reference_to_standard_form and reference_lift_point are the earlier
 loop-per-column implementations, kept verbatim.  On canonical models (no
 duplicate entries) the array-built to_standard_form must give the same A,
-b, c and StandardFormMap bit for bit, and lift_point the same lifted point.
+b, c and StandardFormMap bit for bit, and _lift, with z = max(0, c - A'y),
+the same lifted point, and A_std's products with it.
 """
 
 from pathlib import Path
@@ -20,11 +21,10 @@ from hybridlp import (
     KktPoint,
     StandardFormMap,
     StandardLp,
-    lift_point,
     parse_mps,
     to_standard_form,
 )
-from hybridlp.lp_core import _as_float_array
+from hybridlp.lp_core import _as_float_array, _lift
 
 from _desk import desk_suite
 
@@ -230,10 +230,13 @@ def _points(g: GeneralLp, rng, count: int = 3):
 def assert_same_lift(g: GeneralLp, rng):
     p, fmap = to_standard_form(g)
     for x, y in _points(g, rng):
-        got = lift_point(g, p, fmap, x, y)
+        x_std, y_std, ax, aty = _lift(g, fmap, p.b, x, y)
+        got = KktPoint(x_std, y_std, np.maximum(0.0, p.c - aty))
         want = reference_lift_point(g, p, fmap, x, y)
         for name in ("x", "y", "z"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+        assert _bits(ax) == _bits(p.A @ want.x)
+        assert _bits(aty) == _bits(p.at_y(want.y))
 
 
 def assert_matches_reference(g: GeneralLp, seed: int = 0):
