@@ -31,6 +31,7 @@ from .lp_core import (
     Residuals,
     StandardLp,
     TerminationCheck,
+    ViolationSummary,
     csr_matvec,
     csr_rmatvec,
     residuals,
@@ -120,6 +121,7 @@ class IpmStats:
     # whole stage: "accepted", a refusal reason, or "" when no attempt was
     # made (run_ipm never makes one)
     polish: str = ""
+    violation: ViolationSummary | None = None  # run_ipm's, of the point it returns
 
 
 def normal_backend(m: int) -> str:
@@ -386,6 +388,8 @@ def run_ipm(
         params = IpmParams()
     if p.m == 0 or p.n == 0:
         raise InvalidModelError("interior-point solve requires a nonempty model")
+    if not time_limit_s >= 0:
+        raise ValueError("time_limit_s must be nonnegative")
     if start is not None:
         start.require_interior()
         state = IpmState(start.x.copy(), start.y.copy(), start.z.copy())
@@ -432,12 +436,7 @@ def run_ipm(
             break
 
     stats = IpmStats(
-        status=status,
-        iterations=state.iterations,
-        wall_seconds=time.monotonic() - t0,
-        termination=termination,
-        history=history,
-        backend=normal_backend(p.m),
-        max_reg_level=max_reg_level,
+        status, state.iterations, time.monotonic() - t0, termination, history,
+        normal_backend(p.m), max_reg_level, violation=summary_from_residuals(res),
     )
     return KktPoint(state.x, state.y, state.z), stats

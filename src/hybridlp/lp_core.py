@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +25,7 @@ LE = "<="
 GE = ">="
 EQ = "="
 SENSES = (LE, GE, EQ)
+_SLACK_COEF = {LE: 1.0, GE: -1.0, EQ: 0.0}  # a row's slack coefficient in the standard form
 
 
 class InvalidModelError(ValueError):
@@ -117,28 +119,26 @@ class GeneralLp:
         """Raise InvalidModelError on non-finite data, on bounds that cannot
         hold (NaN, a lower bound of +inf, an upper bound of -inf) or on
         crossed bounds."""
-        if not np.all(np.isfinite(self.c)):
-            raise InvalidModelError("objective coefficients must be finite")
-        if not np.all(np.isfinite(self.rhs)):
-            raise InvalidModelError("right-hand sides must be finite")
-        if not np.all(np.isfinite(self.A.data)):
-            raise InvalidModelError("matrix entries must be finite")
-        bad = [s for s in self.senses if s not in SENSES]
-        if bad:
+        data = (("objective coefficients", self.c), ("right-hand sides", self.rhs),
+                ("matrix entries", self.A.data))
+        for what, v in data:
+            if not np.isfinite(v).all():
+                raise InvalidModelError(f"{what} must be finite")
+        if not set(self.senses) <= set(SENSES):
+            bad = [s for s in self.senses if s not in SENSES]
             raise InvalidModelError(f"unknown row sense {bad[0]!r}")
-        # the standard form reads each of these as "no bound"
-        impossible = np.nonzero(~(self.lower < np.inf) | ~(self.upper > -np.inf))[0]
+        lo, up = self.lower, self.upper
+        # lo <= up fails on a NaN; the standard form would read a lower bound
+        # of +inf or an upper bound of -inf as no bound
+        if ((lo <= up).all() and lo.max(initial=-np.inf) < np.inf
+                and up.min(initial=np.inf) > -np.inf):
+            return
+        impossible = np.nonzero(~(lo < np.inf) | ~(up > -np.inf))[0]
         if impossible.size:
             j = int(impossible[0])
-            raise InvalidModelError(
-                f"variable {j} has bounds [{self.lower[j]}, {self.upper[j]}] that cannot hold"
-            )
-        crossed = np.nonzero(self.lower > self.upper)[0]
-        if crossed.size:
-            j = int(crossed[0])
-            raise InvalidModelError(
-                f"variable {j} has lower bound {self.lower[j]} above upper bound {self.upper[j]}"
-            )
+            raise InvalidModelError(f"variable {j} has bounds [{lo[j]}, {up[j]}] that cannot hold")
+        j = int(np.nonzero(lo > up)[0][0])
+        raise InvalidModelError(f"variable {j} has lower bound {lo[j]} above upper bound {up[j]}")
 
     def objective_value(self, x) -> float:
         return float(self.c @ np.asarray(x, dtype=float)) + self.obj_offset
@@ -191,9 +191,9 @@ class StandardLp:
         m, n = self.A.shape
         self.b = _as_float_array(self.b, m)
         self.c = _as_float_array(self.c, n)
-        if not (np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.c))):
+        if not (np.isfinite(self.b).all() and np.isfinite(self.c).all()):
             raise InvalidModelError("b and c must be finite")
-        if not np.all(np.isfinite(self.A.data)):
+        if not np.isfinite(self.A.data).all():
             raise InvalidModelError("matrix entries must be finite")
         self._pairs = None
 
@@ -204,6 +204,11 @@ class StandardLp:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def bc_norms(self) -> tuple[float, float]:
+        """(||b||_2, ||c||_2) by np.linalg.norm's arithmetic sqrt(v @ v), once per model."""
+        return math.sqrt(self.b @ self.b), math.sqrt(self.c @ self.c)
 
     @property
     def normal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,19 +346,16 @@ def _standard_map(g: GeneralLp) -> StandardFormMap:
     obj_shift = np.cumsum(obj_terms)[-1]
 
     # inequality rows get a slack / surplus column each, and finite upper
-    # bounds become rows x_j (+ slack) = upper - shift
-    senses = np.asarray(g.senses, dtype=str)
-    ineq = np.nonzero(senses != EQ)[0]
-    bound_var = np.nonzero(np.isfinite(up))[0]
-    m_std, n_std = m + bound_var.size, n_struct + ineq.size + bound_var.size
-    slack_of_row = np.full(m_std, -1, dtype=int)
-    slack_of_row[ineq] = n_struct + np.arange(ineq.size)
-    slack_of_row[m:] = n_struct + ineq.size + np.arange(bound_var.size)
-    slack_coef = np.zeros(m_std)
-    slack_coef[ineq] = np.where(senses[ineq] == LE, 1.0, -1.0)
-    slack_coef[m:] = 1.0
-    bound_var_of_row = np.full(m_std, -1, dtype=int)
-    bound_var_of_row[m:] = bound_var
+    # bounds become rows x_j (+ slack) = upper - shift; the slack columns
+    # follow the structural ones in row order
+    bound_var = np.flatnonzero(np.isfinite(up))
+    row_coef = np.fromiter(map(_SLACK_COEF.get, g.senses), float, m)
+    slack_coef = np.concatenate((row_coef, np.ones(bound_var.size)))
+    slack_rows = np.flatnonzero(slack_coef)
+    m_std, n_std = m + bound_var.size, n_struct + slack_rows.size
+    slack_of_row = np.full(m_std, -1)
+    slack_of_row[slack_rows] = n_struct + np.arange(slack_rows.size)
+    bound_var_of_row = np.concatenate((np.full(m, -1), bound_var))
 
     return StandardFormMap(
         n_general=n,
@@ -379,14 +381,14 @@ def _standard_b_c(g: GeneralLp, fmap: StandardFormMap) -> tuple[np.ndarray, np.n
     column after another.  Bound rows get upper - shift.
     """
     A, m = g.A, fmap.m_general
-    cols = A.indices
-    on = fmap.shifts[cols] != 0.0
-    rows = np.repeat(np.arange(m), np.diff(A.indptr))
     b = g.rhs.copy()
-    np.subtract.at(b, rows[on], A.data[on] * fmap.shifts[cols[on]])
+    if fmap.shifts.any():
+        on = fmap.shifts[A.indices] != 0.0
+        rows = np.repeat(np.arange(m), np.diff(A.indptr))
+        np.subtract.at(b, rows[on], A.data[on] * fmap.shifts[A.indices[on]])
     bound_var = fmap.bound_var[m:]
     b = np.concatenate([b, g.upper[bound_var] - fmap.shifts[bound_var]])
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise InvalidModelError("b and c must be finite")
     split = fmap.neg_col >= 0
     c = np.zeros(fmap.n_std)
@@ -402,13 +404,21 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
     variables with no lower bound are split into a difference of two
     nonnegative columns, finite upper bounds become explicit rows with slack
     columns, and inequality rows gain slack (<=) or surplus (>=) columns.
-    A_std's entries are listed from the StandardFormMap, and scipy orders
-    them: each entry a of A's row i sits at (i, pos_col) of its variable,
-    and -a at (i, neg_col) for a split variable; each row's slack, bound
-    rows' too, sits at (i, slack_of_row[i]) with its slack_coef; a bound
-    row also holds 1 at its variable's pos_col and -1 at its neg_col.
+    A_std's entries are listed from the StandardFormMap: each entry a of A's
+    row i sits at (i, pos_col) of its variable, and -a at (i, neg_col) for a
+    split variable; each row's slack, bound rows' too, sits at
+    (i, slack_of_row[i]) with its slack_coef; a bound row also holds 1 at its
+    variable's pos_col and -1 at its neg_col.  No two entries share a
+    position, so scipy's COO-to-CSR and index-sort kernels give the CSR
+    arrays of csr_matrix((val, (row, col))) directly.  g is validated
+    first; the pipeline's _standard_form skips that on presolve's output.
     """
     g.validate()
+    return _standard_form(g)
+
+
+def _standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
+    """to_standard_form without validating g: presolve's output, sliced from a valid model."""
     fmap = _standard_map(g)
     b_std, c_std = _standard_b_c(g, fmap)
     A, m = g.A, fmap.m_general
@@ -426,8 +436,12 @@ def to_standard_form(g: GeneralLp) -> tuple[StandardLp, StandardFormMap]:
          np.full(int(bound_split.sum()), -1.0)),
     ]
     row, col, val = (np.concatenate(parts) for parts in zip(*entries))
-    A_std = sp.csr_matrix((val, (row, col)), shape=(fmap.m_std, fmap.n_std))
-    return StandardLp(A_std, b_std, c_std), fmap
+    shape, nnz = (fmap.m_std, fmap.n_std), val.size
+    idx = np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
+    ptr, ind, data = np.empty(shape[0] + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    _sparsetools.coo_tocsr(*shape, nnz, row.astype(idx), col.astype(idx), val, ptr, ind, data)
+    _sparsetools.csr_sort_indices(shape[0], ptr, ind, data)
+    return StandardLp(sp.csr_matrix((data, ind, ptr), shape=shape), b_std, c_std), fmap
 
 
 def _restrict_xy(fmap: StandardFormMap, pt: KktPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -544,13 +558,15 @@ def check_relative_termination(
 def termination_from_residuals(
     p: StandardLp, res: Residuals, eps_rel: float
 ) -> TerminationCheck:
-    """check_relative_termination on residuals already computed for p."""
+    """check_relative_termination on residuals already computed for p; each norm
+    is np.linalg.norm's sqrt(v @ v), and ||b||, ||c|| come once per model."""
     if not eps_rel > 0:
         raise ValueError("eps_rel must be positive")
-    p_lhs = float(np.linalg.norm(res.r_p)) if res.r_p.size else 0.0
-    d_lhs = float(np.linalg.norm(res.r_d)) if res.r_d.size else 0.0
-    p_rhs = eps_rel * (1.0 + (float(np.linalg.norm(p.b)) if p.b.size else 0.0))
-    d_rhs = eps_rel * (1.0 + (float(np.linalg.norm(p.c)) if p.c.size else 0.0))
+    b_norm, c_norm = p.bc_norms
+    p_lhs = math.sqrt(res.r_p @ res.r_p)
+    d_lhs = math.sqrt(res.r_d @ res.r_d)
+    p_rhs = eps_rel * (1.0 + b_norm)
+    d_rhs = eps_rel * (1.0 + c_norm)
     gap_lhs = abs(res.primal_obj - res.dual_obj)
     gap_rhs = eps_rel * (1.0 + abs(res.primal_obj) + abs(res.dual_obj))
     ok = _holds(p_lhs, p_rhs) and _holds(d_lhs, d_rhs) and _holds(gap_lhs, gap_rhs)
@@ -569,8 +585,8 @@ def violation_summary(p: StandardLp, pt: KktPoint) -> ViolationSummary:
 
 def summary_from_residuals(res: Residuals) -> ViolationSummary:
     """violation_summary on residuals already computed."""
-    primal_inf = float(np.max(np.abs(res.r_p))) if res.r_p.size else 0.0
-    dual_inf = float(np.max(np.abs(res.r_d))) if res.r_d.size else 0.0
+    primal_inf = float(np.abs(res.r_p).max()) if res.r_p.size else 0.0
+    dual_inf = float(np.abs(res.r_d).max()) if res.r_d.size else 0.0
     rel_gap = res.comp / (1.0 + abs(res.primal_obj))
     return ViolationSummary(
         primal_inf=primal_inf,

@@ -34,8 +34,7 @@ from .lp_core import (
     KktPoint,
     StandardLp,
     TerminationCheck,
-    csr_matvec,
-    csr_rmatvec,
+    ViolationSummary,
     residuals,
     summary_from_residuals,
     termination_from_residuals,
@@ -48,7 +47,7 @@ from .status import SolveStatus
 _csr_matvec_add = _sparsetools.csr_matvec
 _csc_matvec_add = _sparsetools.csc_matvec
 
-_WEIGHT_CLIP = (1e-4, 1e4)  # bounds on the primal weight
+_WEIGHT_MIN, _WEIGHT_MAX = 1e-4, 1e4  # bounds on the primal weight
 # Restart when the score r <= SUFFICIENT r0 (r0: the score at the first check
 # after the last restart), when r <= NECESSARY r0 and r grew since the last
 # check, or when the restart is ARTIFICIAL times all iterations old.
@@ -72,6 +71,8 @@ class PdhgParams:
     def __post_init__(self):
         if not self.eps_rel > 0:
             raise ValueError("eps_rel must be positive")
+        if not self.time_limit_s >= 0:
+            raise ValueError("time_limit_s must be nonnegative")
 
 
 @dataclass
@@ -93,7 +94,11 @@ class SolveStats:
     restarts: int
     wall_seconds: float
     termination: TerminationCheck | None
-    max_violation: float
+    violation: ViolationSummary  # of the returned point, as _score found it
+
+    @property
+    def max_violation(self) -> float:
+        return self.violation.max_violation
 
 
 def estimate_opnorm(A, seed: int = 0) -> float:
@@ -102,8 +107,8 @@ def estimate_opnorm(A, seed: int = 0) -> float:
     Returns lam with lam <= ||A||_2 <= 1.05 lam on the matrices this solver
     meets; callers derive safe step sizes from 1/(1.05 lam).  A sparse A is
     read as CSR, without a copy when it is float64 CSR; each product is
-    lp_core's csr_matvec or csr_rmatvec into a reused buffer, and the norm
-    sqrt(w @ w) is np.linalg.norm's own arithmetic.
+    scipy's CSR or CSC kernel, as in csr_matvec, into a reused buffer, and
+    the norm sqrt(w @ w) is np.linalg.norm's own arithmetic.
     """
     m, n = A.shape
     if m == 0 or n == 0 or A.nnz == 0:
@@ -111,11 +116,14 @@ def estimate_opnorm(A, seed: int = 0) -> float:
     A = A.tocsr().astype(float, copy=False)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
     av, w = np.empty(m), np.empty(n)
 
     def norm_at_a(v):  # ||A'A v||, leaving A'A v in w
-        csr_rmatvec(A, csr_matvec(A, v, av), w)
+        av.fill(0.0)
+        _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, v, av)
+        w.fill(0.0)
+        _sparsetools.csc_matvec(n, m, A.indptr, A.indices, A.data, av, w)
         return math.sqrt(w @ w)
 
     lam = 0.0
@@ -244,11 +252,11 @@ def run_pdhg(
     returned if it passes, and its max violation drives the _RESTART_*
     rules.  A restart sets z = z0 = T(z), k = 0, and moves the primal weight
     omega, which starts at ||c|| / ||b||, halfway in log scale towards
-    ||dy|| / ||dx||, the anchor's movement, both clipped to _WEIGHT_CLIP;
-    the scaled operator is rebuilt then.  On failure statuses the best point
-    scored so far is returned.  The time limit is tested before each block
-    starts, so a run may overrun it by one block.  Non-finite iterates are
-    detected at the checks.
+    ||dy|| / ||dx||, the anchor's movement, both clipped to [_WEIGHT_MIN,
+    _WEIGHT_MAX]; the scaled operator is rebuilt then.  On failure statuses
+    the best point scored so far is returned.  The time limit is tested
+    before each block starts, so a run may overrun it by one block.
+    Non-finite iterates are detected at the checks.
     """
     if params is None:
         params = PdhgParams()
@@ -257,9 +265,9 @@ def run_pdhg(
     t0 = time.monotonic()
     state = initial_state(p, params, seed=seed)
     tau, sigma, omega = state.tau, state.sigma, state.omega
-    c_norm, b_norm = np.linalg.norm(p.c), np.linalg.norm(p.b)
+    b_norm, c_norm = p.bc_norms
     if c_norm > 0.0 and b_norm > 0.0:
-        omega = float(np.clip(c_norm / b_norm, *_WEIGHT_CLIP))
+        omega = min(max(c_norm / b_norm, _WEIGHT_MIN), _WEIGHT_MAX)
     op = _operator(p, tau, sigma, omega)
     n = p.n
 
@@ -297,23 +305,15 @@ def run_pdhg(
         r_prev = r
         if restart:  # z has made the block's last move already; T replaces it
             np.subtract(t, anchor, out=w)
-            dx, dy = np.linalg.norm(ws[1]), np.linalg.norm(ws[2])
+            dx, dy = math.sqrt(ws[1] @ ws[1]), math.sqrt(ws[2] @ ws[2])
             if dx > 0.0 and dy > 0.0:
-                omega = float(np.clip(
-                    np.exp(0.5 * np.log(dy / dx) + 0.5 * np.log(omega)), *_WEIGHT_CLIP
-                ))
+                omega = float(np.exp(0.5 * np.log(dy / dx) + 0.5 * np.log(omega)))
+                omega = min(max(omega, _WEIGHT_MIN), _WEIGHT_MAX)
                 op = _operator(p, tau, sigma, omega)
             anchor[:] = t
             z[:] = t
             since_restart, r0 = 0, np.inf
             restarts += 1
 
-    stats = SolveStats(
-        status=status,
-        iterations=iterations,
-        restarts=restarts,
-        wall_seconds=time.monotonic() - t0,
-        termination=best_term,
-        max_violation=best_summary.max_violation,
-    )
-    return best_pt, stats
+    wall = time.monotonic() - t0
+    return best_pt, SolveStats(status, iterations, restarts, wall, best_term, best_summary)

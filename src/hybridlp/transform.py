@@ -43,41 +43,36 @@ def ruiz_equilibrate(p: StandardLp) -> tuple[StandardLp, ScalingInfo]:
     canonical A is scaled entry by entry, with the rounding of
     diag(r) @ A @ diag(c); building the scaled StandardLp drops products
     that underflowed to zero.  Empty rows and columns keep unit scale.
+    A pass reuses its buffers: one np.maximum.at forms the row and column
+    norms in one m + n vector, and intp arrays index each entry's scales.
     """
     A = p.A.copy()
     m, n = A.shape
-    row_nnz = np.diff(A.indptr)
-    # reduceat over the starts of the non-empty rows only: each segment then
-    # ends where the next non-empty row starts (an empty segment would not).
-    full_rows = np.flatnonzero(row_nnz)
-    empty_cols = np.bincount(A.indices, minlength=n) == 0
-
-    row_of = np.repeat(np.arange(m), row_nnz)
-    row_scale = np.ones(m)
-    col_scale = np.ones(n)
+    data = A.data
+    row_of = np.repeat(np.arange(m), np.diff(A.indptr))
+    col_of = A.indices.astype(np.intp)
+    entry_of = np.concatenate((row_of, m + col_of))
+    # an empty row or column has no entry and norm 1
+    empty = (np.bincount(entry_of, minlength=m + n) == 0).astype(float)
+    norms, s, scale = np.empty(m + n), np.empty(m + n), np.ones(m + n)
+    abs_data = np.empty(2 * data.size)  # |A| twice: its rows', then its columns' entries
     lo, hi = 1.0 / (1.0 + _RUIZ_TOL), 1.0 + _RUIZ_TOL
     applied = 0
     for _ in range(_RUIZ_MAX_ITERS):
-        abs_data = np.abs(A.data)
-        row_norm = np.ones(m)
-        row_norm[full_rows] = np.maximum.reduceat(abs_data, A.indptr[full_rows])
-        col_norm = np.zeros(n)
-        np.maximum.at(col_norm, A.indices, abs_data)
-        col_norm[empty_cols] = 1.0
-        if (
-            np.all((row_norm >= lo) & (row_norm <= hi))
-            and np.all((col_norm >= lo) & (col_norm <= hi))
-        ):
+        np.abs(data, out=abs_data[:data.size])
+        np.abs(data, out=abs_data[data.size:])
+        np.copyto(norms, empty)
+        np.maximum.at(norms, entry_of, abs_data)
+        if norms.min(initial=lo) >= lo and norms.max(initial=hi) <= hi:
             break
-        r = 1.0 / np.sqrt(row_norm)
-        c = 1.0 / np.sqrt(col_norm)
+        np.divide(1.0, np.sqrt(norms, out=s), out=s)
         # the rounding of diag(r) @ A @ diag(c): (r_i a_ij) c_j
-        A.data *= r[row_of]
-        A.data *= c[A.indices]
-        row_scale *= r
-        col_scale *= c
+        data *= s[row_of]
+        data *= s[m:][col_of]
+        scale *= s
         applied += 1
 
+    row_scale, col_scale = scale[:m], scale[m:]
     scaled = StandardLp(A, row_scale * p.b, col_scale * p.c)
     return scaled, ScalingInfo(row_scale, col_scale, applied)
 
@@ -321,6 +316,8 @@ def presolve(g: GeneralLp) -> PresolveResult:
 
     def remove_empty_rows():
         empty = np.flatnonzero(row_live & (row_count == 0))
+        if not empty.size:
+            return None
         r = rhs[empty]
         is_le = np.fromiter((senses[i] == LE for i in empty.tolist()), bool, empty.size)
         bad = np.where(
@@ -340,6 +337,8 @@ def presolve(g: GeneralLp) -> PresolveResult:
 
     def remove_empty_columns():
         empty = np.flatnonzero(col_live & (col_count == 0))
+        if not empty.size:
+            return None
         cost, lo, up = c[empty], lower[empty], upper[empty]
         pos, neg = cost > 0.0, cost < 0.0
         lo_ok, up_ok = np.isfinite(lo), np.isfinite(up)
@@ -354,8 +353,7 @@ def presolve(g: GeneralLp) -> PresolveResult:
                 PresolveStatus.UNBOUNDED, None, stack,
                 f"column {g.variable_names()[j]} has {sign} cost and no {bound} bound",
             )
-        if empty.size:
-            remove_columns(empty, values)
+        remove_columns(empty, values)
         return None
 
     def singleton_round(singles: np.ndarray):
@@ -475,25 +473,26 @@ def postsolve(stack: PresolveStack, pt: KktPoint, original: GeneralLp) -> KktPoi
     x[col_live] = pt.x
     y[row_live] = pt.y
 
-    s_rows, coeffs, costs, col_rows, col_vals, counts = (
-        stack._joined(name, SingletonRow)
-        for name in ("rows", "coeffs", "costs", "col_rows", "col_vals", "counts")
-    )
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    waiting = np.zeros(stack.m_original, dtype=bool)
-    waiting[s_rows] = True
-    todo = np.arange(s_rows.size)
-    while todo.size:
-        pos, owner = _entries(indptr, todo)
-        blocked = np.zeros(todo.size, dtype=bool)
-        blocked[owner[waiting[col_rows[pos]]]] = True
-        blocked[-1] = False  # next in the backward replay: nothing left to wait for
-        wave, todo = todo[~blocked], todo[blocked]
-        for length in np.unique(counts[wave]).tolist():
-            ks = wave[counts[wave] == length]
-            at = indptr[ks, None] + np.arange(length)
-            y[s_rows[ks]] = (costs[ks] - _row_dots(col_vals[at], y[col_rows[at]])) / coeffs[ks]
-        waiting[s_rows[wave]] = False
+    if any(b.kind is SingletonRow for b in stack.batches):
+        s_rows, coeffs, costs, col_rows, col_vals, counts = (
+            stack._joined(name, SingletonRow)
+            for name in ("rows", "coeffs", "costs", "col_rows", "col_vals", "counts")
+        )
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        waiting = np.zeros(stack.m_original, dtype=bool)
+        waiting[s_rows] = True
+        todo = np.arange(s_rows.size)
+        while todo.size:
+            pos, owner = _entries(indptr, todo)
+            blocked = np.zeros(todo.size, dtype=bool)
+            blocked[owner[waiting[col_rows[pos]]]] = True
+            blocked[-1] = False  # next in the backward replay: nothing left to wait for
+            wave, todo = todo[~blocked], todo[blocked]
+            for length in np.unique(counts[wave]).tolist():
+                ks = wave[counts[wave] == length]
+                at = indptr[ks, None] + np.arange(length)
+                y[s_rows[ks]] = (costs[ks] - _row_dots(col_vals[at], y[col_rows[at]])) / coeffs[ks]
+            waiting[s_rows[wave]] = False
 
     z = original.c - csr_rmatvec(original.A, y, np.empty(original.n_vars))
     return KktPoint(x, y, z)

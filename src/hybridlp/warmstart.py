@@ -28,9 +28,9 @@ from .lp_core import (
     StandardFormMap,
     ViolationSummary,
     _restrict_xy,
+    _standard_form,
     evaluate_general_point,
     restrict_point,  # noqa: F401  (perfbench/run.py traces it through this module)
-    to_standard_form,
     violation_summary,
 )
 from .mps_io import SolutionFile, make_solution_file
@@ -195,7 +195,7 @@ def prepare_model(g: GeneralLp) -> PreparedModel:
     if pres.status is not PresolveStatus.REDUCED or pres.solved:
         return PreparedModel(g, pres, pres.model, None, None, None, None)
 
-    p_std, fmap = to_standard_form(pres.model)
+    p_std, fmap = _standard_form(pres.model)  # presolve validated the model it slices
     p_solve, scaling = ruiz_equilibrate(p_std)
     return PreparedModel(g, pres, pres.model, p_std, fmap, p_solve, scaling)
 
@@ -229,7 +229,10 @@ def finish_point(prep: PreparedModel, pt_solve: KktPoint) -> FinishedPoint:
 @dataclass
 class HybridStats:
     """What solve reports beside its SolutionFile, which holds the status,
-    iteration counts, escalations, wall time and original-model violation."""
+    iteration counts, escalations, wall time and original-model violation.
+    scaled_violation, None when no solver ran, is the summary the last solver
+    computed for its point on the scaled model (PDHG's scoring, run_ipm's
+    last residuals); only a polished vertex is measured again."""
 
     scaled_violation: ViolationSummary | None
     pdhg_stats: SolveStats | None
@@ -271,6 +274,8 @@ def solve(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if not time_limit_s >= 0:
+        raise ValueError("time_limit_s must be nonnegative")
     stages, eps = METHODS[method]
     if eps_rel is not None:
         eps = eps_rel
@@ -308,7 +313,8 @@ def solve(
         if ipm_stats is not None:
             status, stage = ipm_stats.status, "ipm"
         message = "" if status is SolveStatus.OPTIMAL else f"{stage}: {status.value}"
-        scaled_violation = violation_summary(prep.solve_model, pt)
+        last = ipm_stats if ipm_stats is not None else pdhg_stats
+        scaled_violation = last.violation or violation_summary(prep.solve_model, pt)
 
     finished = finish_point(prep, pt)
     sol = make_solution_file(
