@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/outcome_digest.py [--workloads A,B,...] [--seeds 1,2,3]
+    python3 scripts/outcome_digest.py [--seeds 1,2,3]
 
 Each workload's corpus is built from the seed as perfbench builds it, and
 every case is solved once by perfbench's ``run_operation``.  The digest
@@ -46,15 +46,10 @@ def digest(name: str, seed: int) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="1")
     args = parser.parse_args(argv)
-    names = args.workloads.split(",")
-    unknown = sorted(set(names) - set(WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workloads {unknown}; choose from {sorted(WORKLOADS)}")
     for seed in (int(s) for s in args.seeds.split(",")):
-        for name in names:
+        for name in WORKLOADS:
             ops, sha = digest(name, seed)
             print(f"{name} seed={seed} ops={ops} {sha}", flush=True)
     return 0

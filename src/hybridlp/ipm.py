@@ -436,7 +436,13 @@ def run_ipm(
             break
 
     stats = IpmStats(
-        status, state.iterations, time.monotonic() - t0, termination, history,
-        normal_backend(p.m), max_reg_level, violation=summary_from_residuals(res),
+        status=status,
+        iterations=state.iterations,
+        wall_seconds=time.monotonic() - t0,
+        termination=termination,
+        history=history,
+        backend=normal_backend(p.m),
+        max_reg_level=max_reg_level,
+        violation=summary_from_residuals(res),
     )
     return KktPoint(state.x, state.y, state.z), stats

@@ -35,6 +35,8 @@ from .lp_core import (
     StandardLp,
     TerminationCheck,
     ViolationSummary,
+    csr_matvec,
+    csr_rmatvec,
     residuals,
     summary_from_residuals,
     termination_from_residuals,
@@ -107,8 +109,8 @@ def estimate_opnorm(A, seed: int = 0) -> float:
     Returns lam with lam <= ||A||_2 <= 1.05 lam on the matrices this solver
     meets; callers derive safe step sizes from 1/(1.05 lam).  A sparse A is
     read as CSR, without a copy when it is float64 CSR; each product is
-    scipy's CSR or CSC kernel, as in csr_matvec, into a reused buffer, and
-    the norm sqrt(w @ w) is np.linalg.norm's own arithmetic.
+    lp_core's csr_matvec or csr_rmatvec into a reused buffer, and the norm
+    sqrt(w @ w) is np.linalg.norm's own arithmetic.
     """
     m, n = A.shape
     if m == 0 or n == 0 or A.nnz == 0:
@@ -120,10 +122,7 @@ def estimate_opnorm(A, seed: int = 0) -> float:
     av, w = np.empty(m), np.empty(n)
 
     def norm_at_a(v):  # ||A'A v||, leaving A'A v in w
-        av.fill(0.0)
-        _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, v, av)
-        w.fill(0.0)
-        _sparsetools.csc_matvec(n, m, A.indptr, A.indices, A.data, av, w)
+        csr_rmatvec(A, csr_matvec(A, v, av), w)
         return math.sqrt(w @ w)
 
     lam = 0.0
@@ -315,5 +314,12 @@ def run_pdhg(
             since_restart, r0 = 0, np.inf
             restarts += 1
 
-    wall = time.monotonic() - t0
-    return best_pt, SolveStats(status, iterations, restarts, wall, best_term, best_summary)
+    stats = SolveStats(
+        status=status,
+        iterations=iterations,
+        restarts=restarts,
+        wall_seconds=time.monotonic() - t0,
+        termination=best_term,
+        violation=best_summary,
+    )
+    return best_pt, stats
