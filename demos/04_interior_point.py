@@ -1,6 +1,9 @@
 # The predictor-corrector interior-point solver from a cold start, showing
-# the centrality measure mu shrinking and the fast tail: once the iterate is
-# close, each further iteration gains several digits at once.
+# the centrality measure mu shrinking.  Once two iterates in a row name the
+# same basis (the m columns with the largest x - z), a verified basis polish
+# solves for that basis's vertex: here it is accepted after 4 steps, and the
+# run ends at the vertex with a violation at rounding level instead of
+# stepping on toward 1e-8.
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,6 +15,7 @@ from hybridlp import (
     ruiz_equilibrate,
     run_ipm,
     to_standard_form,
+    violation_summary,
 )
 
 rng = np.random.default_rng(21)
@@ -40,4 +44,7 @@ print(f"{'iter':>4} {'mu':>10} {'step':>8} {'sigma':>8} {'max violation':>14}")
 for k, h in enumerate(stats.history, start=1):
     print(f"{k:>4} {h['mu']:>10.2e} {min(h['alpha_p'], h['alpha_d']):>8.3f} "
           f"{h['sigma']:>8.1e} {h['max_violation']:>14.2e}")
-print(f"\nstatus: {stats.status.value} in {stats.iterations} iterations")
+print(f"\nstatus: {stats.status.value} in {stats.iterations} iterations, "
+      f'polish="{stats.polish}"')
+print(f"max violation at the returned point: "
+      f"{violation_summary(scaled, pt).max_violation:.2e}")

@@ -8,9 +8,11 @@ right-hand side, a fraction-to-boundary step rule, and Mehrotra-style
 adaptive centering.  factor_normal alone decides whether a normal matrix
 can be factored; the Newton solver and basis_polish act on its None.
 run_ipm runs the same iteration from a cold start or from an externally
-supplied strictly positive start.  basis_polish, one verified solve at the
-vertex of the basis a point names, is the hybrid's first move
-(warmstart.warm_started_ipm calls it once, before run_ipm).
+supplied strictly positive start, and ends it at the first vertex that
+basis_polish, one verified solve at the vertex of the basis a point names,
+accepts once two iterates in a row name the same basis.  The same polish
+from the hybrid's start is its first move (warmstart.warm_started_ipm
+calls it once, before run_ipm).
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ class IpmStats:
     history: list = field(default_factory=list)
     backend: str = ""
     max_reg_level: int = 0
-    # basis_polish's verdict in the stats warm_started_ipm returns for its
-    # whole stage: "accepted", a refusal reason, or "" when no attempt was
-    # made (run_ipm never makes one)
+    # the verdict of the last basis_polish attempt (of run_ipm's run, or of
+    # the whole stage in the stats warm_started_ipm returns): "accepted", a
+    # refusal reason, or "" when no attempt was made
     polish: str = ""
     violation: ViolationSummary | None = None  # run_ipm's, of the point it returns
 
@@ -383,6 +385,9 @@ def run_ipm(
     Stops with Stalled as soon as min(alpha_p, alpha_d) drops below
     _MIN_STEP on any iteration; the caller (the warm-start driver) owns the
     retry policy.  Iteration counts are accepted predictor-corrector steps.
+    Before a step, an iterate whose m largest x - z name the same columns as
+    the last 1 (2, 4, ... after each refusal) iterates' gets a basis_polish
+    attempt; an accepted vertex ends the run Optimal, with no violation.
     """
     if params is None:
         params = IpmParams()
@@ -403,6 +408,9 @@ def run_ipm(
     # One residual evaluation per iterate serves its history entry, the next
     # check and the next Newton right-hand side.
     res = residuals(p, state)
+    # The last iterate's candidate basis, how many iterates in a row have
+    # named it, and how many an attempt needs (doubled by each refusal).
+    vertex, polish, basis, streak, need = None, "", None, 0, 1
 
     while True:
         termination = termination_from_residuals(p, res, params.eps_rel)
@@ -414,6 +422,16 @@ def run_ipm(
         if time.monotonic() - t0 > time_limit_s:
             status = SolveStatus.TIME_LIMIT
             break
+        if p.n >= p.m:
+            last, basis = basis, np.zeros(p.n, dtype=bool)
+            basis[np.argpartition(state.x - state.z, p.n - p.m)[p.n - p.m:]] = True
+            streak = streak + 1 if last is not None and np.array_equal(basis, last) else 0
+            if streak >= need:
+                vertex, check, polish = basis_polish(p, state, params.eps_rel)
+                if vertex is not None:
+                    status, termination = SolveStatus.OPTIMAL, check
+                    break
+                need *= 2
         try:
             state, report = predictor_corrector_iteration(p, state, res)
         except NumericalFailure:
@@ -443,6 +461,7 @@ def run_ipm(
         history=history,
         backend=normal_backend(p.m),
         max_reg_level=max_reg_level,
-        violation=summary_from_residuals(res),
+        polish=polish,
+        violation=None if vertex else summary_from_residuals(res),
     )
-    return KktPoint(state.x, state.y, state.z), stats
+    return vertex or KktPoint(state.x, state.y, state.z), stats

@@ -6,8 +6,9 @@ per-coordinate moves clamped to a trust region.  The pipeline runs presolve
 -> standard form -> scale -> pdhg -> centered start -> interior point, or
 just one of the two solvers, under one deadline.  The warm-started interior
 point makes one attempt at the basis its start names (ipm.basis_polish);
-on a refusal it runs the interior point, and escalates the floor and
-retries from the current iterate whenever it stalls.  Violations are
+on a refusal it runs the interior point, which polishes again once its
+iterates name a stable basis, and escalates the floor and retries from the
+current iterate whenever it stalls.  Violations are
 measured on the user's original model.
 """
 
@@ -134,7 +135,8 @@ def warm_started_ipm(
     check and backend of the last run_ipm call; the iterations and history
     of every call, stalled steps included; the highest regularization rung
     of any call; the wall time since the stage began, polish included; and
-    the polish verdict ("" when no attempt was made).
+    the verdict of the stage's last attempt, the start's or one made inside
+    run_ipm ("" when none was made).
     """
     t0 = time.monotonic()
 
@@ -168,7 +170,7 @@ def warm_started_ipm(
     stats.history = [entry for r in runs for entry in r.history]
     stats.max_reg_level = max(r.max_reg_level for r in runs)
     stats.wall_seconds = time.monotonic() - t0
-    stats.polish = polish
+    stats.polish = next((r.polish for r in reversed(runs) if r.polish), polish)
     return WarmIpmResult(pt, stats, len(runs) - 1)
 
 

@@ -253,16 +253,22 @@ class TestCli:
         assert sol.status == "Optimal"
         np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-6)
 
-    @pytest.mark.parametrize("method, polish", [("hybrid", ' polish="accepted" '), ("ipm-cold", "")])
+    @pytest.mark.parametrize("method, polish", [("hybrid", ' polish="accepted" '),
+                                                ("ipm-cold", ' polish="accepted" '),
+                                                ("pdhg-1e4", "")])
     def test_solve_summary_names_the_polish(self, tmp_path, capsys, method, polish):
-        """The hybrid's summary line names the polish verdict; a method with
-        no warm interior point prints no polish field."""
+        """The summary line names the interior point's polish verdict after
+        its iteration count: the hybrid's vertex from its start (0
+        iterations), ipm-cold's after its steps.  A method with no interior
+        point prints no polish field."""
         code = main(["solve", str(FIXTURES / "lp2.mps"), "--method", method,
                      "--out", str(tmp_path / "sol.txt")])
         assert code == 0
         line = capsys.readouterr().err
+        iters = parse_solution((tmp_path / "sol.txt").read_text()).ipm_iterations
+        assert (iters == 0) is (method != "ipm-cold")
         if polish:
-            assert "ipm_iters=0" + polish in line
+            assert f"ipm_iters={iters}{polish}" in line
         else:
             assert "polish=" not in line
 

@@ -38,6 +38,30 @@ from hybridlp.ipm import (
 from hybridlp.warmstart import warm_started_ipm
 
 from _desk import desk_suite, lp1, lp2, planted_equality_lp
+from test_warmstart import _steps_without_polish
+
+
+def _refuse_polish(monkeypatch):
+    """Every basis_polish attempt inside run_ipm is refused, so run_ipm
+    follows the plain predictor-corrector path."""
+    monkeypatch.setattr(
+        hybridlp.ipm, "basis_polish", lambda p, state, eps_rel: (None, None, "not optimal")
+    )
+
+
+def _spy_on_polish(monkeypatch, refuse: bool = False) -> list:
+    """The (iterations, verdict) of each basis_polish call inside run_ipm;
+    with refuse, every attempt is refused."""
+    calls = []
+    real = hybridlp.ipm.basis_polish
+
+    def spy(p, state, eps_rel):
+        out = (None, None, "not optimal") if refuse else real(p, state, eps_rel)
+        calls.append((state.iterations, out[2]))
+        return out
+
+    monkeypatch.setattr(hybridlp.ipm, "basis_polish", spy)
+    return calls
 
 
 class TestColdStart:
@@ -166,10 +190,13 @@ class TestRunIpm:
         np.testing.assert_allclose(pt.x, [1.6, 1.2, 0.0, 0.0], atol=1e-6)
         np.testing.assert_allclose(pt.y, [-0.4, -0.2], atol=1e-6)
 
-    def test_boundary_start_stalls(self):
+    def test_boundary_start_stalls(self, monkeypatch):
         """A coordinate pinned at 1e-9 in both x and z forces a huge centering
         correction through the other columns; the fraction-to-boundary step
-        collapses below min_step and the solver reports Stalled."""
+        collapses below min_step and the solver reports Stalled.  This is
+        acceptance criterion 8's path: the start has no previous iterate, so
+        it gets no basis polish attempt, and the first step stalls."""
+        calls = _spy_on_polish(monkeypatch)
         p, _ = to_standard_form(lp2().model)
         start = IpmState(
             x=np.array([1.0, 1.0, 1e-9, 1.0]),
@@ -177,7 +204,7 @@ class TestRunIpm:
             z=np.array([1.0, 1.0, 1e-9, 1.0]),
         )
         pt, stats = run_ipm(p, start=start)
-        assert stats.status.value == "Stalled"
+        assert (stats.status.value, stats.iterations, stats.polish, calls) == ("Stalled", 1, "", [])
         assert stats.history[-1]["alpha_p"] < 1e-6 or stats.history[-1]["alpha_d"] < 1e-6
 
     def test_mu_monotone_on_desk_instances(self):
@@ -211,9 +238,10 @@ class TestRunIpm:
         pt, stats = run_ipm(p, time_limit_s=0.0)
         assert stats.status.value == "TimeLimit"
 
-    def test_quadratic_tail_on_desk_instance(self):
+    def test_quadratic_tail_on_desk_instance(self, monkeypatch):
         """Once the scaled violation is under 1e-4, at most 4 more iterations
-        reach the 1e-8 criteria."""
+        reach the 1e-8 criteria (on the Newton path: every polish refused)."""
+        _refuse_polish(monkeypatch)
         for seed in (5, 6):
             inst = planted_equality_lp(20, 35, seed=seed)
             p, _ = to_standard_form(inst.model)
@@ -448,6 +476,7 @@ def test_one_residual_evaluation_per_iterate(monkeypatch):
         return real(p, pt)
 
     monkeypatch.setattr(hybridlp.ipm, "residuals", counted)
+    _refuse_polish(monkeypatch)
     p, _ = to_standard_form(planted_equality_lp(15, 27, seed=1).model)
     _, stats = run_ipm(p)
     assert stats.status.value == "Optimal"
@@ -464,6 +493,7 @@ def test_three_transpose_products_per_iterate(monkeypatch):
         return real(self, y)
 
     monkeypatch.setattr(StandardLp, "at_y", counted)
+    _refuse_polish(monkeypatch)
     p, _ = ruiz_equilibrate(to_standard_form(planted_equality_lp(15, 27, seed=1).model)[0])
     _, stats = run_ipm(p, start=cold_start_point(p))
     assert stats.status.value == "Optimal"
@@ -507,19 +537,82 @@ class TestBasisPolish:
         assert res.stats.polish == "no basis"
         assert res.stats.status.value == "Stalled"
 
-    def test_cold_start_makes_no_attempt(self):
+    def test_cold_start_makes_no_attempt(self, monkeypatch):
+        """The cold start (x = z) has no previous iterate and is not
+        polished; lp2's one attempt comes after the steps, at the first
+        iterate whose basis equals the one before it, and is accepted."""
+        calls = _spy_on_polish(monkeypatch)
         _, stats = run_ipm(to_standard_form(lp2().model)[0])
-        assert stats.polish == ""
         assert stats.iterations > 0
+        assert calls == [(stats.iterations, "accepted")]
+        assert (stats.status.value, stats.polish) == ("Optimal", "accepted")
 
     def test_run_ipm_makes_no_attempt_from_a_start(self, monkeypatch):
-        """Only warm_started_ipm polishes: from the start it would polish,
-        run_ipm steps."""
-        monkeypatch.setattr(hybridlp.ipm, "basis_polish", None)
+        """Only warm_started_ipm polishes a start: from the start whose
+        vertex basis_polish accepts, run_ipm takes one step and attempts at
+        the iterate whose basis is still the start's."""
         p = _scaled(planted_equality_lp(40, 70, seed=20))
-        _, stats = run_ipm(p, start=_warm_start(p))
-        assert (stats.status.value, stats.polish) == ("Optimal", "")
-        assert stats.iterations > 0
+        start = _warm_start(p)
+        assert basis_polish(p, start, 1e-8)[2] == "accepted"
+        calls = _spy_on_polish(monkeypatch)
+        _, stats = run_ipm(p, start=start)
+        assert (stats.status.value, stats.polish, stats.iterations) == ("Optimal", "accepted", 1)
+        assert calls == [(1, "accepted")]
+
+    def test_cold_run_ends_at_the_polished_vertex(self, monkeypatch):
+        """A cold run on a scaled planted LP stops at its first stable basis,
+        in fewer steps than the Newton path, and ipm-cold's vertex holds to
+        rounding on the original model."""
+        inst = planted_equality_lp(40, 70, seed=20)
+        p = _scaled(inst)
+        pt, stats = run_ipm(p)
+        assert (stats.status.value, stats.polish, stats.violation) == ("Optimal", "accepted", None)
+        assert stats.termination.ok
+        assert stats.iterations == len(stats.history) > 0
+        assert np.count_nonzero(pt.x) <= p.m
+        sol, hybrid_stats = solve(inst.model, "ipm-cold")
+        assert (sol.status, hybrid_stats.ipm_stats.polish) == ("Optimal", "accepted")
+        assert sol.violation.max_violation <= 1e-12
+        _refuse_polish(monkeypatch)
+        _, plain = run_ipm(p)
+        assert plain.status.value == "Optimal"
+        assert stats.iterations < plain.iterations
+
+    @pytest.mark.parametrize("name", ["lp2", "degenerate", "eq_40x70_s20", "ineq_20x32_s33"])
+    def test_refused_attempts_leave_the_newton_path_unchanged(self, name, monkeypatch):
+        """With every attempt refused, a cold run is the plain
+        predictor-corrector path bit for bit.  Its attempts come at the
+        iterates whose m largest x - z name the same columns as the previous
+        1, then 2, 4, ... iterates', so there are at most
+        floor(log2 iterations) + 1 of them."""
+        p = _scaled(next(i for i in desk_suite() if i.name == name))
+        ref = _steps_without_polish(p, cold_start_point(p), IpmParams())
+        gaps = []
+        real_step = hybridlp.ipm.predictor_corrector_iteration
+
+        def step(p, state, res):
+            gaps.append(state.x - state.z)
+            return real_step(p, state, res)
+
+        monkeypatch.setattr(hybridlp.ipm, "predictor_corrector_iteration", step)
+        calls = _spy_on_polish(monkeypatch, refuse=True)
+        pt, stats = run_ipm(p)
+        assert stats.status.value == "Optimal"
+        assert stats.iterations == ref.iterations == len(gaps)
+        for a, b in ((pt.x, ref.x), (pt.y, ref.y), (pt.z, ref.z)):
+            assert np.array_equal(a, b)
+
+        expected, last, streak, need = [], None, 0, 1
+        for k, gap in enumerate(gaps):
+            basis = frozenset(np.argpartition(gap, p.n - p.m)[p.n - p.m:].tolist())
+            streak = streak + 1 if basis == last else 0
+            last = basis
+            if streak >= need:
+                expected.append(k)
+                need *= 2
+        assert [k for k, _ in calls] == expected
+        assert len(calls) <= int(np.log2(stats.iterations)) + 1
+        assert stats.polish == ("not optimal" if calls else "")
 
     def test_accepted_vertex_ends_the_solve(self):
         p = _scaled(planted_equality_lp(40, 70, seed=20))

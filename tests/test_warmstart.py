@@ -163,8 +163,9 @@ class TestWarmStartedIpm:
         assert res.escalations == 0
 
     def test_one_polish_attempt_across_escalations(self, monkeypatch):
-        """The boundary start is refused once ("no basis"); the stall
-        escalations after it run the interior point and make no attempt."""
+        """The boundary start is refused once ("no basis") and the stall
+        escalations do not repeat that attempt; the stage reports the verdict
+        of its last attempt, which run_ipm made after an escalation."""
         p, _ = to_standard_form(lp2().model)
         start = KktPoint(
             np.array([1.0, 1.0, 1e-9, 1.0]),
@@ -180,9 +181,18 @@ class TestWarmStartedIpm:
             return out
 
         monkeypatch.setattr(hybridlp.warmstart, "basis_polish", spy)
+        in_run_ipm = []
+        real_in_run_ipm = hybridlp.ipm.basis_polish
+
+        def spy_in_run_ipm(*args):
+            out = real_in_run_ipm(*args)
+            in_run_ipm.append(out[2])
+            return out
+
+        monkeypatch.setattr(hybridlp.ipm, "basis_polish", spy_in_run_ipm)
         res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
         assert verdicts == ["no basis"]
-        assert res.stats.polish == "no basis"
+        assert in_run_ipm and res.stats.polish == in_run_ipm[-1]
         assert res.escalations >= 1
         assert res.stats.status is SolveStatus.OPTIMAL
 
@@ -323,9 +333,9 @@ class TestBasisPolishInTheHybrid:
         inst = next(i for i in desk_suite() if i.name == name)
         p = prepare_model(inst.model).solve_model
         start = centered_start(run_pdhg(p, PdhgParams(eps_rel=1e-4))[0])
-        monkeypatch.setattr(
-            hybridlp.warmstart, "basis_polish", lambda p, state, eps_rel: (None, None, "not optimal")
-        )
+        refuse = lambda p, state, eps_rel: (None, None, "not optimal")  # noqa: E731
+        monkeypatch.setattr(hybridlp.warmstart, "basis_polish", refuse)
+        monkeypatch.setattr(hybridlp.ipm, "basis_polish", refuse)
         res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
         ref = _steps_without_polish(p, start, IpmParams())
         assert (res.stats.status, res.escalations, res.stats.polish) == (
