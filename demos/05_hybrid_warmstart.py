@@ -3,8 +3,8 @@
 # interior-point solver.  Its first move is one verified basis solve, which
 # here lands on the vertex exactly (0 iterations); a refused attempt leaves
 # the interior point to reach high accuracy in a fraction of its cold-start
-# iterations.  Also shows the stall-escalation safety valve, which runs after
-# a refusal and makes no second attempt.
+# iterations.  Also shows the stall-escalation safety valve, whose restarts
+# each begin with an attempt of their own.
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,8 +74,9 @@ print(f"warm interior point: {res.total_iterations} iterations "
 # centering correction has to blast through the tiny pair, collapsing the
 # fraction-to-boundary step.  Raising the floor tenfold and re-entering from
 # the current iterate recovers.  The start has x = z in every coordinate, so
-# it names no basis: the one polish attempt, before the first solve, is
-# refused with "no basis", and that is the verdict reported.
+# it names no basis and its polish attempt is refused with "no basis".  The
+# escalated restart's attempt is refused too ("infeasible"), and the attempt
+# after 5 more steps is accepted: that last verdict is the one reported.
 g_small = GeneralLp(
     c=[-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], senses=["<=", "<="],
     rhs=[4.0, 6.0], lower=[0.0, 0.0], upper=[np.inf, np.inf],

@@ -10,9 +10,9 @@ can be factored; the Newton solver and basis_polish act on its None.
 run_ipm runs the same iteration from a cold start or from an externally
 supplied strictly positive start, and ends it at the first vertex that
 basis_polish, one verified solve at the vertex of the basis a point names,
-accepts once two iterates in a row name the same basis.  The same polish
-from the hybrid's start is its first move (warmstart.warm_started_ipm
-calls it once, before run_ipm).
+accepts: at a supplied start, before any step, and then once enough
+iterates in a row name the same basis.  run_ipm is basis_polish's one
+caller, so the hybrid's first move is run_ipm's attempt at its start.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class IpmStats:
     backend: str = ""
     max_reg_level: int = 0
     # the verdict of the last basis_polish attempt (of run_ipm's run, or of
-    # the whole stage in the stats warm_started_ipm returns): "accepted", a
-    # refusal reason, or "" when no attempt was made
+    # its last run that made one in the stats warm_started_ipm returns):
+    # "accepted", a refusal reason, or "" when no attempt was made
     polish: str = ""
     violation: ViolationSummary | None = None  # run_ipm's, of the point it returns
 
@@ -385,9 +385,12 @@ def run_ipm(
     Stops with Stalled as soon as min(alpha_p, alpha_d) drops below
     _MIN_STEP on any iteration; the caller (the warm-start driver) owns the
     retry policy.  Iteration counts are accepted predictor-corrector steps.
-    Before a step, an iterate whose m largest x - z name the same columns as
-    the last 1 (2, 4, ... after each refusal) iterates' gets a basis_polish
-    attempt; an accepted vertex ends the run Optimal, with no violation.
+    A supplied start gets a basis_polish attempt while time remains, before
+    any residual evaluation or step; the cold start gets none.  Before a
+    step, an iterate whose m largest x - z name the same columns as the
+    last k iterates' gets an attempt; k starts at 1 and every refusal, the
+    start's included, doubles it.  An accepted vertex ends the run Optimal,
+    with no violation.
     """
     if params is None:
         params = IpmParams()
@@ -405,14 +408,17 @@ def run_ipm(
     history = []
     status = SolveStatus.ITERATION_LIMIT
     max_reg_level = 0
-    # One residual evaluation per iterate serves its history entry, the next
-    # check and the next Newton right-hand side.
-    res = residuals(p, state)
     # The last iterate's candidate basis, how many iterates in a row have
     # named it, and how many an attempt needs (doubled by each refusal).
     vertex, polish, basis, streak, need = None, "", None, 0, 1
+    if start is not None and time.monotonic() - t0 < time_limit_s:
+        vertex, termination, polish = basis_polish(p, state, params.eps_rel)
+        need *= 2
+    # One residual evaluation per iterate serves its history entry, the next
+    # check and the next Newton right-hand side.
+    res = None if vertex else residuals(p, state)
 
-    while True:
+    while vertex is None:
         termination = termination_from_residuals(p, res, params.eps_rel)
         if termination.ok:
             status = SolveStatus.OPTIMAL
@@ -429,7 +435,7 @@ def run_ipm(
             if streak >= need:
                 vertex, check, polish = basis_polish(p, state, params.eps_rel)
                 if vertex is not None:
-                    status, termination = SolveStatus.OPTIMAL, check
+                    termination = check
                     break
                 need *= 2
         try:
@@ -454,7 +460,7 @@ def run_ipm(
             break
 
     stats = IpmStats(
-        status=status,
+        status=SolveStatus.OPTIMAL if vertex else status,
         iterations=state.iterations,
         wall_seconds=time.monotonic() - t0,
         termination=termination,

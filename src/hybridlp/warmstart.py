@@ -5,11 +5,11 @@ then nudges each coordinate pair toward a common complementarity target with
 per-coordinate moves clamped to a trust region.  The pipeline runs presolve
 -> standard form -> scale -> pdhg -> centered start -> interior point, or
 just one of the two solvers, under one deadline.  The warm-started interior
-point makes one attempt at the basis its start names (ipm.basis_polish);
-on a refusal it runs the interior point, which polishes again once its
-iterates name a stable basis, and escalates the floor and retries from the
-current iterate whenever it stalls.  Violations are
-measured on the user's original model.
+point is run_ipm from the centered start, which first attempts the basis
+that start names (ipm.basis_polish) and polishes again once its iterates
+name a stable basis; the stage escalates the floor and restarts run_ipm
+from the current iterate whenever it stalls.  Violations are measured on
+the user's original model.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ipm import IpmParams, IpmState, IpmStats, basis_polish, normal_backend, run_ipm
+from .ipm import IpmParams, IpmState, IpmStats, run_ipm
 from .lp_core import (
     GeneralLp,
     InvalidModelError,
@@ -122,39 +122,29 @@ def warm_started_ipm(
     ws_params: WarmStartParams,
     time_limit_s: float = math.inf,
 ) -> WarmIpmResult:
-    """One basis polish, then the interior-point solver with stall escalation.
+    """The interior-point solver from start, with stall escalation.
 
-    While time remains, basis_polish makes its one attempt at the vertex of
-    the basis the start names; an accepted vertex is the result, Optimal
-    after 0 iterations.  Otherwise run_ipm steps from the start.  On a stall
-    the floor alpha_min is multiplied by the escalation factor, the current
-    iterate's (x, z) are re-floored, and the solve resumes from that
-    iterate.  After max_escalations stalls the Stalled status stands.
+    run_ipm first attempts the vertex of the basis its start names, while
+    time remains; an accepted vertex is the result, Optimal after 0
+    iterations.  On a stall the floor alpha_min is multiplied by the
+    escalation factor, the current iterate's (x, z) are re-floored, and
+    run_ipm starts again from that iterate, a start like any other.  After
+    max_escalations stalls the Stalled status stands.
 
     The returned stats describe the whole stage: the status, termination
     check and backend of the last run_ipm call; the iterations and history
     of every call, stalled steps included; the highest regularization rung
-    of any call; the wall time since the stage began, polish included; and
-    the verdict of the stage's last attempt, the start's or one made inside
-    run_ipm ("" when none was made).
+    of any call; the wall time since the stage began; and the verdict of
+    the stage's last polish attempt ("" when none was made).
     """
+    if not time_limit_s >= 0:
+        raise ValueError("time_limit_s must be nonnegative")
     t0 = time.monotonic()
 
     def time_left() -> float:
         return max(0.0, time_limit_s - (time.monotonic() - t0))
 
     x, y, z = start.x, start.y, start.z
-    IpmState(x, y, z).require_interior()
-    polish = ""
-    if time_left() > 0:
-        vertex, check, polish = basis_polish(p, start, ipm_params.eps_rel)
-        if vertex is not None:
-            stats = IpmStats(
-                SolveStatus.OPTIMAL, 0, time.monotonic() - t0, check,
-                backend=normal_backend(p.m), polish=polish,
-            )
-            return WarmIpmResult(vertex, stats, 0)
-
     alpha = _ALPHA_MIN
     runs = []
     while True:
@@ -170,7 +160,7 @@ def warm_started_ipm(
     stats.history = [entry for r in runs for entry in r.history]
     stats.max_reg_level = max(r.max_reg_level for r in runs)
     stats.wall_seconds = time.monotonic() - t0
-    stats.polish = next((r.polish for r in reversed(runs) if r.polish), polish)
+    stats.polish = next((r.polish for r in reversed(runs) if r.polish), "")
     return WarmIpmResult(pt, stats, len(runs) - 1)
 
 

@@ -4,6 +4,9 @@ Random instances plant a KKT triple: pick a basis and x* supported on it,
 set b = A x*, pick y* freely and z* zero on the basis, then c = A'y* + z*.
 The triple satisfies all three optimality conditions by construction, so
 optimal objective values are known exactly without running any solver.
+Setting a share of the basic x* (x_zero) or of the nonbasic z* (z_zero) to
+0 plants a primal or dual degenerate optimum; the zeroed entries are drawn
+by a generator of their own, so at shares of 0 the models are unchanged.
 """
 
 from __future__ import annotations
@@ -87,9 +90,22 @@ def boxed_lp() -> DeskInstance:
     return DeskInstance("boxed", g, np.array([4.0, 2.0]), None, -14.0)
 
 
-def planted_equality_lp(m: int, n: int, seed: int, density: float = 0.35) -> DeskInstance:
-    """Equality-form LP with a planted strictly complementary optimum."""
+def _degenerate_name(name: str, x_zero: float, z_zero: float) -> str:
+    return f"{name}_x{x_zero:g}z{z_zero:g}" if x_zero or z_zero else name
+
+
+def _zero_share(v: np.ndarray, idx: np.ndarray, share: float, rng) -> None:
+    """Set round(share * len(idx)) entries of v[idx], chosen by rng, to 0."""
+    v[rng.choice(idx, size=round(share * len(idx)), replace=False)] = 0.0
+
+
+def planted_equality_lp(
+    m: int, n: int, seed: int, density: float = 0.35, x_zero: float = 0.0, z_zero: float = 0.0
+) -> DeskInstance:
+    """Equality-form LP with a planted optimum, strictly complementary
+    unless x_zero or z_zero zeroes a share of the basic x* or nonbasic z*."""
     rng = np.random.default_rng(seed)
+    zero_rng = np.random.default_rng([seed, 1])
     mask = rng.random((m, n)) < density
     A = np.where(mask, rng.uniform(-2.0, 2.0, (m, n)), 0.0)
     A[:, :m] += np.eye(m) * 3.0
@@ -98,24 +114,31 @@ def planted_equality_lp(m: int, n: int, seed: int, density: float = 0.35) -> Des
             A[rng.integers(m), j] = rng.uniform(0.5, 1.5)
     x_star = np.zeros(n)
     x_star[:m] = rng.uniform(0.5, 2.0, m)
+    _zero_share(x_star, np.arange(m), x_zero, zero_rng)
     b = A @ x_star
     y_star = rng.standard_normal(m) * 0.5
     z_star = np.zeros(n)
     z_star[m:] = rng.uniform(0.1, 2.0, n - m)
+    _zero_share(z_star, np.arange(m, n), z_zero, zero_rng)
     c = A.T @ y_star + z_star
     g = GeneralLp(
         c=c, A=sp.csr_matrix(A), senses=[EQ] * m, rhs=b,
         lower=np.zeros(n), upper=np.full(n, np.inf),
     )
     return DeskInstance(
-        f"eq_{m}x{n}_s{seed}", g, x_star, y_star, float(c @ x_star)
+        _degenerate_name(f"eq_{m}x{n}_s{seed}", x_zero, z_zero),
+        g, x_star, y_star, float(c @ x_star),
     )
 
 
-def planted_inequality_lp(m: int, n: int, seed: int, density: float = 0.4) -> DeskInstance:
+def planted_inequality_lp(
+    m: int, n: int, seed: int, density: float = 0.4, x_zero: float = 0.0, z_zero: float = 0.0
+) -> DeskInstance:
     """<= rows with a planted optimum: active rows get negative duals,
-    inactive rows get slack margin and zero duals."""
+    inactive rows get slack margin and zero duals.  x_zero and z_zero zero
+    a share of x* on its support and of z* off it."""
     rng = np.random.default_rng(seed)
+    zero_rng = np.random.default_rng([seed, 1])
     mask = rng.random((m, n)) < density
     A = np.where(mask, rng.uniform(-1.5, 1.5, (m, n)), 0.0)
     k = min(m, n) // 2 + 1
@@ -129,6 +152,7 @@ def planted_inequality_lp(m: int, n: int, seed: int, density: float = 0.4) -> De
     x_star = np.zeros(n)
     support = rng.choice(n, size=k, replace=False)
     x_star[support] = rng.uniform(0.5, 2.0, k)
+    _zero_share(x_star, support, x_zero, zero_rng)
     active = rng.choice(m, size=k, replace=False)
     margin = np.ones(m)
     margin[active] = 0.0
@@ -137,13 +161,15 @@ def planted_inequality_lp(m: int, n: int, seed: int, density: float = 0.4) -> De
     y_star[active] = -rng.uniform(0.1, 1.0, k)
     z_star = rng.uniform(0.1, 2.0, n)
     z_star[support] = 0.0
+    _zero_share(z_star, np.setdiff1d(np.arange(n), support), z_zero, zero_rng)
     c = A.T @ y_star + z_star
     g = GeneralLp(
         c=c, A=sp.csr_matrix(A), senses=[LE] * m, rhs=b,
         lower=np.zeros(n), upper=np.full(n, np.inf),
     )
     return DeskInstance(
-        f"ineq_{m}x{n}_s{seed}", g, x_star, y_star, float(c @ x_star)
+        _degenerate_name(f"ineq_{m}x{n}_s{seed}", x_zero, z_zero),
+        g, x_star, y_star, float(c @ x_star),
     )
 
 

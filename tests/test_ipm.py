@@ -194,8 +194,8 @@ class TestRunIpm:
         """A coordinate pinned at 1e-9 in both x and z forces a huge centering
         correction through the other columns; the fraction-to-boundary step
         collapses below min_step and the solver reports Stalled.  This is
-        acceptance criterion 8's path: the start has no previous iterate, so
-        it gets no basis polish attempt, and the first step stalls."""
+        acceptance criterion 8's path: the start's one basis polish attempt
+        is refused (x = z names no basis), and the first step stalls."""
         calls = _spy_on_polish(monkeypatch)
         p, _ = to_standard_form(lp2().model)
         start = IpmState(
@@ -204,7 +204,9 @@ class TestRunIpm:
             z=np.array([1.0, 1.0, 1e-9, 1.0]),
         )
         pt, stats = run_ipm(p, start=start)
-        assert (stats.status.value, stats.iterations, stats.polish, calls) == ("Stalled", 1, "", [])
+        assert (stats.status.value, stats.iterations, stats.polish, calls) == (
+            "Stalled", 1, "no basis", [(0, "no basis")]
+        )
         assert stats.history[-1]["alpha_p"] < 1e-6 or stats.history[-1]["alpha_d"] < 1e-6
 
     def test_mu_monotone_on_desk_instances(self):
@@ -548,16 +550,16 @@ class TestBasisPolish:
         assert (stats.status.value, stats.polish) == ("Optimal", "accepted")
 
     def test_run_ipm_makes_no_attempt_from_a_start(self, monkeypatch):
-        """Only warm_started_ipm polishes a start: from the start whose
-        vertex basis_polish accepts, run_ipm takes one step and attempts at
-        the iterate whose basis is still the start's."""
+        """run_ipm attempts a supplied start's basis before any step: from
+        the start whose vertex basis_polish accepts, it ends at that vertex
+        after 0 steps."""
         p = _scaled(planted_equality_lp(40, 70, seed=20))
         start = _warm_start(p)
         assert basis_polish(p, start, 1e-8)[2] == "accepted"
         calls = _spy_on_polish(monkeypatch)
         _, stats = run_ipm(p, start=start)
-        assert (stats.status.value, stats.polish, stats.iterations) == ("Optimal", "accepted", 1)
-        assert calls == [(1, "accepted")]
+        assert (stats.status.value, stats.polish, stats.iterations) == ("Optimal", "accepted", 0)
+        assert calls == [(0, "accepted")]
 
     def test_cold_run_ends_at_the_polished_vertex(self, monkeypatch):
         """A cold run on a scaled planted LP stops at its first stable basis,
@@ -578,15 +580,23 @@ class TestBasisPolish:
         assert plain.status.value == "Optimal"
         assert stats.iterations < plain.iterations
 
-    @pytest.mark.parametrize("name", ["lp2", "degenerate", "eq_40x70_s20", "ineq_20x32_s33"])
-    def test_refused_attempts_leave_the_newton_path_unchanged(self, name, monkeypatch):
-        """With every attempt refused, a cold run is the plain
-        predictor-corrector path bit for bit.  Its attempts come at the
-        iterates whose m largest x - z name the same columns as the previous
-        1, then 2, 4, ... iterates', so there are at most
-        floor(log2 iterations) + 1 of them."""
+    @pytest.mark.parametrize(
+        "name, warm",
+        [("lp2", False), ("degenerate", False), ("eq_40x70_s20", False),
+         ("ineq_20x32_s33", False), ("eq_40x70_s20", True)],
+        ids=["lp2", "degenerate", "eq_40x70_s20", "ineq_20x32_s33", "eq_40x70_s20-warm"],
+    )
+    def test_refused_attempts_leave_the_newton_path_unchanged(self, name, warm, monkeypatch):
+        """With every attempt refused, a cold run, and a run from the
+        hybrid's start, is the plain predictor-corrector path bit for bit.
+        The hybrid's start is attempted first (iterate 0); the cold start is
+        not.  The other attempts come at the iterates whose m largest x - z
+        name the same columns as the previous 1 (2 after the start's
+        refusal), then twice as many iterates' after each refusal, so there
+        are at most floor(log2 iterations) + 1 of them."""
         p = _scaled(next(i for i in desk_suite() if i.name == name))
-        ref = _steps_without_polish(p, cold_start_point(p), IpmParams())
+        start = _warm_start(p) if warm else None
+        ref = _steps_without_polish(p, start or cold_start_point(p), IpmParams())
         gaps = []
         real_step = hybridlp.ipm.predictor_corrector_iteration
 
@@ -596,13 +606,14 @@ class TestBasisPolish:
 
         monkeypatch.setattr(hybridlp.ipm, "predictor_corrector_iteration", step)
         calls = _spy_on_polish(monkeypatch, refuse=True)
-        pt, stats = run_ipm(p)
+        pt, stats = run_ipm(p, start=start)
         assert stats.status.value == "Optimal"
         assert stats.iterations == ref.iterations == len(gaps)
         for a, b in ((pt.x, ref.x), (pt.y, ref.y), (pt.z, ref.z)):
             assert np.array_equal(a, b)
 
-        expected, last, streak, need = [], None, 0, 1
+        expected, need = ([0], 2) if warm else ([], 1)
+        last, streak = None, 0
         for k, gap in enumerate(gaps):
             basis = frozenset(np.argpartition(gap, p.n - p.m)[p.n - p.m:].tolist())
             streak = streak + 1 if basis == last else 0

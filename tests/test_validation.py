@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from hybridlp import (
-    EQ, LE, GeneralLp, InvalidModelError, PdhgParams, evaluate_general_point, presolve,
-    run_ipm, to_standard_form,
+    EQ, LE, GeneralLp, InvalidModelError, IpmParams, KktPoint, PdhgParams, WarmStartParams,
+    evaluate_general_point, presolve, run_ipm, to_standard_form,
 )
-from hybridlp.warmstart import METHODS, solve
+from hybridlp.warmstart import METHODS, solve, warm_started_ipm
 
 from _desk import lp2
 
@@ -37,6 +37,14 @@ def test_run_ipm_rejects_nan_or_negative_time_limit(limit):
     p, _ = to_standard_form(lp2().model)
     with pytest.raises(ValueError, match="time_limit_s"):
         run_ipm(p, time_limit_s=limit)
+
+
+@pytest.mark.parametrize("limit", BAD_LIMITS, ids=["nan", "negative"])
+def test_warm_started_ipm_rejects_nan_or_negative_time_limit(limit):
+    p, _ = to_standard_form(lp2().model)
+    start = KktPoint(np.ones(4), np.zeros(2), np.ones(4))
+    with pytest.raises(ValueError, match="time_limit_s"):
+        warm_started_ipm(p, start, IpmParams(), WarmStartParams(), limit)
 
 
 def test_zero_and_infinite_time_limits_are_valid():

@@ -28,7 +28,8 @@ from hybridlp import (
 )
 from hybridlp.warmstart import center_toward_target, prepare_model, warm_started_ipm
 
-from _desk import desk_suite, lp1, lp2
+from _desk import desk_suite, lp1, lp2, planted_equality_lp
+from test_lp_core import _linprog_general
 
 
 class TestMuTarget:
@@ -163,37 +164,30 @@ class TestWarmStartedIpm:
         assert res.escalations == 0
 
     def test_one_polish_attempt_across_escalations(self, monkeypatch):
-        """The boundary start is refused once ("no basis") and the stall
-        escalations do not repeat that attempt; the stage reports the verdict
-        of its last attempt, which run_ipm made after an escalation."""
+        """run_ipm, the one caller of basis_polish, attempts the boundary
+        start first and is refused ("no basis"); each escalated restart is a
+        start like any other and gets one attempt before its first step; the
+        stage reports the verdict of its last attempt."""
         p, _ = to_standard_form(lp2().model)
         start = KktPoint(
             np.array([1.0, 1.0, 1e-9, 1.0]),
             np.zeros(2),
             np.array([1.0, 1.0, 1e-9, 1.0]),
         )
-        verdicts = []
-        real = hybridlp.warmstart.basis_polish
+        calls = []
+        real = hybridlp.ipm.basis_polish
 
-        def spy(*args):
-            out = real(*args)
-            verdicts.append(out[2])
+        def spy(p, state, eps_rel):
+            out = real(p, state, eps_rel)
+            calls.append((state.iterations, out[2]))
             return out
 
-        monkeypatch.setattr(hybridlp.warmstart, "basis_polish", spy)
-        in_run_ipm = []
-        real_in_run_ipm = hybridlp.ipm.basis_polish
-
-        def spy_in_run_ipm(*args):
-            out = real_in_run_ipm(*args)
-            in_run_ipm.append(out[2])
-            return out
-
-        monkeypatch.setattr(hybridlp.ipm, "basis_polish", spy_in_run_ipm)
+        monkeypatch.setattr(hybridlp.ipm, "basis_polish", spy)
         res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
-        assert verdicts == ["no basis"]
-        assert in_run_ipm and res.stats.polish == in_run_ipm[-1]
         assert res.escalations >= 1
+        assert calls[0] == (0, "no basis")
+        assert len([k for k, _ in calls if k == 0]) == res.escalations + 1
+        assert res.stats.polish == calls[-1][1]
         assert res.stats.status is SolveStatus.OPTIMAL
 
     def test_stats_cover_every_run(self, monkeypatch):
@@ -326,6 +320,66 @@ class TestBasisPolishInTheHybrid:
         assert sol.status == "Optimal"
         assert sol.violation.max_violation <= 1e-7
 
+    # (x_zero, z_zero, seed) -> method -> (polish verdict, IPM steps, max violation);
+    # a violation of 0.0 stands for a polished vertex, checked to be at most 1e-12
+    DEGENERATE = {
+        (0.1, 0.0, 1): {"hybrid": ("no basis", 2, 1.003e-7),
+                        "ipm-cold": ("no basis", 10, 2.667e-10),
+                        "pdhg-1e8": (None, 0, 2.426e-8)},
+        (0.1, 0.0, 2): {"hybrid": ("no basis", 2, 6.741e-8),
+                        "ipm-cold": ("no basis", 9, 2.332e-9),
+                        "pdhg-1e8": (None, 0, 9.940e-8)},
+        (0.0, 0.1, 1): {"hybrid": ("accepted", 0, 0.0),
+                        "ipm-cold": ("infeasible", 9, 2.015e-9),
+                        "pdhg-1e8": (None, 0, 2.415e-7)},
+        (0.0, 0.1, 2): {"hybrid": ("accepted", 0, 0.0),
+                        "ipm-cold": ("accepted", 6, 0.0),
+                        "pdhg-1e8": (None, 0, 1.083e-7)},
+        (0.1, 0.1, 1): {"hybrid": ("no basis", 2, 1.255e-7),
+                        "ipm-cold": ("no basis", 10, 5.275e-10),
+                        "pdhg-1e8": (None, 0, 4.688e-8)},
+        (0.1, 0.1, 2): {"hybrid": ("no basis", 2, 5.392e-8),
+                        "ipm-cold": ("no basis", 9, 1.150e-8),
+                        "pdhg-1e8": (None, 0, 6.006e-8)},
+    }
+
+    def test_degenerate_desk_lps(self, monkeypatch):
+        """Six 60 x 105 planted LPs with 10% of the basic x* (primal), of the
+        nonbasic z* (dual) or of both at 0, seeds 1 and 2, against HiGHS.
+        Pins each method's status, polish verdict, IPM steps and max
+        violation (an accepted vertex at rounding level), and the hybrid's
+        factorizations.  The hybrid's polish is refused on the 4 primal
+        degenerate LPs, and 2 of those report Optimal above 1e-7 (1.003e-7
+        and 1.255e-7): ROADMAP B's known defect, the warm interior point
+        stopping on its relative test on the scaled model."""
+        factorizations = []
+        real = hybridlp.ipm.factor_normal
+
+        def counted(*args):
+            factorizations.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(hybridlp.ipm, "factor_normal", counted)
+        hybrid_factorizations = 0
+        for (x_zero, z_zero, seed), pins in self.DEGENERATE.items():
+            inst = planted_equality_lp(60, 105, seed, x_zero=x_zero, z_zero=z_zero)
+            ref = _linprog_general(inst.model)
+            assert inst.obj_star == pytest.approx(ref, rel=1e-9, abs=1e-9)
+            for method, (polish, steps, violation) in pins.items():
+                factorizations.clear()
+                sol, stats = solve(inst.model, method)
+                obj = float(inst.model.c @ sol.x) + inst.model.obj_offset
+                assert obj == pytest.approx(ref, rel=1e-7, abs=1e-7), (inst.name, method)
+                assert (sol.status, stats.ipm_stats and stats.ipm_stats.polish,
+                        sol.ipm_iterations) == ("Optimal", polish, steps), (inst.name, method)
+                if violation:
+                    assert sol.violation.max_violation == pytest.approx(violation, rel=1e-3)
+                else:
+                    assert sol.violation.max_violation <= 1e-12
+                if method == "hybrid":
+                    hybrid_factorizations += len(factorizations)
+        assert hybrid_factorizations == 10
+
     @pytest.mark.parametrize("name", ["lp2", "eq_40x70_s20", "eq_120x200_s24", "ineq_35x60_s34"])
     def test_refusal_leaves_the_interior_point_path_unchanged(self, name, monkeypatch):
         """With every attempt refused, the warm result is the plain
@@ -333,9 +387,9 @@ class TestBasisPolishInTheHybrid:
         inst = next(i for i in desk_suite() if i.name == name)
         p = prepare_model(inst.model).solve_model
         start = centered_start(run_pdhg(p, PdhgParams(eps_rel=1e-4))[0])
-        refuse = lambda p, state, eps_rel: (None, None, "not optimal")  # noqa: E731
-        monkeypatch.setattr(hybridlp.warmstart, "basis_polish", refuse)
-        monkeypatch.setattr(hybridlp.ipm, "basis_polish", refuse)
+        monkeypatch.setattr(
+            hybridlp.ipm, "basis_polish", lambda p, state, eps_rel: (None, None, "not optimal")
+        )
         res = warm_started_ipm(p, start, IpmParams(), WarmStartParams())
         ref = _steps_without_polish(p, start, IpmParams())
         assert (res.stats.status, res.escalations, res.stats.polish) == (
